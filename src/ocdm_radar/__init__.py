@@ -14,8 +14,6 @@ from .channel import (
     Target,
     apply_comm_channel,
     apply_radar_channel,
-    biased_cir_oracle,
-    ideal_cir_oracle,
     normalize_target,
 )
 from .comms import (

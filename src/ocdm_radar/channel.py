@@ -35,8 +35,6 @@ __all__ = [
     "normalize_target",
     "apply_radar_channel",
     "apply_shift_channel",
-    "ideal_cir_oracle",
-    "biased_cir_oracle",
     "ideal_cir_from_shifts",
     "biased_cir_from_shifts",
     "apply_comm_channel",
@@ -111,7 +109,10 @@ def _add_awgn(signal: np.ndarray, snr_db: float, rng_seed: int, ref_power: float
         # Zero-target scenes: reference the configured fallback power so a
         # pure-noise stream is still produced.
         power = ref_power
-    sigma2 = power * 10.0 ** (-snr_db / 10.0)
+    try:
+        sigma2 = power * 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"snr_db={snr_db} puts the noise power out of float range") from None
     rng = np.random.default_rng(rng_seed)
     noise = np.sqrt(sigma2 / 2.0) * (
         rng.standard_normal(signal.shape) + 1j * rng.standard_normal(signal.shape)
@@ -218,20 +219,6 @@ def biased_cir_from_shifts(shifts, params: WaveformParams) -> np.ndarray:
         )
         out += complex(amplitude) * np.outer(column, np.exp(1j * _phi_m(params, k_delta)))
     return out
-
-
-def _target_shifts(cfg: RadarChannelConfig, params: WaveformParams):
-    return [
-        (*normalize_target(t, params, cfg.doppler_sign), t.amplitude) for t in cfg.targets
-    ]
-
-
-def ideal_cir_oracle(cfg: RadarChannelConfig, params: WaveformParams) -> np.ndarray:
-    return ideal_cir_from_shifts(_target_shifts(cfg, params), params)
-
-
-def biased_cir_oracle(cfg: RadarChannelConfig, params: WaveformParams) -> np.ndarray:
-    return biased_cir_from_shifts(_target_shifts(cfg, params), params)
 
 
 def two_tap_tilt_cir(tilt_db: float) -> np.ndarray:

@@ -5,6 +5,11 @@ writes its artifacts plus a manifest (file list, resolved config, config
 hash, seed) into the output directory, so a run can be reproduced from the
 manifest alone.
 
+The library dataclasses own the scenario defaults and bounds.  The CLI only
+checks what they cannot check on outside JSON (keys, types, finiteness,
+shapes), supplies its own few defaults, and builds every dataclass once per
+run, before any artifact is written.
+
 Exit codes: 0 ok, 1 runtime failure, 2 config/schema violation,
 3 precondition violation.
 """
@@ -16,7 +21,10 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import MISSING, asdict, fields, replace
+from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,12 +86,20 @@ OUTPUT_DIR_ENV = "OCDM_RADAR_OUTDIR"
 # Peak must clear the noise floor by this margin to count as a detection.
 DETECTION_MARGIN_DB = 13.0
 
-DESK_WAVEFORM = {"N": 256, "M": 32, "N_CP": 0, "B": 1e9, "fc": 79e9}
-FULL_WAVEFORM = {"N": 2048, "M": 5120, "N_CP": 0, "B": 1e9, "fc": 79e9}
+# CLI-only defaults; every other scenario default is a dataclass field default.
+DESK_SIZE = {"N": 256, "M": 32}
+FULL_SIZE = {"N": 2048, "M": 5120}
+DEFAULT_NUM_TX = 4
+
+PAPR_WAVEFORMS = ("pilot", "radcom", "ofdm")
 
 
 class ConfigError(Exception):
     """Schema-level config problem; message names the offending field."""
+
+
+def _defaults(cls) -> dict:
+    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
 
 
 def _require_keys(obj: dict, allowed: dict, path: str) -> None:
@@ -97,9 +113,19 @@ def _require_keys(obj: dict, allowed: dict, path: str) -> None:
             raise ConfigError(f"{path}.{key}: missing required key")
 
 
+def _section(raw: dict, name: str, defaults: dict) -> dict:
+    section = dict(defaults)
+    if name in raw:
+        _require_keys(raw[name], dict.fromkeys(section, False), f"config.{name}")
+        section.update(raw[name])
+    return section
+
+
 def _number(obj, path, lo=None, hi=None, integer=False):
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ConfigError(f"{path}: expected a number")
+    if not abs(obj) <= sys.float_info.max:
+        raise ConfigError(f"{path}: expected a finite number")
     if integer and int(obj) != obj:
         raise ConfigError(f"{path}: expected an integer")
     if lo is not None and obj < lo:
@@ -109,121 +135,95 @@ def _number(obj, path, lo=None, hi=None, integer=False):
     return int(obj) if integer else float(obj)
 
 
+def _numbers(section: dict, path: str, ints=(), floats=()) -> None:
+    for key in ints:
+        section[key] = _number(section[key], f"{path}.{key}", integer=True)
+    for key in floats:
+        section[key] = _number(section[key], f"{path}.{key}")
+
+
 def _complex_amplitude(obj, path) -> complex:
+    if isinstance(obj, complex):  # the Target default; JSON has no complex literal
+        return obj
     if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        return complex(obj)
+        return complex(_number(obj, path))
     if isinstance(obj, list) and len(obj) == 2:
         return complex(_number(obj[0], f"{path}[0]"), _number(obj[1], f"{path}[1]"))
     raise ConfigError(f"{path}: expected a number or [re, im] pair")
 
 
-_SCHEMA = {
-    "waveform": False,
-    "mode": False,
-    "targets": False,
-    "snr_db": False,
-    "seed": False,
-    "mimo": False,
-    "radcom": False,
-    "comm": False,
-    "sweep": False,
-    "papr": False,
-    "output_dir": False,
-}
+def _list(obj, path: str) -> list:
+    if not isinstance(obj, list):
+        raise ConfigError(f"{path}: expected a list")
+    return obj
+
+
+_SECTIONS = (
+    "waveform", "mode", "targets", "snr_db", "seed", "mimo", "radcom", "comm", "sweep", "papr", "output_dir"
+)
 
 
 def resolve_config(raw: dict, full_scale: bool = False) -> dict:
-    """Validate the raw JSON object and fill in every default."""
-    _require_keys(raw, _SCHEMA, "config")
+    """Check the raw JSON object's shape and fill in every default.
 
-    waveform = dict(FULL_WAVEFORM if full_scale else DESK_WAVEFORM)
-    if "waveform" in raw:
-        _require_keys(raw["waveform"], {k: False for k in waveform}, "config.waveform")
-        waveform.update(raw["waveform"])
-    waveform["N"] = _number(waveform["N"], "config.waveform.N", lo=2, integer=True)
-    waveform["M"] = _number(waveform["M"], "config.waveform.M", lo=1, integer=True)
-    waveform["N_CP"] = _number(waveform["N_CP"], "config.waveform.N_CP", lo=0, integer=True)
-    waveform["B"] = _number(waveform["B"], "config.waveform.B", lo=1.0)
-    waveform["fc"] = _number(waveform["fc"], "config.waveform.fc", lo=1.0)
+    Value bounds are left to the dataclasses that build_scenario constructs.
+    """
+    _require_keys(raw, dict.fromkeys(_SECTIONS, False), "config")
+
+    size = FULL_SIZE if full_scale else DESK_SIZE
+    waveform = _section(raw, "waveform", {**size, **_defaults(WaveformParams)})
+    _numbers(waveform, "config.waveform", ints=("N", "M", "N_CP"), floats=("B", "fc"))
 
     mode = raw.get("mode", "radar")
-    if mode not in ("radar", "mimo", "radcom", "ofdm-baseline"):
+    if mode not in ("radar", "mimo", "radcom"):
         raise ConfigError(f"config.mode: unknown mode {mode!r}")
 
+    target_keys = {f.name: f.default is MISSING for f in fields(Target)}
     targets = []
-    for i, t in enumerate(raw.get("targets", [])):
-        _require_keys(
-            t,
-            {"range_m": True, "velocity_mps": False, "amplitude": False},
-            f"config.targets[{i}]",
-        )
-        targets.append(
-            {
-                "range_m": _number(t["range_m"], f"config.targets[{i}].range_m", lo=0.0),
-                "velocity_mps": _number(
-                    t.get("velocity_mps", 0.0), f"config.targets[{i}].velocity_mps"
-                ),
-                "amplitude": _complex_amplitude(
-                    t.get("amplitude", 1.0), f"config.targets[{i}].amplitude"
-                ),
-            }
-        )
+    for i, t in enumerate(_list(raw.get("targets", []), "config.targets")):
+        path = f"config.targets[{i}]"
+        _require_keys(t, target_keys, path)
+        t = {**_defaults(Target), **t}
+        _numbers(t, path, floats=("range_m", "velocity_mps"))
+        t["amplitude"] = _complex_amplitude(t["amplitude"], f"{path}.amplitude")
+        targets.append(t)
 
     snr_db = raw.get("snr_db")
     if snr_db is not None:
         snr_db = _number(snr_db, "config.snr_db")
     seed = _number(raw.get("seed", 0), "config.seed", integer=True)
 
-    mimo = {"num_tx": 4, "num_rx": 1, "tx": 0, "rx": 0}
-    if "mimo" in raw:
-        _require_keys(raw["mimo"], {k: False for k in mimo}, "config.mimo")
-        mimo.update(raw["mimo"])
-    for key in mimo:
-        mimo[key] = _number(mimo[key], f"config.mimo.{key}", lo=0, integer=True)
+    mimo = _section(raw, "mimo", {"num_tx": DEFAULT_NUM_TX, **_defaults(MimoConfig)})
+    _numbers(mimo, "config.mimo", ints=tuple(mimo))
 
-    radcom = {"N_CP": None, "pilot_energy": 1.0, "symbol_energy": 1.0, "avg_symbols": None}
-    if "radcom" in raw:
-        _require_keys(raw["radcom"], {k: False for k in radcom}, "config.radcom")
-        radcom.update(raw["radcom"])
+    radcom = _section(raw, "radcom", {"N_CP": None, **_defaults(RadComFrameSpec), "avg_symbols": None})
     if radcom["N_CP"] is None:
         radcom["N_CP"] = max(waveform["N_CP"], waveform["N"] // 4)
-    radcom["N_CP"] = _number(radcom["N_CP"], "config.radcom.N_CP", lo=1, integer=True)
-    radcom["pilot_energy"] = _number(radcom["pilot_energy"], "config.radcom.pilot_energy", lo=0.0)
-    radcom["symbol_energy"] = _number(
-        radcom["symbol_energy"], "config.radcom.symbol_energy", lo=0.0
-    )
+    _numbers(radcom, "config.radcom", ints=("N_CP",), floats=("pilot_energy", "symbol_energy"))
     if radcom["avg_symbols"] is not None:
         radcom["avg_symbols"] = _number(
-            radcom["avg_symbols"], "config.radcom.avg_symbols", lo=1, integer=True
+            radcom["avg_symbols"], "config.radcom.avg_symbols", lo=1, hi=waveform["M"], integer=True
         )
 
-    comm = {"cfr_csv": None, "tilt_db": 10.0, "snr_db": 30.0}
-    if "comm" in raw:
-        _require_keys(raw["comm"], {k: False for k in comm}, "config.comm")
-        comm.update(raw["comm"])
+    comm = _section(raw, "comm", {"cfr_csv": None, "tilt_db": 10.0, "snr_db": 30.0})
     comm["tilt_db"] = _number(comm["tilt_db"], "config.comm.tilt_db", lo=0.0)
     comm["snr_db"] = _number(comm["snr_db"], "config.comm.snr_db")
     if comm["cfr_csv"] is not None and not isinstance(comm["cfr_csv"], str):
         raise ConfigError("config.comm.cfr_csv: expected a path string")
 
-    sweep = {"n_grid": [0, 32, 64, 96, 128, 160, 192, 224], "k_grid": [-0.5, -0.25, -0.1, 0.0, 0.1, 0.25, 0.5]}
-    if "sweep" in raw:
-        _require_keys(raw["sweep"], {k: False for k in sweep}, "config.sweep")
-        sweep.update(raw["sweep"])
+    sweep = _section(raw, "sweep", {"n_grid": [0, 32, 64, 96, 128, 160, 192, 224], "k_grid": [-0.5, -0.25, -0.1, 0.0, 0.1, 0.25, 0.5]})
     for name in ("n_grid", "k_grid"):
-        if not isinstance(sweep[name], list) or not sweep[name]:
-            raise ConfigError(f"config.sweep.{name}: expected a non-empty list")
-        sweep[name] = [_number(v, f"config.sweep.{name}[{i}]") for i, v in enumerate(sweep[name])]
+        path = f"config.sweep.{name}"
+        if not _list(sweep[name], path):
+            raise ConfigError(f"{path}: expected a non-empty list")
+        sweep[name] = [_number(v, f"{path}[{i}]") for i, v in enumerate(sweep[name])]
 
-    papr = {"trials": 1000, "oversample": 20, "waveforms": ["pilot", "radcom", "ofdm"]}
-    if "papr" in raw:
-        _require_keys(raw["papr"], {k: False for k in papr}, "config.papr")
-        papr.update(raw["papr"])
+    papr = _section(raw, "papr", {"trials": 1000, "oversample": 20, "waveforms": list(PAPR_WAVEFORMS)})
     papr["trials"] = _number(papr["trials"], "config.papr.trials", lo=1, integer=True)
     papr["oversample"] = _number(papr["oversample"], "config.papr.oversample", lo=1, integer=True)
-    for w in papr["waveforms"]:
-        if w not in ("pilot", "radcom", "ofdm"):
-            raise ConfigError(f"config.papr.waveforms: unknown waveform {w!r}")
+    for i, w in enumerate(_list(papr["waveforms"], "config.papr.waveforms")):
+        if not isinstance(w, str) or w not in PAPR_WAVEFORMS:
+            raise ConfigError(f"config.papr.waveforms[{i}]: unknown waveform {w!r}")
 
     output_dir = raw.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
@@ -244,15 +244,52 @@ def resolve_config(raw: dict, full_scale: bool = False) -> dict:
     }
 
 
-def _params_from(config: dict) -> WaveformParams:
-    w = config["waveform"]
-    return WaveformParams(N=w["N"], M=w["M"], N_CP=w["N_CP"], B=w["B"], fc=w["fc"])
+class Scenario(NamedTuple):
+    """The library objects of one run, built from a resolved config."""
+
+    params: WaveformParams
+    radcom_params: WaveformParams
+    mimo: MimoConfig
+    spec: RadComFrameSpec
+    channel: RadarChannelConfig
+    comm_channel: CommChannelConfig
 
 
-def _targets_from(config: dict) -> list[Target]:
-    return [
-        Target(t["range_m"], t["velocity_mps"], t["amplitude"]) for t in config["targets"]
+def _build(path: str, make, *args, **kwargs):
+    try:
+        return make(*args, **kwargs)
+    except (ValueError, OverflowError, OSError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def build_scenario(config: dict) -> Scenario:
+    """Build every config section's library objects, whatever the command.
+
+    The dataclasses' own validation rejects bad values; the ConfigError
+    names the config section they came from.
+    """
+    rc, comm = config["radcom"], config["comm"]
+    params = _build("config.waveform", WaveformParams, **config["waveform"])
+    radcom_params = _build("config.radcom.N_CP", replace, params, N_CP=rc["N_CP"])
+    spec = _build(
+        "config.radcom", RadComFrameSpec, rc["N_CP"], rc["pilot_energy"], rc["symbol_energy"]
+    )
+    mimo = _build("config.mimo", MimoConfig, **config["mimo"])
+    targets = [
+        _build(f"config.targets[{i}]", Target, **t) for i, t in enumerate(config["targets"])
     ]
+    if comm["cfr_csv"] is not None:
+        taps = {"cfr": _build("config.comm.cfr_csv", load_cfr_csv, comm["cfr_csv"], params.N)}
+    else:
+        taps = {"cir": _build("config.comm.tilt_db", two_tap_tilt_cir, comm["tilt_db"])}
+    return Scenario(
+        params,
+        radcom_params,
+        mimo,
+        spec,
+        RadarChannelConfig(targets=targets, snr_db=config["snr_db"], rng_seed=config["seed"]),
+        CommChannelConfig(**taps, snr_db=comm["snr_db"], rng_seed=config["seed"] + 1),
+    )
 
 
 def _canonical_json(obj) -> str:
@@ -277,17 +314,24 @@ def _write_manifest(out_dir: Path, command: str, config: dict, files: list[str])
     (out_dir / "manifest.json").write_text(_canonical_json(manifest) + "\n")
 
 
-def _emit_json(out_dir: Path, name: str, payload: dict, files: list[str]) -> None:
+def _emit_json(out_dir: Path, files: list[str], name: str, payload: dict) -> None:
     (out_dir / name).write_text(_canonical_json(payload) + "\n")
     files.append(name)
 
 
-def _emit_image(out_dir: Path, prefix: str, image, files: list[str]) -> None:
-    written = image_to_csv(image, out_dir / prefix)
-    files.extend(Path(p).name for p in written)
+def _emit_csv(out_dir: Path, files: list[str], name: str, header: str, columns) -> None:
+    np.savetxt(
+        out_dir / name,
+        np.column_stack(columns),
+        delimiter=",",
+        fmt="%.12g",
+        header=header,
+        comments="",
+    )
+    files.append(name)
 
 
-def _peak_payload(image, params) -> dict:
+def _peak_payload(image) -> dict:
     peak = estimate_peak(image)
     power = image.magnitude**2
     pr, pc = np.unravel_index(int(np.argmax(power)), power.shape)
@@ -296,117 +340,74 @@ def _peak_payload(image, params) -> dict:
     floor = float(power[mask].mean()) if mask.any() else 0.0
     margin = 10.0 * np.log10(power[pr, pc] / floor) if floor > 0 else np.inf
     return {
-        "range_m": peak.range_m,
-        "velocity_mps": peak.velocity_mps,
-        "power_db": peak.power_db,
+        **asdict(peak),
         "noise_margin_db": None if np.isinf(margin) else float(margin),
         "detected": bool(margin >= DETECTION_MARGIN_DB),
     }
 
 
-def _cmd_params(config: dict, out_dir: Path) -> list[str]:
-    params = _params_from(config)
-    num_tx = config["mimo"]["num_tx"] if config["mode"] == "mimo" else None
-    if config["mode"] == "radcom":
-        params = WaveformParams(
-            params.N, params.M, config["radcom"]["N_CP"], params.B, params.fc
-        )
-    rp = compute_radar_params(params, num_tx=num_tx)
-    payload = {
-        "processing_gain_db": round(rp.processing_gain_db, 2),
-        "range_resolution_m": round(rp.range_resolution_m, 2),
-        "max_unambiguous_range_m": round(rp.max_unambiguous_range_m, 2),
-        "velocity_resolution_mps": round(rp.velocity_resolution_mps, 2),
-        "max_unambiguous_velocity_mps": round(rp.max_unambiguous_velocity_mps, 2),
-        "max_cp_range_m": None if rp.max_cp_range_m is None else round(rp.max_cp_range_m, 2),
-        "mimo_max_unambiguous_range_m": (
-            None
-            if rp.mimo_max_unambiguous_range_m is None
-            else round(rp.mimo_max_unambiguous_range_m, 2)
-        ),
-        "data_rate_radcom_bps": data_rate_radcom(params, config["radcom"]["N_CP"]),
-        "data_rate_comb_pilot_bps": data_rate_comb_pilot(params, config["radcom"]["N_CP"]),
-    }
-    files: list[str] = []
-    _emit_json(out_dir, "radar_params.json", payload, files)
-    return files
+def _emit_radar(
+    out_dir: Path,
+    files: list[str],
+    prefix: str,
+    frame: np.ndarray,
+    params: WaveformParams,
+    channel: RadarChannelConfig,
+    extract=None,
+    mode: str = "SISO",
+) -> np.ndarray:
+    """Send ``frame`` past the targets and image the receive rows ``extract`` keeps.
+
+    Writes the image and its peak report; returns the transmitted stream.
+    """
+    tx = serialize(add_cp(to_time_frame(frame), params.N_CP))
+    fresnel = receive_frame(apply_radar_channel(tx, channel, params), params)
+    image = doppler_process(fresnel if extract is None else extract(fresnel), params, mode=mode)
+    files.extend(Path(p).name for p in image_to_csv(image, out_dir / prefix))
+    _emit_json(out_dir, files, f"{prefix}_peak.json", _peak_payload(image))
+    return tx
 
 
-def _cmd_radar(config: dict, out_dir: Path) -> list[str]:
-    params = _params_from(config)
-    cfg = RadarChannelConfig(
-        targets=_targets_from(config), snr_db=config["snr_db"], rng_seed=config["seed"]
-    )
-    tx = serialize(add_cp(to_time_frame(build_pilot_frame(params)), params.N_CP))
-    rx = apply_radar_channel(tx, cfg, params)
-    image = doppler_process(receive_frame(rx, params), params)
-    files: list[str] = []
-    _emit_image(out_dir, "radar", image, files)
-    _emit_json(out_dir, "radar_peak.json", _peak_payload(image, params), files)
-    return files
+def _cmd_params(config: dict, sc: Scenario, out_dir: Path, files: list[str]) -> None:
+    mode = config["mode"]
+    params = sc.radcom_params if mode == "radcom" else sc.params
+    rp = compute_radar_params(params, num_tx=sc.mimo.num_tx if mode == "mimo" else None)
+    payload = {key: None if v is None else round(v, 2) for key, v in asdict(rp).items()}
+    payload["data_rate_radcom_bps"] = data_rate_radcom(params, sc.spec.N_CP)
+    payload["data_rate_comb_pilot_bps"] = data_rate_comb_pilot(params, sc.spec.N_CP)
+    _emit_json(out_dir, files, "radar_params.json", payload)
 
 
-def _cmd_mimo(config: dict, out_dir: Path) -> list[str]:
-    params = _params_from(config)
-    m = config["mimo"]
-    cfg = RadarChannelConfig(
-        targets=_targets_from(config), snr_db=config["snr_db"], rng_seed=config["seed"]
-    )
-    files: list[str] = []
-    for p in range(m["num_tx"]):
-        mimo = MimoConfig(num_tx=m["num_tx"], tx=p, num_rx=max(m["num_rx"], 1), rx=m["rx"])
-        tx = serialize(add_cp(to_time_frame(build_mimo_pilot_frame(params, mimo)), params.N_CP))
-        rx = apply_radar_channel(tx, cfg, params)
-        cir = mimo_demux(receive_frame(rx, params), mimo)
-        image = doppler_process(cir, params, mode=f"MIMO(p={p},q={m['rx']})")
-        _emit_image(out_dir, f"mimo_p{p}", image, files)
-        _emit_json(out_dir, f"mimo_p{p}_peak.json", _peak_payload(image, params), files)
-    return files
+def _cmd_radar(config: dict, sc: Scenario, out_dir: Path, files: list[str]) -> None:
+    _emit_radar(out_dir, files, "radar", build_pilot_frame(sc.params), sc.params, sc.channel)
 
 
-def _cmd_radcom(config: dict, out_dir: Path) -> list[str]:
-    base = _params_from(config)
-    rc = config["radcom"]
-    params = WaveformParams(base.N, base.M, rc["N_CP"], base.B, base.fc)
-    spec = RadComFrameSpec(rc["N_CP"], rc["pilot_energy"], rc["symbol_energy"])
+def _cmd_mimo(config: dict, sc: Scenario, out_dir: Path, files: list[str]) -> None:
+    params, mimo = sc.params, sc.mimo
+    for p in range(mimo.num_tx):
+        frame = build_mimo_pilot_frame(params, mimo, p)
+        extract = partial(mimo_demux, mimo=mimo, tx=p)
+        mode = f"MIMO(p={p},q={mimo.rx})"
+        _emit_radar(out_dir, files, f"mimo_p{p}", frame, params, sc.channel, extract, mode)
+
+
+def _cmd_radcom(config: dict, sc: Scenario, out_dir: Path, files: list[str]) -> None:
+    params, spec = sc.radcom_params, sc.spec
     n_data = spec.num_data_subchirps(params.N)
 
     rng = np.random.default_rng(config["seed"])
     bits = rng.integers(0, 2, size=2 * n_data * params.M)
     symbols = (np.sqrt(spec.symbol_energy) * qpsk_map(bits)).reshape(n_data, params.M)
     frame = build_radcom_frame(params, spec, symbols)
-    tx = serialize(add_cp(to_time_frame(frame), params.N_CP))
-
-    cfg = RadarChannelConfig(
-        targets=_targets_from(config), snr_db=config["snr_db"], rng_seed=config["seed"]
-    )
-    rx = apply_radar_channel(tx, cfg, params)
-    fresnel = receive_frame(rx, params)
-    image = doppler_process(radcom_extract_cir(fresnel, rc["N_CP"]), params, mode="RADCOM")
-
-    files: list[str] = []
-    _emit_image(out_dir, "radcom", image, files)
-    _emit_json(out_dir, "radcom_peak.json", _peak_payload(image, params), files)
+    extract = partial(radcom_extract_cir, n_cp=spec.N_CP)
+    tx = _emit_radar(out_dir, files, "radcom", frame, params, sc.channel, extract, "RADCOM")
 
     # Communication leg over the configured frequency-selective channel.
-    comm = config["comm"]
-    if comm["cfr_csv"] is not None:
-        ch = CommChannelConfig(
-            cfr=load_cfr_csv(comm["cfr_csv"], params.N),
-            snr_db=comm["snr_db"],
-            rng_seed=config["seed"] + 1,
-        )
-    else:
-        ch = CommChannelConfig(
-            cir=two_tap_tilt_cir(comm["tilt_db"]),
-            snr_db=comm["snr_db"],
-            rng_seed=config["seed"] + 1,
-        )
-    rx_comm = apply_comm_channel(tx, ch, params)
+    rx_comm = apply_comm_channel(tx, sc.comm_channel, params)
     comm_frame = receive_frame(rx_comm, params, correct_fold=False)
-    avg = rc["avg_symbols"] or params.M
+    avg = config["radcom"]["avg_symbols"] or params.M
     cfr_est = estimate_comm_cfr(
-        comm_frame, rc["N_CP"], avg, pilot_amplitude=np.sqrt(spec.pilot_energy)
+        comm_frame, spec.N_CP, avg, pilot_amplitude=np.sqrt(spec.pilot_energy)
     )
     recovered = equalize_and_extract(comm_frame, cfr_est, spec)
     rx_bits = qpsk_demap(recovered)
@@ -414,90 +415,47 @@ def _cmd_radcom(config: dict, out_dir: Path) -> list[str]:
     report = evm_and_snr(
         recovered, symbols, bit_errors=errors, data_rate_bps=data_rate_radcom(params)
     )
-    _emit_json(
+    _emit_json(out_dir, files, "comm_report.json", {**asdict(report), "total_bits": int(bits.size)})
+    _emit_csv(
         out_dir,
-        "comm_report.json",
-        {
-            "evm_mean_db": report.evm_mean_db,
-            "evm_std_db": report.evm_std_db,
-            "est_snr_db": report.est_snr_db,
-            "bit_errors": report.bit_errors,
-            "total_bits": int(bits.size),
-            "data_rate_bps": report.data_rate_bps,
-        },
         files,
-    )
-
-    constellation = np.column_stack(
+        "constellation.csv",
+        "re,im,subchirp",
         [
             recovered.real.flatten(order="F"),
             recovered.imag.flatten(order="F"),
             np.tile(np.arange(n_data), params.M),
-        ]
+        ],
     )
-    np.savetxt(
-        out_dir / "constellation.csv",
-        constellation,
-        delimiter=",",
-        fmt="%.12g",
-        header="re,im,subchirp",
-        comments="",
-    )
-    files.append("constellation.csv")
-    return files
 
 
-def _cmd_sweep(config: dict, out_dir: Path, parallelism: int) -> list[str]:
-    params = _params_from(config)
+def _cmd_sweep(config: dict, sc: Scenario, out_dir: Path, files: list[str], parallelism: int) -> None:
     result = doppler_tolerance_sweep(
-        params, config["sweep"]["n_grid"], config["sweep"]["k_grid"], parallelism=parallelism
+        sc.params, config["sweep"]["n_grid"], config["sweep"]["k_grid"], parallelism=parallelism
     )
-    files: list[str] = []
-    surfaces = {
-        "pplr": result.pplr_db,
-        "pslr": result.pslr_db,
-        "islr": result.islr_db,
-    }
-    for name, surface in surfaces.items():
-        rows = [
-            (result.n_grid[i], result.k_grid[j], surface[i, j])
-            for i in range(result.n_grid.size)
-            for j in range(result.k_grid.size)
-        ]
-        np.savetxt(
-            out_dir / f"sweep_{name}.csv",
-            np.asarray(rows),
-            delimiter=",",
-            fmt="%.12g",
-            header="n_delta,k_delta,value_db",
-            comments="",
-        )
-        files.append(f"sweep_{name}.csv")
-    flat = result.pplr_db.ravel()
-    worst = int(np.argmin(flat))
+    n_size, k_size = result.n_grid.size, result.k_grid.size
+    grid = [np.repeat(result.n_grid, k_size), np.tile(result.k_grid, n_size)]
+    for name, surface in (("pplr", result.pplr_db), ("pslr", result.pslr_db), ("islr", result.islr_db)):
+        _emit_csv(out_dir, files, f"sweep_{name}.csv", "n_delta,k_delta,value_db", grid + [surface.ravel()])
+    worst = int(np.argmin(result.pplr_db))
     summary = {
         "pplr_min_db": float(result.pplr_db.min()),
         "pplr_max_db": float(result.pplr_db.max()),
         "worst_point": {
-            "n_delta": float(result.n_grid[worst // result.k_grid.size]),
-            "k_delta": float(result.k_grid[worst % result.k_grid.size]),
+            "n_delta": float(result.n_grid[worst // k_size]),
+            "k_delta": float(result.k_grid[worst % k_size]),
         },
     }
-    _emit_json(out_dir, "sweep_summary.json", summary, files)
-    return files
+    _emit_json(out_dir, files, "sweep_summary.json", summary)
 
 
-def _cmd_papr(config: dict, out_dir: Path) -> list[str]:
-    params = _params_from(config)
+def _cmd_papr(config: dict, sc: Scenario, out_dir: Path, files: list[str]) -> None:
     pc = config["papr"]
-    rc = config["radcom"]
-    spec = RadComFrameSpec(rc["N_CP"], rc["pilot_energy"], rc["symbol_energy"])
     builders = {
-        "pilot": pilot_symbol_builder(params),
-        "radcom": radcom_symbol_builder(params, spec),
-        "ofdm": ofdm_symbol_builder(params),
+        "pilot": pilot_symbol_builder(sc.params),
+        "radcom": radcom_symbol_builder(sc.params, sc.spec),
+        "ofdm": ofdm_symbol_builder(sc.params),
     }
-    files: list[str] = []
     summary = {}
     for i, name in enumerate(pc["waveforms"]):
         ccdf = papr_ccdf(
@@ -506,21 +464,13 @@ def _cmd_papr(config: dict, out_dir: Path) -> list[str]:
             oversample=pc["oversample"],
             rng_seed=config["seed"] + i,
         )
-        np.savetxt(
-            out_dir / f"papr_{name}.csv",
-            np.column_stack([ccdf.thresholds_db, ccdf.exceedance]),
-            delimiter=",",
-            fmt="%.12g",
-            header="threshold_db,exceedance",
-            comments="",
-        )
-        files.append(f"papr_{name}.csv")
+        columns = [ccdf.thresholds_db, ccdf.exceedance]
+        _emit_csv(out_dir, files, f"papr_{name}.csv", "threshold_db,exceedance", columns)
         summary[name] = {
             "mean_papr_db": ccdf.mean_papr_db,
             "papr_at_1e-2_db": ccdf.papr_at_probability(1e-2),
         }
-    _emit_json(out_dir, "papr_summary.json", summary, files)
-    return files
+    _emit_json(out_dir, files, "papr_summary.json", summary)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -554,18 +504,18 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return EXIT_SCHEMA
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also undecodable bytes and oversized integers
             print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
             return EXIT_SCHEMA
 
     try:
         config = resolve_config(raw, full_scale=args.full_scale)
+        if args.seed is not None:
+            config["seed"] = args.seed
+        scenario = build_scenario(config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-
-    if args.seed is not None:
-        config["seed"] = args.seed
 
     out_dir = Path(
         args.out
@@ -579,19 +529,17 @@ def main(argv=None) -> int:
         print(f"error: cannot create output directory: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
+    commands = {
+        "params": _cmd_params,
+        "radar": _cmd_radar,
+        "mimo": _cmd_mimo,
+        "radcom": _cmd_radcom,
+        "sweep": partial(_cmd_sweep, parallelism=args.parallelism),
+        "papr": _cmd_papr,
+    }
+    files: list[str] = []
     try:
-        if args.command == "params":
-            files = _cmd_params(config, out_dir)
-        elif args.command == "radar":
-            files = _cmd_radar(config, out_dir)
-        elif args.command == "mimo":
-            files = _cmd_mimo(config, out_dir)
-        elif args.command == "radcom":
-            files = _cmd_radcom(config, out_dir)
-        elif args.command == "sweep":
-            files = _cmd_sweep(config, out_dir, args.parallelism)
-        else:
-            files = _cmd_papr(config, out_dir)
+        commands[args.command](config, scenario, out_dir, files)
     except ValueError as exc:
         print(f"error: precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -26,7 +26,7 @@ from .framing import (
     remove_cp,
     serialize,
 )
-from .rxproc import RangeVelocityImage, compute_radar_params
+from .rxproc import RangeVelocityImage, doppler_process
 
 __all__ = [
     "CommReport",
@@ -233,16 +233,8 @@ def ofdm_radar_process(
         raise ValueError("tx/rx grids must have identical shape")
     if np.any(tx == 0):
         raise ValueError("zero transmit symbol: spectral division is singular")
-    quotient = rx / tx
-    profiles = np.fft.ifft(quotient, axis=0)
-    if window is not None:
-        window = np.asarray(window, dtype=np.float64)
-        profiles = profiles * window[None, :]
-    image = np.fft.fftshift(np.fft.fft(profiles, axis=1), axes=1)
-    rp = compute_radar_params(params)
-    range_axis = np.arange(profiles.shape[0]) * rp.range_resolution_m
-    velocity_axis = -(np.arange(params.M) - params.M // 2) * rp.velocity_resolution_mps
-    return RangeVelocityImage(np.abs(image), range_axis, velocity_axis, "OFDM")
+    profiles = np.fft.ifft(rx / tx, axis=0)
+    return doppler_process(profiles, params, window, mode="OFDM")
 
 
 def data_rate_radcom(params: WaveformParams, n_cp: int | None = None) -> float:

@@ -6,7 +6,7 @@ Fresnel domain (or samples in the time domain), columns index OCDM symbols.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,7 +27,6 @@ __all__ = [
     "remove_cp",
     "serialize",
     "deserialize",
-    "frame_to_csv",
 ]
 
 # Propagation speed used throughout; the rounded value reproduces the
@@ -95,6 +94,14 @@ class MimoConfig:
         if not 0 <= self.rx < self.num_rx:
             raise ValueError(f"rx index {self.rx} outside [0, {self.num_rx})")
 
+    def slice_rows(self, n: int, tx: int | None = None) -> slice:
+        """Rows of transmitter tx (default self.tx) in an n-row Fresnel-domain frame."""
+        mimo = self if tx is None else replace(self, tx=tx)
+        if n % mimo.num_tx:
+            raise ValueError(f"N={n} is not divisible by num_tx={mimo.num_tx}")
+        width = n // mimo.num_tx
+        return slice(mimo.tx * width, (mimo.tx + 1) * width)
+
 
 @dataclass(frozen=True)
 class RadComFrameSpec:
@@ -135,15 +142,9 @@ def build_pilot_frame(params: WaveformParams) -> np.ndarray:
 
 def build_mimo_pilot_frame(params: WaveformParams, mimo: MimoConfig, tx: int | None = None) -> np.ndarray:
     """Pilot frame of one transmitter: subchirp tx*N/num_tx active."""
-    p = mimo.tx if tx is None else tx
-    if params.N % mimo.num_tx:
-        raise ValueError(
-            f"N={params.N} is not divisible by num_tx={mimo.num_tx}"
-        )
-    if not 0 <= p < mimo.num_tx:
-        raise ValueError(f"tx index {p} outside [0, {mimo.num_tx})")
+    row = mimo.slice_rows(params.N, tx).start
     frame = np.zeros((params.N, params.M), dtype=np.complex128)
-    frame[p * params.N // mimo.num_tx, :] = 1.0
+    frame[row, :] = 1.0
     return frame
 
 
@@ -223,14 +224,3 @@ def deserialize(stream: np.ndarray, params: WaveformParams) -> np.ndarray:
             f"stream length must be M*(N+N_CP) = {params.stream_len}, got {stream.size}"
         )
     return stream.reshape((params.symbol_len, params.M), order="F")
-
-
-def frame_to_csv(frame: np.ndarray, path) -> None:
-    """Dump a complex frame: row = subchirp index, Re/Im column pair per symbol."""
-    frame = np.asarray(frame)
-    m = frame.shape[1]
-    out = np.empty((frame.shape[0], 2 * m), dtype=np.float64)
-    out[:, 0::2] = frame.real
-    out[:, 1::2] = frame.imag
-    header = ",".join(f"re_{j},im_{j}" for j in range(m))
-    np.savetxt(path, out, delimiter=",", fmt="%.12g", header=header, comments="")

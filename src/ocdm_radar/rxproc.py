@@ -13,7 +13,6 @@ velocities.  The two half-rate edges +/- v_max,ua alias onto the same bin.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,6 @@ __all__ = [
     "compute_radar_params",
     "estimate_peak",
     "image_to_csv",
-    "peak_report_json",
 ]
 
 
@@ -85,15 +83,8 @@ def mimo_demux(fresnel_frame: np.ndarray, mimo: MimoConfig, tx: int | None = Non
     coupling) stays in the neighbouring slices; it is a measured property of
     the multiplexing, not an error condition.
     """
-    p = mimo.tx if tx is None else tx
     frame = np.asarray(fresnel_frame)
-    n = frame.shape[0]
-    if n % mimo.num_tx:
-        raise ValueError(f"N={n} is not divisible by num_tx={mimo.num_tx}")
-    if not 0 <= p < mimo.num_tx:
-        raise ValueError(f"tx index {p} outside [0, {mimo.num_tx})")
-    width = n // mimo.num_tx
-    return frame[p * width : (p + 1) * width].copy()
+    return frame[mimo.slice_rows(frame.shape[0], tx)].copy()
 
 
 def radcom_extract_cir(fresnel_frame: np.ndarray, n_cp: int) -> np.ndarray:
@@ -143,9 +134,8 @@ def compute_radar_params(params: WaveformParams, num_tx: int | None = None) -> R
     r_cp = params.N_CP * C0 / (2.0 * params.B) if params.N_CP > 0 else None
     r_mimo = None
     if num_tx is not None:
-        if params.N % num_tx:
-            raise ValueError(f"N={params.N} is not divisible by num_tx={num_tx}")
-        r_mimo = (params.N // num_tx) * C0 / (2.0 * params.B)
+        rows = MimoConfig(num_tx).slice_rows(params.N)
+        r_mimo = (rows.stop - rows.start) * C0 / (2.0 * params.B)
     return RadarParams(gp_db, delta_r, r_max, delta_v, v_max, r_cp, r_mimo)
 
 
@@ -158,6 +148,8 @@ def estimate_peak(image: RangeVelocityImage) -> PeakReport:
     if mag.size == 0:
         raise ValueError("empty image")
     peak = float(mag.max())
+    if not np.isfinite(peak):
+        raise ValueError("image magnitudes are not finite")
     if peak == 0.0:
         raise ValueError("all-zero image has no peak")
     rows, cols = np.nonzero(mag == peak)
@@ -185,10 +177,3 @@ def image_to_csv(image: RangeVelocityImage, prefix) -> list[str]:
     np.savetxt(names[1], image.range_axis_m, delimiter=",", fmt="%.12g")
     np.savetxt(names[2], image.velocity_axis_mps, delimiter=",", fmt="%.12g")
     return names
-
-
-def peak_report_json(peak: PeakReport) -> str:
-    return json.dumps(
-        {"range_m": peak.range_m, "velocity_mps": peak.velocity_mps, "power_db": peak.power_db},
-        sort_keys=True,
-    )

@@ -13,7 +13,6 @@ from ocdm_radar.channel import (
     biased_cir_from_shifts,
     cfr_from_cir,
     ideal_cir_from_shifts,
-    ideal_cir_oracle,
     load_cfr_csv,
     normalize_target,
     two_tap_tilt_cir,
@@ -152,7 +151,7 @@ def test_ideal_oracle_integer_delta():
 
 def test_ideal_oracle_zero_targets():
     params = WaveformParams(N=16, M=3)
-    assert np.all(ideal_cir_oracle(RadarChannelConfig(targets=[]), params) == 0)
+    assert np.all(ideal_cir_from_shifts([], params) == 0)
 
 
 def test_ideal_oracle_linearity():

@@ -1,6 +1,9 @@
 """CLI: config validation, artifacts, manifests, reproducibility."""
 
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,3 +184,127 @@ def test_manifest_config_round_trip(tmp_path):
     assert (out1 / "radar_image.csv").read_bytes() == (out2 / "radar_image.csv").read_bytes()
     manifest2 = json.loads((out2 / "manifest.json").read_text())
     assert manifest2["config_sha256"] == manifest["config_sha256"]
+
+
+@pytest.mark.parametrize(
+    "command, config, field",
+    [
+        ("radar", {"snr_db": math.nan}, "config.snr_db"),
+        ("radar", {"waveform": {"B": math.inf}}, "config.waveform.B"),
+        ("radar", {"targets": [{"range_m": 1.0, "velocity_mps": -math.inf}]}, "config.targets[0].velocity_mps"),
+        ("radar", {"targets": [{"range_m": -1.0}]}, "config.targets[0]: target range"),
+        ("radar", {"targets": 5}, "config.targets: expected a list"),
+        ("mimo", {"mimo": {"num_tx": 0}}, "config.mimo: num_tx"),
+        ("mimo", {"mimo": {"num_tx": 2, "tx": 2}}, "config.mimo: tx index"),
+        ("radar", {"mimo": {"num_rx": 0}}, "config.mimo: rx index"),
+        ("papr", {"papr": {"waveforms": 5}}, "config.papr.waveforms: expected a list"),
+        ("papr", {"papr": {"waveforms": "pilot"}}, "config.papr.waveforms: expected a list"),
+        ("papr", {"papr": {"waveforms": ["pilot", 3]}}, "config.papr.waveforms[1]"),
+        ("radar", {"waveform": {"N": 255}}, "config.waveform: N must be"),
+        ("params", {"waveform": {"N_CP": 256}}, "config.waveform: N_CP must"),
+        ("radar", {"waveform": {"fc": 1e9}}, "config.waveform: carrier must exceed"),
+        ("radcom", {"radcom": {"N_CP": 256}}, "config.radcom.N_CP: N_CP must"),
+        ("sweep", {"radcom": {"N_CP": 300}}, "config.radcom.N_CP: N_CP must"),
+        ("radcom", {"radcom": {"pilot_energy": 0}}, "config.radcom: sector energies"),
+        ("radcom", {"radcom": {"avg_symbols": 33}}, "config.radcom.avg_symbols"),
+        ("radar", {"comm": {"cfr_csv": "no-such-cfr.csv"}}, "config.comm.cfr_csv"),
+    ],
+)
+def test_hostile_config_exits_2_naming_field(tmp_path, capsys, command, config, field):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, config)
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_SCHEMA
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "config, reason",
+    [
+        ({"snr_db": -4000.0}, "snr_db=-4000.0"),
+        ({"targets": [{"range_m": 3.0, "velocity_mps": 1.7e308}]}, "not finite"),
+        ({"targets": [{"range_m": 3.0, "amplitude": 1e308}], "snr_db": 20.0}, "not finite"),
+    ],
+)
+def test_extreme_scene_exits_3_naming_precondition(tmp_path, capsys, config, reason):
+    cfg = write_config(tmp_path, config)
+    assert main(["radar", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_PRECONDITION
+    assert reason in capsys.readouterr().err
+
+
+def test_default_config_hashes_are_pinned(tmp_path):
+    # The manifest hash of the resolved defaults is the reproducibility key of
+    # every earlier run; a change here changes every config hash.
+    want = {
+        (): "248a756f1a853e33e9d9ffeb6734d0cbec52df95acdbb22b1ee35db6786d772d",
+        ("--full-scale",): "dc756b9a7bc064e874e3ada371c0b909bf6a4f423a46fefe1c7ae8c060b880f7",
+    }
+    for i, (flags, digest) in enumerate(want.items()):
+        out = tmp_path / str(i)
+        assert main(["params", "--out", str(out), *flags]) == EXIT_OK
+        assert json.loads((out / "manifest.json").read_text())["config_sha256"] == digest
+
+
+SMALL_CONFIG = {
+    "waveform": {"N": 64, "M": 8, "N_CP": 0, "B": 1e9, "fc": 79e9},
+    "mode": "radar",
+    "targets": [{"range_m": 3.0, "velocity_mps": 20.0, "amplitude": [1.0, 0.5]}],
+    "snr_db": 20.0,
+    "seed": 4,
+    "mimo": {"num_tx": 2, "tx": 0, "num_rx": 1, "rx": 0},
+    "radcom": {"N_CP": 16, "pilot_energy": 1.0, "symbol_energy": 1.0, "avg_symbols": 4},
+    "comm": {"tilt_db": 6.0, "snr_db": 30.0},
+    "sweep": {"n_grid": [0, 3.5], "k_grid": [0.0, 0.25]},
+    "papr": {"trials": 3, "oversample": 2, "waveforms": ["pilot", "radcom", "ofdm"]},
+}
+# Keys that set how much work a run does; a large value there is a big run,
+# not a hostile one, so the property test draws them from small values only.
+SIZE_KEYS = {("waveform", "N"), ("waveform", "M"), ("papr", "trials"), ("papr", "oversample")}
+FIELDS = [(section, key) for section, body in SMALL_CONFIG.items() if isinstance(body, dict) for key in body]
+FIELDS += [(section, None) for section in SMALL_CONFIG] + [("targets", "range_m"), ("targets", "velocity_mps"), ("targets", "amplitude")]
+DROP = object()
+
+
+def test_perturbed_config_exit_contract():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    odd = st.sampled_from([DROP, None, True, "x", [], {}, [1.0, 2.0], -1, 0, 1, 2, 3, 1.5, 8, 63, 64, 65])
+    anything = st.one_of(odd, st.floats(), st.integers(-(10**20), 10**20), st.text(max_size=3))
+
+    @st.composite
+    def perturbed(draw):
+        config = json.loads(json.dumps(SMALL_CONFIG))
+        section, key = draw(st.sampled_from(FIELDS))
+        value = draw(odd if (section, key) in SIZE_KEYS else anything)
+        if section == "targets" and key is not None:
+            holder = config["targets"][0]
+        elif key is None:
+            holder, key = config, section
+        else:
+            holder = config[section]
+        if value is DROP:
+            holder.pop(key, None)
+        else:
+            holder[key] = value
+        return config
+
+    commands = st.sampled_from(["params", "radar", "mimo", "radcom", "sweep", "papr"])
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(config=perturbed(), command=commands)
+    def check(config, command):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = write_config(Path(tmp), config)
+            out = Path(tmp) / "out"
+            code = main([command, "--config", cfg, "--out", str(out)])
+            assert code in (EXIT_OK, EXIT_SCHEMA, EXIT_PRECONDITION)
+            if code == EXIT_OK:
+                manifest = json.loads((out / "manifest.json").read_text())
+                assert manifest["files"]
+                assert all((out / name).exists() for name in manifest["files"])
+            if code == EXIT_SCHEMA:
+                assert not out.exists()
+
+    check()

@@ -12,7 +12,6 @@ from ocdm_radar.framing import (
     build_pilot_frame,
     build_radcom_frame,
     deserialize,
-    frame_to_csv,
     qpsk_demap,
     qpsk_map,
     remove_cp,
@@ -197,11 +196,3 @@ def test_deserialize_length_check():
     params = WaveformParams(N=8, M=3, N_CP=2)
     with pytest.raises(ValueError):
         deserialize(np.zeros(29, dtype=complex), params)
-
-
-def test_frame_csv_dump(tmp_path):
-    frame = np.array([[1 + 2j, 3 - 1j], [0.5j, -1.0]])
-    path = tmp_path / "frame.csv"
-    frame_to_csv(frame, path)
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert np.allclose(data, [[1, 2, 3, -1], [0, 0.5, -1, 0]])

@@ -1,7 +1,5 @@
 """Receiver chain, radar parameter table, imaging and peak estimation."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -25,7 +23,6 @@ from ocdm_radar.rxproc import (
     estimate_peak,
     image_to_csv,
     mimo_demux,
-    peak_report_json,
     radcom_extract_cir,
     receive_frame,
 )
@@ -355,5 +352,3 @@ def test_image_export_and_peak_json(tmp_path):
     names = image_to_csv(image, tmp_path / "img")
     mag = np.loadtxt(names[0], delimiter=",")
     assert mag.shape == (16, 4)
-    record = json.loads(peak_report_json(estimate_peak(image)))
-    assert set(record) == {"range_m", "velocity_mps", "power_db"}
