@@ -12,7 +12,6 @@ relative comparisons stay valid):
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,21 +111,22 @@ def range_cut_metrics(
     return RangeCutMetrics(float(pplr), float(pslr), float(islr), tuple(lobe_set))
 
 
+def _pilot_stream(params: WaveformParams) -> np.ndarray:
+    return serialize(add_cp(to_time_frame(build_pilot_frame(params)), params.N_CP))
+
+
+def _point_image(
+    stream: np.ndarray, params: WaveformParams, n_delta: float, k_delta: float
+) -> RangeVelocityImage:
+    rx = apply_shift_channel(stream, params, [(n_delta, k_delta, 1.0)])
+    return doppler_process(receive_frame(rx, params), params)
+
+
 def single_point_image(
     params: WaveformParams, n_delta: float, k_delta: float
 ) -> RangeVelocityImage:
     """Noise-free single-scatterer pilot-frame pipeline run."""
-    tx = serialize(add_cp(to_time_frame(build_pilot_frame(params)), params.N_CP))
-    rx = apply_shift_channel(tx, params, [(n_delta, k_delta, 1.0)])
-    return doppler_process(receive_frame(rx, params), params)
-
-
-def _sweep_cell(args) -> tuple[float, float, float]:
-    params, n_delta, k_delta, reference, halfwidth = args
-    metrics = range_cut_metrics(
-        single_point_image(params, n_delta, k_delta), reference, halfwidth
-    )
-    return metrics.pplr_db, metrics.pslr_db, metrics.islr_db
+    return _point_image(_pilot_stream(params), params, n_delta, k_delta)
 
 
 def doppler_tolerance_sweep(
@@ -134,14 +134,13 @@ def doppler_tolerance_sweep(
     n_grid,
     k_grid,
     mainlobe_halfwidth: int = 1,
-    parallelism: int = 1,
 ) -> SweepResult:
     """Metric surfaces over the (n_delta, k_delta) grid, noise-free.
 
     The PPLR reference for each n_delta is that target's own zero-Doppler
     peak power, so the k_delta = 0 column of the PPLR surface is exactly
-    0 dB.  Grid cells are independent; with parallelism > 1 they are
-    dispatched to worker processes and aggregated in grid order.
+    0 dB.  Every cell runs the single_point_image chain on one pilot stream
+    built per call; the k_delta = 0 cells reuse the reference image.
     """
     n_grid = np.asarray(n_grid, dtype=float)
     k_grid = np.asarray(k_grid, dtype=float)
@@ -150,24 +149,19 @@ def doppler_tolerance_sweep(
     if np.any(np.abs(k_grid) > 0.5 + 1e-12):
         raise ValueError("k_delta grid must lie within [-0.5, 0.5]")
 
-    references = []
-    for n_delta in n_grid:
-        image = single_point_image(params, float(n_delta), 0.0)
-        references.append(float(image.magnitude.max() ** 2))
-
-    jobs = [
-        (params, float(n_delta), float(k_delta), references[i], mainlobe_halfwidth)
-        for i, n_delta in enumerate(n_grid)
-        for k_delta in k_grid
-    ]
-    if parallelism > 1:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            rows = list(pool.map(_sweep_cell, jobs))
-    else:
-        rows = [_sweep_cell(job) for job in jobs]
-
-    shape = (n_grid.size, k_grid.size)
-    values = np.asarray(rows, dtype=float).reshape(shape + (3,))
+    stream = _pilot_stream(params)
+    values = np.empty((n_grid.size, k_grid.size, 3))
+    for i, n_delta in enumerate(n_grid.tolist()):
+        reference = _point_image(stream, params, n_delta, 0.0)
+        power = float(reference.magnitude.max() ** 2)
+        for j, k_delta in enumerate(k_grid.tolist()):
+            metrics = range_cut_metrics(
+                reference if k_delta == 0 else _point_image(stream, params, n_delta, k_delta),
+                power,
+                mainlobe_halfwidth,
+            )
+            values[i, j] = metrics.pplr_db, metrics.pslr_db, metrics.islr_db
+        del reference  # so that at most one reference image is alive at a time
     return SweepResult(
         n_grid, k_grid, values[:, :, 0], values[:, :, 1], values[:, :, 2]
     )

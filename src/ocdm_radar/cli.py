@@ -152,9 +152,11 @@ def _complex_amplitude(obj, path) -> complex:
     raise ConfigError(f"{path}: expected a number or [re, im] pair")
 
 
-def _list(obj, path: str) -> list:
+def _list(obj, path: str, nonempty: bool = False) -> list:
     if not isinstance(obj, list):
         raise ConfigError(f"{path}: expected a list")
+    if nonempty and not obj:
+        raise ConfigError(f"{path}: expected a non-empty list")
     return obj
 
 
@@ -191,7 +193,7 @@ def resolve_config(raw: dict, full_scale: bool = False) -> dict:
     snr_db = raw.get("snr_db")
     if snr_db is not None:
         snr_db = _number(snr_db, "config.snr_db")
-    seed = _number(raw.get("seed", 0), "config.seed", integer=True)
+    seed = _number(raw.get("seed", 0), "config.seed", lo=0, integer=True)
 
     mimo = _section(raw, "mimo", {"num_tx": DEFAULT_NUM_TX, **_defaults(MimoConfig)})
     _numbers(mimo, "config.mimo", ints=tuple(mimo))
@@ -214,16 +216,16 @@ def resolve_config(raw: dict, full_scale: bool = False) -> dict:
     sweep = _section(raw, "sweep", {"n_grid": [0, 32, 64, 96, 128, 160, 192, 224], "k_grid": [-0.5, -0.25, -0.1, 0.0, 0.1, 0.25, 0.5]})
     for name in ("n_grid", "k_grid"):
         path = f"config.sweep.{name}"
-        if not _list(sweep[name], path):
-            raise ConfigError(f"{path}: expected a non-empty list")
-        sweep[name] = [_number(v, f"{path}[{i}]") for i, v in enumerate(sweep[name])]
+        sweep[name] = [_number(v, f"{path}[{i}]") for i, v in enumerate(_list(sweep[name], path, nonempty=True))]
 
     papr = _section(raw, "papr", {"trials": 1000, "oversample": 20, "waveforms": list(PAPR_WAVEFORMS)})
     papr["trials"] = _number(papr["trials"], "config.papr.trials", lo=1, integer=True)
     papr["oversample"] = _number(papr["oversample"], "config.papr.oversample", lo=1, integer=True)
-    for i, w in enumerate(_list(papr["waveforms"], "config.papr.waveforms")):
+    for i, w in enumerate(_list(papr["waveforms"], "config.papr.waveforms", nonempty=True)):
         if not isinstance(w, str) or w not in PAPR_WAVEFORMS:
             raise ConfigError(f"config.papr.waveforms[{i}]: unknown waveform {w!r}")
+        if w in papr["waveforms"][:i]:
+            raise ConfigError(f"config.papr.waveforms[{i}]: duplicate waveform {w!r}")
 
     output_dir = raw.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
@@ -358,13 +360,13 @@ def _emit_radar(
 ) -> np.ndarray:
     """Send ``frame`` past the targets and image the receive rows ``extract`` keeps.
 
-    Writes the image and its peak report; returns the transmitted stream.
+    Writes the peak report, which rejects a bad image, then the image; returns the tx stream.
     """
     tx = serialize(add_cp(to_time_frame(frame), params.N_CP))
     fresnel = receive_frame(apply_radar_channel(tx, channel, params), params)
     image = doppler_process(fresnel if extract is None else extract(fresnel), params, mode=mode)
-    files.extend(Path(p).name for p in image_to_csv(image, out_dir / prefix))
     _emit_json(out_dir, files, f"{prefix}_peak.json", _peak_payload(image))
+    files.extend(Path(p).name for p in image_to_csv(image, out_dir / prefix))
     return tx
 
 
@@ -429,10 +431,8 @@ def _cmd_radcom(config: dict, sc: Scenario, out_dir: Path, files: list[str]) -> 
     )
 
 
-def _cmd_sweep(config: dict, sc: Scenario, out_dir: Path, files: list[str], parallelism: int) -> None:
-    result = doppler_tolerance_sweep(
-        sc.params, config["sweep"]["n_grid"], config["sweep"]["k_grid"], parallelism=parallelism
-    )
+def _cmd_sweep(config: dict, sc: Scenario, out_dir: Path, files: list[str]) -> None:
+    result = doppler_tolerance_sweep(sc.params, config["sweep"]["n_grid"], config["sweep"]["k_grid"])
     n_size, k_size = result.n_grid.size, result.k_grid.size
     grid = [np.repeat(result.n_grid, k_size), np.tile(result.k_grid, n_size)]
     for name, surface in (("pplr", result.pplr_db), ("pslr", result.pslr_db), ("islr", result.islr_db)):
@@ -487,7 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="default to the full-scale reference numerology instead of desk scale",
     )
-    parser.add_argument("--parallelism", type=int, default=1, help="sweep worker processes")
     return parser
 
 
@@ -511,7 +510,7 @@ def main(argv=None) -> int:
     try:
         config = resolve_config(raw, full_scale=args.full_scale)
         if args.seed is not None:
-            config["seed"] = args.seed
+            config["seed"] = _number(args.seed, "--seed", lo=0, integer=True)
         scenario = build_scenario(config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -534,7 +533,7 @@ def main(argv=None) -> int:
         "radar": _cmd_radar,
         "mimo": _cmd_mimo,
         "radcom": _cmd_radcom,
-        "sweep": partial(_cmd_sweep, parallelism=args.parallelism),
+        "sweep": _cmd_sweep,
         "papr": _cmd_papr,
     }
     files: list[str] = []

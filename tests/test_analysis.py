@@ -80,12 +80,17 @@ def test_sweep_grid_validation():
         doppler_tolerance_sweep(params, [0], [0.7])
 
 
-def test_sweep_deterministic_and_parallel_consistent():
+def test_sweep_equals_its_per_cell_chain():
     params = WaveformParams(N=64, M=8)
-    a = doppler_tolerance_sweep(params, [0, 10], [0.0, -0.25], parallelism=1)
-    b = doppler_tolerance_sweep(params, [0, 10], [0.0, -0.25], parallelism=2)
-    assert np.array_equal(a.pplr_db, b.pplr_db)
-    assert np.array_equal(a.islr_db, b.islr_db)
+    n_grid, k_grid = [0, 10, 10, 33.5], [-0.25, 0.0, 0.3, -0.25]
+    result = doppler_tolerance_sweep(params, n_grid, k_grid)
+    for i, n_delta in enumerate(n_grid):
+        ref = float(single_point_image(params, n_delta, 0.0).magnitude.max() ** 2)
+        for j, k_delta in enumerate(k_grid):
+            metrics = range_cut_metrics(single_point_image(params, n_delta, k_delta), ref)
+            assert np.array_equal(result.pplr_db[i, j], metrics.pplr_db)
+            assert np.array_equal(result.pslr_db[i, j], metrics.pslr_db)
+            assert np.array_equal(result.islr_db[i, j], metrics.islr_db)
 
 
 def test_sweep_metrics_match_oracle_columns():

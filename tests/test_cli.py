@@ -208,6 +208,9 @@ def test_manifest_config_round_trip(tmp_path):
         ("radcom", {"radcom": {"pilot_energy": 0}}, "config.radcom: sector energies"),
         ("radcom", {"radcom": {"avg_symbols": 33}}, "config.radcom.avg_symbols"),
         ("radar", {"comm": {"cfr_csv": "no-such-cfr.csv"}}, "config.comm.cfr_csv"),
+        ("radar", {"seed": -5}, "config.seed: must be >= 0"),
+        ("papr", {"papr": {"waveforms": []}}, "config.papr.waveforms: expected a non-empty list"),
+        ("papr", {"papr": {"waveforms": ["radcom", "radcom"]}}, "config.papr.waveforms[1]: duplicate"),
     ],
 )
 def test_hostile_config_exits_2_naming_field(tmp_path, capsys, command, config, field):
@@ -231,6 +234,21 @@ def test_extreme_scene_exits_3_naming_precondition(tmp_path, capsys, config, rea
     cfg = write_config(tmp_path, config)
     assert main(["radar", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_PRECONDITION
     assert reason in capsys.readouterr().err
+
+
+def test_negative_seed_flag_exits_2_naming_it(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["radar", "--seed", "-5", "--out", str(out)]) == EXIT_SCHEMA
+    assert "--seed: must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_failing_image_leaves_no_file(tmp_path, capsys):
+    # The default scene has no targets and no noise: an all-zero image.
+    out = tmp_path / "out"
+    assert main(["radar", "--out", str(out)]) == EXIT_PRECONDITION
+    assert "all-zero" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_default_config_hashes_are_pinned(tmp_path):
