@@ -33,16 +33,13 @@ from .framing import (
     MimoConfig,
     RadComFrameSpec,
     WaveformParams,
-    add_cp,
     build_mimo_pilot_frame,
     build_pilot_frame,
     build_radcom_frame,
-    deserialize,
+    from_stream,
     qpsk_demap,
     qpsk_map,
-    remove_cp,
-    serialize,
-    to_time_frame,
+    to_stream,
 )
 from .fresnel import (
     dfnt_direct,

@@ -21,13 +21,12 @@ from .comms import ofdm_grid, ofdm_modulate, ofdm_pilot_mask
 from .framing import (
     RadComFrameSpec,
     WaveformParams,
-    add_cp,
     build_pilot_frame,
     build_radcom_frame,
     qpsk_map,
-    serialize,
-    to_time_frame,
+    to_stream,
 )
+from .fresnel import idfnt_fast
 from .rxproc import RangeVelocityImage, doppler_process, receive_frame
 
 __all__ = [
@@ -112,7 +111,7 @@ def range_cut_metrics(
 
 
 def _pilot_stream(params: WaveformParams) -> np.ndarray:
-    return serialize(add_cp(to_time_frame(build_pilot_frame(params)), params.N_CP))
+    return to_stream(idfnt_fast(build_pilot_frame(params)), params)
 
 
 def _point_image(
@@ -214,7 +213,7 @@ def pilot_symbol_builder(params: WaveformParams):
     """Single active subchirp: a constant-envelope chirp in time."""
     pilot = np.zeros((params.N, 1), dtype=np.complex128)
     pilot[0, 0] = 1.0
-    symbol = to_time_frame(pilot)[:, 0]
+    symbol = idfnt_fast(pilot)[:, 0]
 
     def build(rng):
         return symbol
@@ -233,19 +232,19 @@ def radcom_symbol_builder(params: WaveformParams, spec: RadComFrameSpec):
         frame = build_radcom_frame(
             WaveformParams(params.N, 1, params.N_CP, params.B, params.fc), spec, symbols
         )
-        return to_time_frame(frame)[:, 0]
+        return idfnt_fast(frame)[:, 0]
 
     return build
 
 
-def ofdm_symbol_builder(params: WaveformParams, pilot_spacing: int = 8):
+def ofdm_symbol_builder(params: WaveformParams):
     """Comb-pilot OFDM symbol with a fresh random QPSK payload per trial."""
     single = WaveformParams(params.N, 1, 0, params.B, params.fc)
-    n_data = params.N - int(ofdm_pilot_mask(params.N, pilot_spacing).sum())
+    n_data = params.N - int(ofdm_pilot_mask(params.N).sum())
 
     def build(rng):
         bits = rng.integers(0, 2, size=2 * n_data)
-        grid = ofdm_grid(qpsk_map(bits).reshape(n_data, 1), single, pilot_spacing)
+        grid = ofdm_grid(qpsk_map(bits).reshape(n_data, 1), single)
         return ofdm_modulate(grid, single)
 
     return build

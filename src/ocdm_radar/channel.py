@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fresnel import dirichlet_kernel
-from .framing import C0, WaveformParams, add_cp, deserialize, remove_cp, serialize
+from .framing import C0, WaveformParams, from_stream, to_stream
 
 __all__ = [
     "Target",
@@ -135,9 +135,7 @@ def apply_shift_channel(
     AWGN at snr_db relative to the noise-free received power comes last.
     """
     stream = np.asarray(stream, dtype=np.complex128)
-    frame_cp = deserialize(stream, params)
-    useful = remove_cp(frame_cp, params.N_CP)
-    spectrum = np.fft.fft(useful, axis=0)
+    spectrum = np.fft.fft(from_stream(stream, params), axis=0)
 
     received = np.zeros_like(stream)
     for n_delta, k_delta, amplitude in shifts:
@@ -146,7 +144,7 @@ def apply_shift_channel(
                 f"n_delta={n_delta} violates the unambiguous range [0, N={params.N})"
             )
         delayed = np.fft.ifft(spectrum * _delay_phase(params.N, n_delta)[:, None], axis=0)
-        s = serialize(add_cp(delayed, params.N_CP))
+        s = to_stream(delayed, params)
         s *= _doppler_ramp(s.size, k_delta, params.N)
         received += complex(amplitude) * s
 
@@ -281,11 +279,9 @@ def apply_comm_channel(stream: np.ndarray, cfg: CommChannelConfig, params: Wavef
     """
     stream = np.asarray(stream, dtype=np.complex128)
     cir = _resolve_comm_cir(cfg, params)
-    frame_cp = deserialize(stream, params)
-    useful = remove_cp(frame_cp, params.N_CP)
     cfr = cfr_from_cir(cir, params.N)
-    filtered = np.fft.ifft(np.fft.fft(useful, axis=0) * cfr[:, None], axis=0)
-    received = serialize(add_cp(filtered, params.N_CP))
+    spectrum = np.fft.fft(from_stream(stream, params), axis=0) * cfr[:, None]
+    received = to_stream(np.fft.ifft(spectrum, axis=0), params)
     if cfg.snr_db is not None:
         received = _add_awgn(
             received, cfg.snr_db, cfg.rng_seed, ref_power=float(np.mean(np.abs(stream) ** 2))

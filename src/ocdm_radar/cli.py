@@ -56,15 +56,14 @@ from .framing import (
     MimoConfig,
     RadComFrameSpec,
     WaveformParams,
-    add_cp,
     build_mimo_pilot_frame,
     build_pilot_frame,
     build_radcom_frame,
     qpsk_demap,
     qpsk_map,
-    serialize,
-    to_time_frame,
+    to_stream,
 )
+from .fresnel import idfnt_fast
 from .rxproc import (
     compute_radar_params,
     doppler_process,
@@ -356,15 +355,14 @@ def _emit_radar(
     params: WaveformParams,
     channel: RadarChannelConfig,
     extract=None,
-    mode: str = "SISO",
 ) -> np.ndarray:
     """Send ``frame`` past the targets and image the receive rows ``extract`` keeps.
 
     Writes the peak report, which rejects a bad image, then the image; returns the tx stream.
     """
-    tx = serialize(add_cp(to_time_frame(frame), params.N_CP))
+    tx = to_stream(idfnt_fast(frame), params)
     fresnel = receive_frame(apply_radar_channel(tx, channel, params), params)
-    image = doppler_process(fresnel if extract is None else extract(fresnel), params, mode=mode)
+    image = doppler_process(fresnel if extract is None else extract(fresnel), params)
     _emit_json(out_dir, files, f"{prefix}_peak.json", _peak_payload(image))
     files.extend(Path(p).name for p in image_to_csv(image, out_dir / prefix))
     return tx
@@ -389,8 +387,7 @@ def _cmd_mimo(config: dict, sc: Scenario, out_dir: Path, files: list[str]) -> No
     for p in range(mimo.num_tx):
         frame = build_mimo_pilot_frame(params, mimo, p)
         extract = partial(mimo_demux, mimo=mimo, tx=p)
-        mode = f"MIMO(p={p},q={mimo.rx})"
-        _emit_radar(out_dir, files, f"mimo_p{p}", frame, params, sc.channel, extract, mode)
+        _emit_radar(out_dir, files, f"mimo_p{p}", frame, params, sc.channel, extract)
 
 
 def _cmd_radcom(config: dict, sc: Scenario, out_dir: Path, files: list[str]) -> None:
@@ -402,7 +399,7 @@ def _cmd_radcom(config: dict, sc: Scenario, out_dir: Path, files: list[str]) -> 
     symbols = (np.sqrt(spec.symbol_energy) * qpsk_map(bits)).reshape(n_data, params.M)
     frame = build_radcom_frame(params, spec, symbols)
     extract = partial(radcom_extract_cir, n_cp=spec.N_CP)
-    tx = _emit_radar(out_dir, files, "radcom", frame, params, sc.channel, extract, "RADCOM")
+    tx = _emit_radar(out_dir, files, "radcom", frame, params, sc.channel, extract)
 
     # Communication leg over the configured frequency-selective channel.
     rx_comm = apply_comm_channel(tx, sc.comm_channel, params)
@@ -451,11 +448,13 @@ def _cmd_sweep(config: dict, sc: Scenario, out_dir: Path, files: list[str]) -> N
 
 def _cmd_papr(config: dict, sc: Scenario, out_dir: Path, files: list[str]) -> None:
     pc = config["papr"]
-    builders = {
-        "pilot": pilot_symbol_builder(sc.params),
-        "radcom": radcom_symbol_builder(sc.params, sc.spec),
-        "ofdm": ofdm_symbol_builder(sc.params),
+    makers = {
+        "pilot": partial(pilot_symbol_builder, sc.params),
+        "radcom": partial(radcom_symbol_builder, sc.params, sc.spec),
+        "ofdm": partial(ofdm_symbol_builder, sc.params),
     }
+    # Build only the requested waveforms, all of them before any file is written.
+    builders = {name: makers[name]() for name in pc["waveforms"]}
     summary = {}
     for i, name in enumerate(pc["waveforms"]):
         ccdf = papr_ccdf(

@@ -6,8 +6,8 @@ hold the CIR, zero-padding rejects trailing noise, and a length-N DFT gives
 the CFR.  Equalization is single-tap zero-forcing in the discrete-frequency
 domain; an MMSE variant would slot in at the same place.
 
-The OFDM baseline uses a uniform comb-pilot layout; its default spacing of 8
-yields the reference payload data rate for the full-scale numerology.
+The OFDM baseline uses a uniform comb-pilot layout; its spacing of 8 yields
+the reference payload data rate for the full-scale numerology.
 """
 
 from __future__ import annotations
@@ -17,15 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fresnel import dfnt_fast, idfnt_fast
-from .framing import (
-    RadComFrameSpec,
-    WaveformParams,
-    add_cp,
-    deserialize,
-    qpsk_map,
-    remove_cp,
-    serialize,
-)
+from .framing import RadComFrameSpec, WaveformParams, from_stream, qpsk_map, to_stream
 from .rxproc import RangeVelocityImage, doppler_process
 
 __all__ = [
@@ -139,30 +131,28 @@ def evm_and_snr(
     )
 
 
-def ofdm_pilot_mask(n: int, pilot_spacing: int = DEFAULT_PILOT_SPACING) -> np.ndarray:
-    """True at comb-pilot subcarriers (every pilot_spacing-th bin)."""
-    if not 1 < pilot_spacing <= n:
-        raise ValueError(f"pilot spacing must be in (1, {n}], got {pilot_spacing}")
+def ofdm_pilot_mask(n: int) -> np.ndarray:
+    """True at comb-pilot subcarriers (every DEFAULT_PILOT_SPACING-th bin)."""
+    if n < DEFAULT_PILOT_SPACING:
+        raise ValueError(f"comb-pilot layout needs N >= {DEFAULT_PILOT_SPACING}, got N={n}")
     mask = np.zeros(n, dtype=bool)
-    mask[::pilot_spacing] = True
+    mask[::DEFAULT_PILOT_SPACING] = True
     return mask
 
-def ofdm_pilot_values(n: int, pilot_spacing: int = DEFAULT_PILOT_SPACING) -> np.ndarray:
+def ofdm_pilot_values(n: int) -> np.ndarray:
     """Deterministic pseudo-random QPSK comb values known to both link ends.
 
     A constant-valued comb would collapse to a periodic impulse train in time
     and wreck the PAPR statistics, so the comb carries scrambled phases.
     """
-    count = int(ofdm_pilot_mask(n, pilot_spacing).sum())
+    count = int(ofdm_pilot_mask(n).sum())
     rng = np.random.default_rng(0x0FD)
     return qpsk_map(rng.integers(0, 2, size=2 * count))
 
 
-def ofdm_grid(
-    data_symbols: np.ndarray, params: WaveformParams, pilot_spacing: int = DEFAULT_PILOT_SPACING
-) -> np.ndarray:
+def ofdm_grid(data_symbols: np.ndarray, params: WaveformParams) -> np.ndarray:
     """Subcarrier matrix with a uniform pilot comb and data on the rest."""
-    mask = ofdm_pilot_mask(params.N, pilot_spacing)
+    mask = ofdm_pilot_mask(params.N)
     n_data = params.N - int(mask.sum())
     data_symbols = np.asarray(data_symbols, dtype=np.complex128)
     if data_symbols.shape != (n_data, params.M):
@@ -170,30 +160,24 @@ def ofdm_grid(
             f"data symbol matrix must be {(n_data, params.M)}, got {data_symbols.shape}"
         )
     grid = np.empty((params.N, params.M), dtype=np.complex128)
-    grid[mask, :] = ofdm_pilot_values(params.N, pilot_spacing)[:, None]
+    grid[mask, :] = ofdm_pilot_values(params.N)[:, None]
     grid[~mask, :] = data_symbols
     return grid
 
 
 def ofdm_modulate(grid: np.ndarray, params: WaveformParams) -> np.ndarray:
-    """Column-wise IDFT plus CP, serialized to a sample stream."""
-    grid = np.asarray(grid, dtype=np.complex128)
-    if grid.shape != (params.N, params.M):
-        raise ValueError(f"grid must be {(params.N, params.M)}, got {grid.shape}")
-    time = np.fft.ifft(grid, axis=0)
-    return serialize(add_cp(time, params.N_CP))
+    """Column-wise IDFT to the sample stream; rejects a grid that is not (N x M)."""
+    return to_stream(np.fft.ifft(np.asarray(grid, dtype=np.complex128), axis=0), params)
 
 
 def ofdm_demodulate(stream: np.ndarray, params: WaveformParams) -> np.ndarray:
     """CP removal and column-wise DFT back to the subcarrier matrix."""
-    frame_cp = deserialize(np.asarray(stream, dtype=np.complex128), params)
-    return np.fft.fft(remove_cp(frame_cp, params.N_CP), axis=0)
+    return np.fft.fft(from_stream(stream, params), axis=0)
 
 
 def estimate_ofdm_cfr(
     rx_grid: np.ndarray,
     params: WaveformParams,
-    pilot_spacing: int = DEFAULT_PILOT_SPACING,
     avg_symbols: int | None = None,
 ) -> np.ndarray:
     """LS estimate at the pilot comb, linearly interpolated to all bins."""
@@ -201,9 +185,9 @@ def estimate_ofdm_cfr(
     avg = rx.shape[1] if avg_symbols is None else avg_symbols
     if not 0 < avg <= rx.shape[1]:
         raise ValueError(f"avg_symbols={avg} outside (0, M={rx.shape[1]}]")
-    mask = ofdm_pilot_mask(params.N, pilot_spacing)
+    mask = ofdm_pilot_mask(params.N)
     pilot_bins = np.nonzero(mask)[0]
-    ls = rx[mask, :avg].mean(axis=1) / ofdm_pilot_values(params.N, pilot_spacing)
+    ls = rx[mask, :avg].mean(axis=1) / ofdm_pilot_values(params.N)
     # Periodic extension keeps interpolation valid past the last pilot.
     bins_ext = np.concatenate([pilot_bins, [pilot_bins[0] + params.N]])
     ls_ext = np.concatenate([ls, [ls[0]]])
@@ -211,14 +195,12 @@ def estimate_ofdm_cfr(
     return np.interp(k, bins_ext, ls_ext.real) + 1j * np.interp(k, bins_ext, ls_ext.imag)
 
 
-def ofdm_equalize(
-    rx_grid: np.ndarray, cfr: np.ndarray, params: WaveformParams, pilot_spacing: int = DEFAULT_PILOT_SPACING
-) -> np.ndarray:
+def ofdm_equalize(rx_grid: np.ndarray, cfr: np.ndarray, params: WaveformParams) -> np.ndarray:
     """Zero-forcing per subcarrier; returns the data-bin rows only."""
     cfr = np.asarray(cfr, dtype=np.complex128)
     if np.any(cfr == 0):
         raise ValueError("zero CFR bin: zero-forcing equalizer is singular")
-    mask = ofdm_pilot_mask(params.N, pilot_spacing)
+    mask = ofdm_pilot_mask(params.N)
     eq = np.asarray(rx_grid, dtype=np.complex128) / cfr[:, None]
     return eq[~mask]
 
@@ -234,7 +216,7 @@ def ofdm_radar_process(
     if np.any(tx == 0):
         raise ValueError("zero transmit symbol: spectral division is singular")
     profiles = np.fft.ifft(rx / tx, axis=0)
-    return doppler_process(profiles, params, window, mode="OFDM")
+    return doppler_process(profiles, params, window)
 
 
 def data_rate_radcom(params: WaveformParams, n_cp: int | None = None) -> float:
@@ -246,10 +228,8 @@ def data_rate_radcom(params: WaveformParams, n_cp: int | None = None) -> float:
     return 2.0 * n_data * params.B / (params.N + cp)
 
 
-def data_rate_comb_pilot(
-    params: WaveformParams, n_cp: int | None = None, pilot_spacing: int = DEFAULT_PILOT_SPACING
-) -> float:
+def data_rate_comb_pilot(params: WaveformParams, n_cp: int | None = None) -> float:
     """Payload bit rate of the comb-pilot OFDM (or conventional OCDM) frame."""
     cp = params.N_CP if n_cp is None else n_cp
-    n_data = params.N - int(ofdm_pilot_mask(params.N, pilot_spacing).sum())
+    n_data = params.N - int(ofdm_pilot_mask(params.N).sum())
     return 2.0 * n_data * params.B / (params.N + cp)

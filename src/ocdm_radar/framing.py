@@ -1,7 +1,10 @@
-"""Transmit frame construction, QPSK mapping, CP handling and serialization.
+"""Transmit frame construction, QPSK mapping and the sample-stream format.
 
 Frames are plain (N x M) complex ndarrays: rows index subchirps in the
 Fresnel domain (or samples in the time domain), columns index OCDM symbols.
+A sample stream is a 1-D array holding the M symbols one after another,
+each preceded by its last N_CP samples as cyclic prefix; only ``to_stream``
+and ``from_stream`` build or take apart that layout.
 """
 
 from __future__ import annotations
@@ -9,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-
-from .fresnel import idfnt_fast
 
 __all__ = [
     "C0",
@@ -22,11 +23,8 @@ __all__ = [
     "build_radcom_frame",
     "qpsk_map",
     "qpsk_demap",
-    "to_time_frame",
-    "add_cp",
-    "remove_cp",
-    "serialize",
-    "deserialize",
+    "to_stream",
+    "from_stream",
 ]
 
 # Propagation speed used throughout; the rounded value reproduces the
@@ -192,35 +190,24 @@ def qpsk_demap(symbols: np.ndarray) -> np.ndarray:
     return bits.ravel()
 
 
-def to_time_frame(fresnel_frame: np.ndarray) -> np.ndarray:
-    """Column-wise inverse Fresnel transform into the discrete-time domain."""
-    return idfnt_fast(np.asarray(fresnel_frame, dtype=np.complex128))
+def to_stream(time_frame: np.ndarray, params: WaveformParams) -> np.ndarray:
+    """Discrete-time (N x M) frame to its sample stream, cyclic prefixes included."""
+    time_frame = np.asarray(time_frame)
+    if time_frame.shape != (params.N, params.M):
+        raise ValueError(
+            f"time frame must be {(params.N, params.M)}, got {time_frame.shape}"
+        )
+    frame_cp = np.empty((params.symbol_len, params.M), dtype=np.complex128, order="F")
+    frame_cp[: params.N_CP] = time_frame[params.N - params.N_CP :]
+    frame_cp[params.N_CP :] = time_frame
+    return frame_cp.ravel(order="F")
 
 
-def add_cp(time_frame: np.ndarray, n_cp: int) -> np.ndarray:
-    """Prepend the last n_cp samples of every symbol as its cyclic prefix."""
-    if n_cp == 0:
-        return np.array(time_frame, dtype=np.complex128)
-    n = time_frame.shape[0]
-    if not 0 <= n_cp < n:
-        raise ValueError(f"CP length {n_cp} outside [0, {n})")
-    return np.concatenate([time_frame[n - n_cp :], time_frame], axis=0)
-
-
-def remove_cp(time_frame_cp: np.ndarray, n_cp: int) -> np.ndarray:
-    return np.asarray(time_frame_cp)[n_cp:]
-
-
-def serialize(time_frame_cp: np.ndarray) -> np.ndarray:
-    """Concatenate symbol columns (CP included) into one sample stream."""
-    return np.asarray(time_frame_cp, dtype=np.complex128).flatten(order="F")
-
-
-def deserialize(stream: np.ndarray, params: WaveformParams) -> np.ndarray:
-    """Inverse of serialize; rejects streams of the wrong length."""
+def from_stream(stream: np.ndarray, params: WaveformParams) -> np.ndarray:
+    """Sample stream to its (N x M) time frame, cyclic prefixes dropped (a view)."""
     stream = np.asarray(stream, dtype=np.complex128)
     if stream.ndim != 1 or stream.size != params.stream_len:
         raise ValueError(
             f"stream length must be M*(N+N_CP) = {params.stream_len}, got {stream.size}"
         )
-    return stream.reshape((params.symbol_len, params.M), order="F")
+    return stream.reshape((params.symbol_len, params.M), order="F")[params.N_CP :]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fresnel import dfnt_fast, phase_fold_correct
-from .framing import C0, MimoConfig, WaveformParams, deserialize, remove_cp
+from .framing import C0, MimoConfig, WaveformParams, from_stream
 
 __all__ = [
     "RangeVelocityImage",
@@ -41,7 +41,6 @@ class RangeVelocityImage:
     magnitude: np.ndarray
     range_axis_m: np.ndarray
     velocity_axis_mps: np.ndarray
-    mode: str = "SISO"
 
 
 @dataclass(frozen=True)
@@ -71,8 +70,7 @@ def receive_frame(stream: np.ndarray, params: WaveformParams, correct_fold: bool
     estimates.  Communication receivers pass correct_fold=False: their
     channel carries no fold to undo.
     """
-    frame_cp = deserialize(np.asarray(stream, dtype=np.complex128), params)
-    fresnel = dfnt_fast(remove_cp(frame_cp, params.N_CP))
+    fresnel = dfnt_fast(from_stream(stream, params))
     return phase_fold_correct(fresnel) if correct_fold else fresnel
 
 
@@ -99,7 +97,7 @@ def radcom_extract_cir(fresnel_frame: np.ndarray, n_cp: int) -> np.ndarray:
     return frame[:n_cp].copy()
 
 
-def doppler_process(cir: np.ndarray, params: WaveformParams, window: np.ndarray | None = None, mode: str = "SISO") -> RangeVelocityImage:
+def doppler_process(cir: np.ndarray, params: WaveformParams, window: np.ndarray | None = None) -> RangeVelocityImage:
     """Row-wise DFT across symbols, centered, converted to physical axes.
 
     No window is applied by default; pass an M-length taper to override.
@@ -117,7 +115,7 @@ def doppler_process(cir: np.ndarray, params: WaveformParams, window: np.ndarray 
     rp = compute_radar_params(params)
     range_axis = np.arange(cir.shape[0]) * rp.range_resolution_m
     velocity_axis = -(np.arange(m) - m // 2) * rp.velocity_resolution_mps
-    return RangeVelocityImage(np.abs(image), range_axis, velocity_axis, mode)
+    return RangeVelocityImage(np.abs(image), range_axis, velocity_axis)
 
 
 def compute_radar_params(params: WaveformParams, num_tx: int | None = None) -> RadarParams:

@@ -42,14 +42,12 @@ from ocdm_radar.framing import (
     MimoConfig,
     RadComFrameSpec,
     WaveformParams,
-    add_cp,
     build_mimo_pilot_frame,
     build_pilot_frame,
     build_radcom_frame,
     qpsk_demap,
     qpsk_map,
-    serialize,
-    to_time_frame,
+    to_stream,
 )
 from ocdm_radar.fresnel import dfnt_direct, dfnt_fast, idfnt_direct, idfnt_fast
 from ocdm_radar.rxproc import (
@@ -66,7 +64,7 @@ def report(index: int, ok: bool, detail: str) -> None:
 
 
 def pilot_stream(params):
-    return serialize(add_cp(to_time_frame(build_pilot_frame(params)), params.N_CP))
+    return to_stream(idfnt_fast(build_pilot_frame(params)), params)
 
 
 def test_criterion_01_transform_correctness():
@@ -240,7 +238,7 @@ def test_criterion_08_mimo_isolation():
     mimo = MimoConfig(num_tx=4, tx=0)
 
     # noise-free integer-bin static target: exact slice orthogonality
-    stream = serialize(add_cp(to_time_frame(build_mimo_pilot_frame(params, mimo, 2)), 0))
+    stream = to_stream(idfnt_fast(build_mimo_pilot_frame(params, mimo, 2)), params)
     frame = receive_frame(apply_shift_channel(stream, params, [(50.0, 0.0, 1.0)]), params)
     own_peak = float(np.max(np.abs(mimo_demux(frame, mimo, 2))) ** 2)
     leak = max(
@@ -257,7 +255,7 @@ def test_criterion_08_mimo_isolation():
     ref_db = 20 * np.log10(ref_cut / ref_cut.max())
     worst_cut = 0.0
     for p in range(4):
-        s = serialize(add_cp(to_time_frame(build_mimo_pilot_frame(params, mimo, p)), 0))
+        s = to_stream(idfnt_fast(build_mimo_pilot_frame(params, mimo, p)), params)
         sliced = mimo_demux(receive_frame(apply_shift_channel(s, params, shifts), params), mimo, p)
         img = doppler_process(sliced, params)
         colp = int(np.argmax(np.max(img.magnitude, axis=0)))
@@ -276,15 +274,8 @@ def test_criterion_09_radcom_guard_interval():
     n_data = spec.num_data_subchirps(params.N)
     rng = np.random.default_rng(9)
     symbols = qpsk_map(rng.integers(0, 2, 2 * n_data * params.M)).reshape(n_data, params.M)
-    with_data = serialize(
-        add_cp(to_time_frame(build_radcom_frame(params, spec, symbols)), params.N_CP)
-    )
-    without = serialize(
-        add_cp(
-            to_time_frame(build_radcom_frame(params, spec, np.zeros_like(symbols))),
-            params.N_CP,
-        )
-    )
+    with_data = to_stream(idfnt_fast(build_radcom_frame(params, spec, symbols)), params)
+    without = to_stream(idfnt_fast(build_radcom_frame(params, spec, np.zeros_like(symbols))), params)
 
     worst = 0.0
     for delay in range(spec.N_CP):
@@ -326,7 +317,7 @@ def test_criterion_10_communication_loopback():
     rng = np.random.default_rng(10)
     bits = rng.integers(0, 2, size=2 * n_data * params.M)
     symbols = qpsk_map(bits).reshape(n_data, params.M)
-    tx = serialize(add_cp(to_time_frame(build_radcom_frame(params, spec, symbols)), params.N_CP))
+    tx = to_stream(idfnt_fast(build_radcom_frame(params, spec, symbols)), params)
 
     clean = apply_comm_channel(tx, CommChannelConfig(cir=cir), params)
     rx = apply_comm_channel(

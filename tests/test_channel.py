@@ -17,21 +17,13 @@ from ocdm_radar.channel import (
     normalize_target,
     two_tap_tilt_cir,
 )
-from ocdm_radar.framing import (
-    WaveformParams,
-    add_cp,
-    build_pilot_frame,
-    deserialize,
-    remove_cp,
-    serialize,
-    to_time_frame,
-)
-from ocdm_radar.fresnel import dfnt_fast, dirichlet_kernel
+from ocdm_radar.framing import WaveformParams, build_pilot_frame, from_stream, to_stream
+from ocdm_radar.fresnel import dfnt_fast, dirichlet_kernel, idfnt_fast
 from ocdm_radar.rxproc import receive_frame
 
 
 def pilot_stream(params):
-    return serialize(add_cp(to_time_frame(build_pilot_frame(params)), params.N_CP))
+    return to_stream(idfnt_fast(build_pilot_frame(params)), params)
 
 
 def test_normalize_target_range():
@@ -56,10 +48,10 @@ def test_integer_delay_equals_circular_shift():
     params = WaveformParams(N=32, M=3)
     rng = np.random.default_rng(0)
     frame = rng.standard_normal((32, 3)) + 1j * rng.standard_normal((32, 3))
-    stream = serialize(frame)
+    stream = to_stream(frame, params)
     for n_delta in (0, 1, 5, 17, 31):
         out = apply_shift_channel(stream, params, [(float(n_delta), 0.0, 1.0)])
-        want = serialize(np.roll(frame, n_delta, axis=0))
+        want = to_stream(np.roll(frame, n_delta, axis=0), params)
         assert np.max(np.abs(out - want)) < 1e-10
 
 
@@ -101,7 +93,7 @@ def test_brute_force_received_frame_oracle():
     stream = pilot_stream(params)
     got = apply_shift_channel(stream, params, [(n_delta, k_delta, 1.0)])
 
-    x = to_time_frame(build_pilot_frame(params))
+    x = idfnt_fast(build_pilot_frame(params))
     n_idx = np.arange(params.N)
     kernel = (
         np.exp(-1j * np.pi * (n_idx - n_delta))
@@ -115,7 +107,7 @@ def test_brute_force_received_frame_oracle():
         )
         phi = 2 * np.pi * k_delta * (m * params.N + n_idx) / params.N
         want[:, m] = delayed * np.exp(1j * phi)
-    got_frame = remove_cp(deserialize(got, params), 0)
+    got_frame = from_stream(got, params)
     assert np.max(np.abs(got_frame - want)) < 1e-9
 
 
@@ -189,7 +181,7 @@ def test_doppler_only_channel_obeys_frequency_shift_theorem():
     params = WaveformParams(N=32, M=3)
     k_delta = 5.0
     rx = apply_shift_channel(pilot_stream(params), params, [(0.0, k_delta, 1.0)])
-    frame = dfnt_fast(remove_cp(deserialize(rx, params), 0))
+    frame = dfnt_fast(from_stream(rx, params))
     pilot = build_pilot_frame(params)
     k = np.arange(params.N)
     phase = np.exp(1j * np.pi / params.N * (2 * k * k_delta - k_delta**2))
@@ -202,23 +194,22 @@ def test_doppler_only_channel_obeys_frequency_shift_theorem():
 def test_comm_channel_identity():
     params = WaveformParams(N=32, M=4, N_CP=4)
     rng = np.random.default_rng(9)
-    frame = rng.standard_normal((36, 4)) + 1j * rng.standard_normal((36, 4))
-    stream = serialize(frame)
+    stream = rng.standard_normal(params.stream_len) + 1j * rng.standard_normal(params.stream_len)
     cfg = CommChannelConfig(cfr=np.ones(32, dtype=complex))
     out = apply_comm_channel(stream, cfg, params)
     # CP is rebuilt from the filtered useful part; with identity filtering the
-    # whole stream is reproduced.
-    assert np.max(np.abs(out - serialize(add_cp(remove_cp(frame, 4), 4)))) < 1e-12
+    # stream comes back with each symbol's own tail as its CP.
+    assert np.max(np.abs(out - to_stream(from_stream(stream, params), params))) < 1e-12
 
 
 def test_comm_channel_matches_time_domain_convolution():
     params = WaveformParams(N=64, M=3, N_CP=8)
     rng = np.random.default_rng(10)
     useful = rng.standard_normal((64, 3)) + 1j * rng.standard_normal((64, 3))
-    stream = serialize(add_cp(useful, 8))
+    stream = to_stream(useful, params)
     cir = np.array([0.9 + 0.1j, -0.4j])
     out = apply_comm_channel(stream, CommChannelConfig(cir=cir), params)
-    out_useful = remove_cp(deserialize(out, params), 8)
+    out_useful = from_stream(out, params)
     for m in range(3):
         want = cir[0] * useful[:, m] + cir[1] * np.roll(useful[:, m], 1)
         assert np.max(np.abs(out_useful[:, m] - want)) < 1e-10
@@ -231,7 +222,7 @@ def test_comm_channel_delay_spread_flagged():
     cir[5] = 0.5
     with pytest.raises(ValueError):
         apply_comm_channel(
-            serialize(np.zeros((34, 2), dtype=complex)),
+            np.zeros(params.stream_len, dtype=complex),
             CommChannelConfig(cir=cir),
             params,
         )

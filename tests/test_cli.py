@@ -170,6 +170,22 @@ def test_papr_run(tmp_path):
     assert np.all(np.diff(curve[:, 1]) <= 0)
 
 
+def test_papr_ignores_unrequested_waveform_preconditions(tmp_path):
+    # N_CP=12 leaves the sector layout no data subchirps at N=16; radcom is not asked for.
+    out = tmp_path / "out"
+    papr = {"trials": 2, "waveforms": ["pilot", "ofdm"]}
+    cfg = write_config(tmp_path, {"waveform": {"N": 16, "M": 4}, "radcom": {"N_CP": 12}, "papr": papr})
+    assert main(["papr", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    written = ["manifest.json", "papr_ofdm.csv", "papr_pilot.csv", "papr_summary.json"]
+    assert sorted(p.name for p in out.iterdir()) == written
+
+
+def test_comb_pilot_layout_too_small_names_n(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"waveform": {"N": 4}})
+    assert main(["params", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_PRECONDITION
+    assert "N=4" in capsys.readouterr().err
+
+
 def test_manifest_config_round_trip(tmp_path):
     out1 = tmp_path / "r1"
     cfg = write_config(

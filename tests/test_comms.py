@@ -27,14 +27,13 @@ from ocdm_radar.comms import (
 from ocdm_radar.framing import (
     RadComFrameSpec,
     WaveformParams,
-    add_cp,
     build_pilot_frame,
     build_radcom_frame,
     qpsk_demap,
     qpsk_map,
-    serialize,
-    to_time_frame,
+    to_stream,
 )
+from ocdm_radar.fresnel import idfnt_fast
 from ocdm_radar.rxproc import doppler_process, estimate_peak, receive_frame
 
 
@@ -44,7 +43,7 @@ def radcom_link(params, spec, rng, channel_cfg):
     bits = rng.integers(0, 2, size=2 * n_data * params.M)
     symbols = qpsk_map(bits).reshape(n_data, params.M)
     frame = build_radcom_frame(params, spec, symbols)
-    tx = serialize(add_cp(to_time_frame(frame), params.N_CP))
+    tx = to_stream(idfnt_fast(frame), params)
     rx = apply_comm_channel(tx, channel_cfg, params)
     fresnel = receive_frame(rx, params, correct_fold=False)
     return bits, symbols, fresnel
@@ -215,7 +214,7 @@ def test_ofdm_radar_same_peak_bin_as_ocdm():
     image = ofdm_radar_process(grid, ofdm_demodulate(rx, params), params)
     peak_ofdm = estimate_peak(image)
 
-    pilot = serialize(add_cp(to_time_frame(build_pilot_frame(params)), params.N_CP))
+    pilot = to_stream(idfnt_fast(build_pilot_frame(params)), params)
     rx_ocdm = apply_shift_channel(pilot, params, shifts)
     peak_ocdm = estimate_peak(doppler_process(receive_frame(rx_ocdm, params), params))
     assert peak_ofdm.range_m == peak_ocdm.range_m
@@ -235,7 +234,7 @@ def test_ofdm_radar_comparable_at_tolerable_doppler():
     rx = apply_shift_channel(ofdm_modulate(grid, params), params, shifts)
     img_ofdm = ofdm_radar_process(grid, ofdm_demodulate(rx, params), params)
 
-    pilot = serialize(add_cp(to_time_frame(build_pilot_frame(params)), 0))
+    pilot = to_stream(idfnt_fast(build_pilot_frame(params)), params)
     rx_ocdm = apply_shift_channel(pilot, params, shifts)
     img_ocdm = doppler_process(receive_frame(rx_ocdm, params), params)
 

@@ -1,4 +1,4 @@
-"""Frame builders, QPSK mapping, CP and serialization round trips."""
+"""Frame builders, QPSK mapping and the sample-stream format."""
 
 import numpy as np
 import pytest
@@ -7,17 +7,15 @@ from ocdm_radar.framing import (
     MimoConfig,
     RadComFrameSpec,
     WaveformParams,
-    add_cp,
     build_mimo_pilot_frame,
     build_pilot_frame,
     build_radcom_frame,
-    deserialize,
+    from_stream,
     qpsk_demap,
     qpsk_map,
-    remove_cp,
-    serialize,
-    to_time_frame,
+    to_stream,
 )
+from ocdm_radar.fresnel import idfnt_fast
 
 
 def test_params_validation():
@@ -45,13 +43,13 @@ def test_pilot_frame_energy_and_envelope():
     params = WaveformParams(N=64, M=3)
     frame = build_pilot_frame(params)
     assert np.allclose(np.sum(np.abs(frame) ** 2, axis=0), 1.0)
-    time = to_time_frame(frame)
+    time = idfnt_fast(frame)
     assert np.max(np.abs(np.abs(time) - 1.0 / params.N)) < 1e-12
 
 
 def test_pilot_stream_is_periodic_without_cp():
     params = WaveformParams(N=16, M=4, N_CP=0)
-    stream = serialize(add_cp(to_time_frame(build_pilot_frame(params)), 0))
+    stream = to_stream(idfnt_fast(build_pilot_frame(params)), params)
     first = stream[: params.N]
     for m in range(1, params.M):
         assert np.array_equal(stream[m * params.N : (m + 1) * params.N], first)
@@ -171,28 +169,26 @@ def test_qpsk_noisy_demap_error_free_at_30db():
     assert np.count_nonzero(qpsk_demap(noisy) != bits) == 0
 
 
-def test_add_cp_identity_when_zero():
-    frame = np.arange(12, dtype=complex).reshape(4, 3)
-    assert np.array_equal(add_cp(frame, 0), frame)
+@pytest.mark.parametrize("n_cp", [0, 3])
+def test_stream_layout_and_round_trip(n_cp):
+    params = WaveformParams(N=8, M=3, N_CP=n_cp)
+    rng = np.random.default_rng(n_cp)
+    x = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
+    stream = to_stream(x, params)
+    assert stream.shape == (params.stream_len,)
+    for i in range(params.stream_len):
+        m, r = divmod(i, params.N + n_cp)
+        assert stream[i] == x[(r - n_cp) % params.N, m]
+    back = from_stream(stream, params)
+    assert np.array_equal(back, x)
+    assert np.shares_memory(back, stream)
 
 
-def test_cp_prepends_tail():
-    params = WaveformParams(N=8, M=2, N_CP=2)
-    rng = np.random.default_rng(1)
-    time = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
-    with_cp = add_cp(time, 2)
-    assert np.array_equal(with_cp[:2], time[6:8])
-    assert np.array_equal(remove_cp(with_cp, 2), time)
-
-
-def test_serialize_round_trip():
+def test_stream_shape_and_length_checks():
     params = WaveformParams(N=8, M=3, N_CP=2)
-    rng = np.random.default_rng(2)
-    frame = rng.standard_normal((10, 3)) + 1j * rng.standard_normal((10, 3))
-    assert np.array_equal(deserialize(serialize(frame), params), frame)
-
-
-def test_deserialize_length_check():
-    params = WaveformParams(N=8, M=3, N_CP=2)
-    with pytest.raises(ValueError):
-        deserialize(np.zeros(29, dtype=complex), params)
+    for frame in (np.zeros((8, 2)), np.zeros((10, 3)), np.zeros(24)):
+        with pytest.raises(ValueError):
+            to_stream(frame, params)
+    for stream in (np.zeros(29), np.zeros(31), np.zeros((10, 3))):
+        with pytest.raises(ValueError):
+            from_stream(stream, params)

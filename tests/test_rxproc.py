@@ -8,14 +8,13 @@ from ocdm_radar.framing import (
     MimoConfig,
     RadComFrameSpec,
     WaveformParams,
-    add_cp,
     build_mimo_pilot_frame,
     build_pilot_frame,
     build_radcom_frame,
     qpsk_map,
-    serialize,
-    to_time_frame,
+    to_stream,
 )
+from ocdm_radar.fresnel import idfnt_fast
 from ocdm_radar.rxproc import (
     RangeVelocityImage,
     compute_radar_params,
@@ -31,7 +30,7 @@ FULL = WaveformParams(N=2048, M=5120, N_CP=0, B=1e9, fc=79e9)
 
 
 def pilot_stream(params):
-    return serialize(add_cp(to_time_frame(build_pilot_frame(params)), params.N_CP))
+    return to_stream(idfnt_fast(build_pilot_frame(params)), params)
 
 
 def test_loopback_identity_channel():
@@ -121,7 +120,7 @@ def test_mimo_demux_identity_slice():
 def test_mimo_demux_pilot_identity_channel():
     params = WaveformParams(N=8, M=2)
     mimo = MimoConfig(num_tx=2, tx=1)
-    stream = serialize(add_cp(to_time_frame(build_mimo_pilot_frame(params, mimo)), 0))
+    stream = to_stream(idfnt_fast(build_mimo_pilot_frame(params, mimo)), params)
     sliced = mimo_demux(receive_frame(stream, params), mimo)
     want = np.zeros((4, 2), dtype=complex)
     want[0, :] = 1.0
@@ -131,7 +130,7 @@ def test_mimo_demux_pilot_identity_channel():
 def test_mimo_demux_target_in_own_slice():
     params = WaveformParams(N=256, M=4)
     mimo = MimoConfig(num_tx=4, tx=2)
-    stream = serialize(add_cp(to_time_frame(build_mimo_pilot_frame(params, mimo)), 0))
+    stream = to_stream(idfnt_fast(build_mimo_pilot_frame(params, mimo)), params)
     rx = apply_shift_channel(stream, params, [(50.0, 0.0, 1.0)])
     frame = receive_frame(rx, params)
     own = mimo_demux(frame, mimo, 2)
@@ -162,7 +161,7 @@ def test_radcom_pilot_only_matches_siso_rows():
     spec = RadComFrameSpec(N_CP=16)
     n_data = spec.num_data_subchirps(params.N)
     frame = build_radcom_frame(params, spec, np.zeros((n_data, params.M)))
-    stream = serialize(add_cp(to_time_frame(frame), params.N_CP))
+    stream = to_stream(idfnt_fast(frame), params)
     rx = apply_shift_channel(stream, params, [(5.0, 0.0, 1.0)])
     cir = radcom_extract_cir(receive_frame(rx, params), 16)
 
@@ -183,7 +182,7 @@ def test_radcom_guard_interval_isolates_radar_sector():
     shifts = [(7.0, 0.0, 1.0), (31.0, 0.0, 0.5)]
     cirs = []
     for frame in (with_data, without):
-        stream = serialize(add_cp(to_time_frame(frame), params.N_CP))
+        stream = to_stream(idfnt_fast(frame), params)
         rx = apply_shift_channel(stream, params, shifts)
         cirs.append(radcom_extract_cir(receive_frame(rx, params), 32))
     assert np.max(np.abs(cirs[0] - cirs[1])) < 1e-9
@@ -201,7 +200,7 @@ def test_radcom_excess_delay_contaminates_cir():
         build_radcom_frame(params, spec, symbols),
         build_radcom_frame(params, spec, np.zeros_like(symbols)),
     ):
-        stream = serialize(add_cp(to_time_frame(frame), params.N_CP))
+        stream = to_stream(idfnt_fast(frame), params)
         rx = apply_shift_channel(stream, params, shifts)
         cirs.append(radcom_extract_cir(receive_frame(rx, params), 32))
     assert np.max(np.abs(cirs[0] - cirs[1])) > 1e-3
