@@ -184,6 +184,22 @@ def test_stream_layout_and_round_trip(n_cp):
     assert np.shares_memory(back, stream)
 
 
+def test_cp_prepends_tail():
+    params = WaveformParams(N=8, M=2, N_CP=2)
+    rng = np.random.default_rng(1)
+    time = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
+    blocks = to_stream(time, params).reshape(10, 2, order="F")
+    assert np.array_equal(blocks[:2], time[6:8])
+    assert np.array_equal(from_stream(blocks.ravel(order="F"), params), time)
+
+
+def test_serialize_round_trip():
+    params = WaveformParams(N=8, M=3, N_CP=2)
+    rng = np.random.default_rng(2)
+    frame = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
+    assert np.array_equal(from_stream(to_stream(frame, params), params), frame)
+
+
 def test_stream_shape_and_length_checks():
     params = WaveformParams(N=8, M=3, N_CP=2)
     for frame in (np.zeros((8, 2)), np.zeros((10, 3)), np.zeros(24)):
