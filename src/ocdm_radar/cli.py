@@ -97,10 +97,6 @@ class ConfigError(Exception):
     """Schema-level config problem; message names the offending field."""
 
 
-def _defaults(cls) -> dict:
-    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
-
-
 def _require_keys(obj: dict, allowed: dict, path: str) -> None:
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected an object")
@@ -112,12 +108,9 @@ def _require_keys(obj: dict, allowed: dict, path: str) -> None:
             raise ConfigError(f"{path}.{key}: missing required key")
 
 
-def _section(raw: dict, name: str, defaults: dict) -> dict:
-    section = dict(defaults)
-    if name in raw:
-        _require_keys(raw[name], dict.fromkeys(section, False), f"config.{name}")
-        section.update(raw[name])
-    return section
+def _section(obj, path: str, defaults: dict, required=()) -> dict:
+    _require_keys(obj, {**dict.fromkeys(required, True), **dict.fromkeys(defaults, False)}, path)
+    return {**defaults, **obj}
 
 
 def _number(obj, path, lo=None, hi=None, integer=False):
@@ -134,13 +127,6 @@ def _number(obj, path, lo=None, hi=None, integer=False):
     return int(obj) if integer else float(obj)
 
 
-def _numbers(section: dict, path: str, ints=(), floats=()) -> None:
-    for key in ints:
-        section[key] = _number(section[key], f"{path}.{key}", integer=True)
-    for key in floats:
-        section[key] = _number(section[key], f"{path}.{key}")
-
-
 def _complex_amplitude(obj, path) -> complex:
     if isinstance(obj, complex):  # the Target default; JSON has no complex literal
         return obj
@@ -151,12 +137,33 @@ def _complex_amplitude(obj, path) -> complex:
     raise ConfigError(f"{path}: expected a number or [re, im] pair")
 
 
+# Number kind of each dataclass field annotation a config section may carry.
+_KINDS = {"int": partial(_number, integer=True), "float": _number, "complex": _complex_amplitude}
+
+
 def _list(obj, path: str, nonempty: bool = False) -> list:
     if not isinstance(obj, list):
         raise ConfigError(f"{path}: expected a list")
     if nonempty and not obj:
         raise ConfigError(f"{path}: expected a non-empty list")
     return obj
+
+
+def _dataclass_section(obj, cls, path: str, **cli_defaults) -> dict:
+    """Check a config object against the fields of dataclass ``cls`` and fill its defaults.
+
+    Its keys are the fields plus the CLI-only keys of ``cli_defaults``, which
+    also override field defaults; a field with no default is required.  Each
+    field value is coerced to its annotated number kind (int, float, complex),
+    except a None whose CLI default is None: the CLI fills that one itself.
+    """
+    defaults = {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+    defaults.update(cli_defaults)
+    section = _section(obj, path, defaults, [f.name for f in fields(cls) if f.name not in defaults])
+    for f in fields(cls):
+        if section[f.name] is not None or cli_defaults.get(f.name, 0) is not None:
+            section[f.name] = _KINDS[f.type](section[f.name], f"{path}.{f.name}")
+    return section
 
 
 _SECTIONS = (
@@ -172,52 +179,46 @@ def resolve_config(raw: dict, full_scale: bool = False) -> dict:
     _require_keys(raw, dict.fromkeys(_SECTIONS, False), "config")
 
     size = FULL_SIZE if full_scale else DESK_SIZE
-    waveform = _section(raw, "waveform", {**size, **_defaults(WaveformParams)})
-    _numbers(waveform, "config.waveform", ints=("N", "M", "N_CP"), floats=("B", "fc"))
+    waveform = _dataclass_section(raw.get("waveform", {}), WaveformParams, "config.waveform", **size)
 
     mode = raw.get("mode", "radar")
     if mode not in ("radar", "mimo", "radcom"):
         raise ConfigError(f"config.mode: unknown mode {mode!r}")
 
-    target_keys = {f.name: f.default is MISSING for f in fields(Target)}
-    targets = []
-    for i, t in enumerate(_list(raw.get("targets", []), "config.targets")):
-        path = f"config.targets[{i}]"
-        _require_keys(t, target_keys, path)
-        t = {**_defaults(Target), **t}
-        _numbers(t, path, floats=("range_m", "velocity_mps"))
-        t["amplitude"] = _complex_amplitude(t["amplitude"], f"{path}.amplitude")
-        targets.append(t)
+    targets = [
+        _dataclass_section(t, Target, f"config.targets[{i}]")
+        for i, t in enumerate(_list(raw.get("targets", []), "config.targets"))
+    ]
 
     snr_db = raw.get("snr_db")
     if snr_db is not None:
         snr_db = _number(snr_db, "config.snr_db")
     seed = _number(raw.get("seed", 0), "config.seed", lo=0, integer=True)
 
-    mimo = _section(raw, "mimo", {"num_tx": DEFAULT_NUM_TX, **_defaults(MimoConfig)})
-    _numbers(mimo, "config.mimo", ints=tuple(mimo))
+    mimo = _dataclass_section(raw.get("mimo", {}), MimoConfig, "config.mimo", num_tx=DEFAULT_NUM_TX)
 
-    radcom = _section(raw, "radcom", {"N_CP": None, **_defaults(RadComFrameSpec), "avg_symbols": None})
+    radcom = _dataclass_section(
+        raw.get("radcom", {}), RadComFrameSpec, "config.radcom", N_CP=None, avg_symbols=None
+    )
     if radcom["N_CP"] is None:
         radcom["N_CP"] = max(waveform["N_CP"], waveform["N"] // 4)
-    _numbers(radcom, "config.radcom", ints=("N_CP",), floats=("pilot_energy", "symbol_energy"))
     if radcom["avg_symbols"] is not None:
         radcom["avg_symbols"] = _number(
             radcom["avg_symbols"], "config.radcom.avg_symbols", lo=1, hi=waveform["M"], integer=True
         )
 
-    comm = _section(raw, "comm", {"cfr_csv": None, "tilt_db": 10.0, "snr_db": 30.0})
+    comm = _section(raw.get("comm", {}), "config.comm", {"cfr_csv": None, "tilt_db": 10.0, "snr_db": 30.0})
     comm["tilt_db"] = _number(comm["tilt_db"], "config.comm.tilt_db", lo=0.0)
     comm["snr_db"] = _number(comm["snr_db"], "config.comm.snr_db")
     if comm["cfr_csv"] is not None and not isinstance(comm["cfr_csv"], str):
         raise ConfigError("config.comm.cfr_csv: expected a path string")
 
-    sweep = _section(raw, "sweep", {"n_grid": [0, 32, 64, 96, 128, 160, 192, 224], "k_grid": [-0.5, -0.25, -0.1, 0.0, 0.1, 0.25, 0.5]})
+    sweep = _section(raw.get("sweep", {}), "config.sweep", {"n_grid": [0, 32, 64, 96, 128, 160, 192, 224], "k_grid": [-0.5, -0.25, -0.1, 0.0, 0.1, 0.25, 0.5]})
     for name in ("n_grid", "k_grid"):
         path = f"config.sweep.{name}"
         sweep[name] = [_number(v, f"{path}[{i}]") for i, v in enumerate(_list(sweep[name], path, nonempty=True))]
 
-    papr = _section(raw, "papr", {"trials": 1000, "oversample": 20, "waveforms": list(PAPR_WAVEFORMS)})
+    papr = _section(raw.get("papr", {}), "config.papr", {"trials": 1000, "oversample": 20, "waveforms": list(PAPR_WAVEFORMS)})
     papr["trials"] = _number(papr["trials"], "config.papr.trials", lo=1, integer=True)
     papr["oversample"] = _number(papr["oversample"], "config.papr.oversample", lo=1, integer=True)
     for i, w in enumerate(_list(papr["waveforms"], "config.papr.waveforms", nonempty=True)):
@@ -312,17 +313,26 @@ def _write_manifest(out_dir: Path, command: str, config: dict, files: list[str])
         "files": sorted(files),
         "version": __version__,
     }
-    (out_dir / "manifest.json").write_text(_canonical_json(manifest) + "\n")
+    _emit_json(out_dir, [], "manifest.json", manifest)
+
+
+def _mkdir(out_dir: Path) -> Path:
+    """Create the output directory at a run's first write, so a run that writes nothing leaves none."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise RuntimeError(f"cannot create output directory: {exc}") from None
+    return out_dir
 
 
 def _emit_json(out_dir: Path, files: list[str], name: str, payload: dict) -> None:
-    (out_dir / name).write_text(_canonical_json(payload) + "\n")
+    (_mkdir(out_dir) / name).write_text(_canonical_json(payload) + "\n")
     files.append(name)
 
 
 def _emit_csv(out_dir: Path, files: list[str], name: str, header: str, columns) -> None:
     np.savetxt(
-        out_dir / name,
+        _mkdir(out_dir) / name,
         np.column_stack(columns),
         delimiter=",",
         fmt="%.12g",
@@ -521,12 +531,6 @@ def main(argv=None) -> int:
         or os.environ.get(OUTPUT_DIR_ENV)
         or "ocdm_radar_out"
     )
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-
     commands = {
         "params": _cmd_params,
         "radar": _cmd_radar,

@@ -222,9 +222,7 @@ def ofdm_radar_process(
 def data_rate_radcom(params: WaveformParams, n_cp: int | None = None) -> float:
     """Payload bit rate of the sector-modulated frame with QPSK data."""
     cp = params.N_CP if n_cp is None else n_cp
-    n_data = params.N - 2 * cp + 1
-    if n_data <= 0:
-        raise ValueError("sector layout leaves no data subchirps")
+    n_data = RadComFrameSpec(cp).num_data_subchirps(params.N)
     return 2.0 * n_data * params.B / (params.N + cp)
 
 

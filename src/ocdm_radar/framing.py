@@ -9,7 +9,7 @@ and ``from_stream`` build or take apart that layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,35 +70,25 @@ class WaveformParams:
     def symbol_duration(self) -> float:
         return (self.N + self.N_CP) / self.B
 
-    @property
-    def frame_duration(self) -> float:
-        return self.M * self.symbol_duration
-
 
 @dataclass(frozen=True)
 class MimoConfig:
-    """Fresnel-domain multiplexing layout: num_tx transmitters, num_rx receivers."""
+    """Fresnel-domain multiplexing layout: num_tx transmitters on disjoint subchirp slices."""
 
     num_tx: int
-    tx: int = 0
-    num_rx: int = 1
-    rx: int = 0
 
     def __post_init__(self):
         if self.num_tx < 1:
             raise ValueError(f"num_tx must be >= 1, got {self.num_tx}")
-        if not 0 <= self.tx < self.num_tx:
-            raise ValueError(f"tx index {self.tx} outside [0, {self.num_tx})")
-        if not 0 <= self.rx < self.num_rx:
-            raise ValueError(f"rx index {self.rx} outside [0, {self.num_rx})")
 
-    def slice_rows(self, n: int, tx: int | None = None) -> slice:
-        """Rows of transmitter tx (default self.tx) in an n-row Fresnel-domain frame."""
-        mimo = self if tx is None else replace(self, tx=tx)
-        if n % mimo.num_tx:
-            raise ValueError(f"N={n} is not divisible by num_tx={mimo.num_tx}")
-        width = n // mimo.num_tx
-        return slice(mimo.tx * width, (mimo.tx + 1) * width)
+    def slice_rows(self, n: int, tx: int) -> slice:
+        """Rows of transmitter tx in an n-row Fresnel-domain frame."""
+        if not 0 <= tx < self.num_tx:
+            raise ValueError(f"tx index {tx} outside [0, {self.num_tx})")
+        if n % self.num_tx:
+            raise ValueError(f"N={n} is not divisible by num_tx={self.num_tx}")
+        width = n // self.num_tx
+        return slice(tx * width, (tx + 1) * width)
 
 
 @dataclass(frozen=True)
@@ -138,7 +128,7 @@ def build_pilot_frame(params: WaveformParams) -> np.ndarray:
     return frame
 
 
-def build_mimo_pilot_frame(params: WaveformParams, mimo: MimoConfig, tx: int | None = None) -> np.ndarray:
+def build_mimo_pilot_frame(params: WaveformParams, mimo: MimoConfig, tx: int) -> np.ndarray:
     """Pilot frame of one transmitter: subchirp tx*N/num_tx active."""
     row = mimo.slice_rows(params.N, tx).start
     frame = np.zeros((params.N, params.M), dtype=np.complex128)

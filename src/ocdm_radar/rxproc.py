@@ -74,7 +74,7 @@ def receive_frame(stream: np.ndarray, params: WaveformParams, correct_fold: bool
     return phase_fold_correct(fresnel) if correct_fold else fresnel
 
 
-def mimo_demux(fresnel_frame: np.ndarray, mimo: MimoConfig, tx: int | None = None) -> np.ndarray:
+def mimo_demux(fresnel_frame: np.ndarray, mimo: MimoConfig, tx: int) -> np.ndarray:
     """Slice the N/P rows belonging to one transmitter out of a receive frame.
 
     Leakage past a slice boundary (from fractional shifts or delay-Doppler
@@ -132,7 +132,7 @@ def compute_radar_params(params: WaveformParams, num_tx: int | None = None) -> R
     r_cp = params.N_CP * C0 / (2.0 * params.B) if params.N_CP > 0 else None
     r_mimo = None
     if num_tx is not None:
-        rows = MimoConfig(num_tx).slice_rows(params.N)
+        rows = MimoConfig(num_tx).slice_rows(params.N, 0)
         r_mimo = (rows.stop - rows.start) * C0 / (2.0 * params.B)
     return RadarParams(gp_db, delta_r, r_max, delta_v, v_max, r_cp, r_mimo)
 

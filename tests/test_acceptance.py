@@ -235,7 +235,7 @@ def test_criterion_07_range_doppler_coupling():
 
 def test_criterion_08_mimo_isolation():
     params = WaveformParams(N=256, M=40)
-    mimo = MimoConfig(num_tx=4, tx=0)
+    mimo = MimoConfig(num_tx=4)
 
     # noise-free integer-bin static target: exact slice orthogonality
     stream = to_stream(idfnt_fast(build_mimo_pilot_frame(params, mimo, 2)), params)

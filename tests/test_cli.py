@@ -181,9 +181,21 @@ def test_papr_ignores_unrequested_waveform_preconditions(tmp_path):
 
 
 def test_comb_pilot_layout_too_small_names_n(tmp_path, capsys):
+    out = tmp_path / "out"
     cfg = write_config(tmp_path, {"waveform": {"N": 4}})
-    assert main(["params", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_PRECONDITION
+    assert main(["params", "--config", cfg, "--out", str(out)]) == EXIT_PRECONDITION
     assert "N=4" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sector_layout_failure_names_n_cp_in_params_and_radcom(tmp_path, capsys):
+    # N=16 leaves no data subchirp for N_CP=12; both commands name the same precondition.
+    cfg = write_config(tmp_path, {"mode": "radcom", "waveform": {"N": 16, "M": 4}, "radcom": {"N_CP": 12}})
+    for command in ("params", "radcom"):
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_PRECONDITION
+        assert "sector layout needs 2*N_CP-1 < N, got N_CP=12, N=16" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_manifest_config_round_trip(tmp_path):
@@ -211,8 +223,8 @@ def test_manifest_config_round_trip(tmp_path):
         ("radar", {"targets": [{"range_m": -1.0}]}, "config.targets[0]: target range"),
         ("radar", {"targets": 5}, "config.targets: expected a list"),
         ("mimo", {"mimo": {"num_tx": 0}}, "config.mimo: num_tx"),
-        ("mimo", {"mimo": {"num_tx": 2, "tx": 2}}, "config.mimo: tx index"),
-        ("radar", {"mimo": {"num_rx": 0}}, "config.mimo: rx index"),
+        ("mimo", {"mimo": {"num_tx": 2, "tx": 2}}, "config.mimo.tx: unknown key"),
+        ("radar", {"mimo": {"num_rx": 0}}, "config.mimo.num_rx: unknown key"),
         ("papr", {"papr": {"waveforms": 5}}, "config.papr.waveforms: expected a list"),
         ("papr", {"papr": {"waveforms": "pilot"}}, "config.papr.waveforms: expected a list"),
         ("papr", {"papr": {"waveforms": ["pilot", 3]}}, "config.papr.waveforms[1]"),
@@ -247,9 +259,11 @@ def test_hostile_config_exits_2_naming_field(tmp_path, capsys, command, config, 
     ],
 )
 def test_extreme_scene_exits_3_naming_precondition(tmp_path, capsys, config, reason):
+    out = tmp_path / "out"
     cfg = write_config(tmp_path, config)
-    assert main(["radar", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_PRECONDITION
+    assert main(["radar", "--config", cfg, "--out", str(out)]) == EXIT_PRECONDITION
     assert reason in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_negative_seed_flag_exits_2_naming_it(tmp_path, capsys):
@@ -264,15 +278,15 @@ def test_failing_image_leaves_no_file(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["radar", "--out", str(out)]) == EXIT_PRECONDITION
     assert "all-zero" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_default_config_hashes_are_pinned(tmp_path):
     # The manifest hash of the resolved defaults is the reproducibility key of
     # every earlier run; a change here changes every config hash.
     want = {
-        (): "248a756f1a853e33e9d9ffeb6734d0cbec52df95acdbb22b1ee35db6786d772d",
-        ("--full-scale",): "dc756b9a7bc064e874e3ada371c0b909bf6a4f423a46fefe1c7ae8c060b880f7",
+        (): "0f29b4e1aa9ea90aa5da9a3b5f4bbd2a653f89cb9a0a34aa20d5d9a4af6a8fb6",
+        ("--full-scale",): "b2580dc0418d1935ec1f33e0f5bb60c972e089f84cde53e9c70a0bf84147703a",
     }
     for i, (flags, digest) in enumerate(want.items()):
         out = tmp_path / str(i)
@@ -286,7 +300,7 @@ SMALL_CONFIG = {
     "targets": [{"range_m": 3.0, "velocity_mps": 20.0, "amplitude": [1.0, 0.5]}],
     "snr_db": 20.0,
     "seed": 4,
-    "mimo": {"num_tx": 2, "tx": 0, "num_rx": 1, "rx": 0},
+    "mimo": {"num_tx": 2},
     "radcom": {"N_CP": 16, "pilot_energy": 1.0, "symbol_energy": 1.0, "avg_symbols": 4},
     "comm": {"tilt_db": 6.0, "snr_db": 30.0},
     "sweep": {"n_grid": [0, 3.5], "k_grid": [0.0, 0.25]},
@@ -338,7 +352,7 @@ def test_perturbed_config_exit_contract():
                 manifest = json.loads((out / "manifest.json").read_text())
                 assert manifest["files"]
                 assert all((out / name).exists() for name in manifest["files"])
-            if code == EXIT_SCHEMA:
+            if code in (EXIT_SCHEMA, EXIT_PRECONDITION):
                 assert not out.exists()
 
     check()

@@ -57,27 +57,27 @@ def test_pilot_stream_is_periodic_without_cp():
 
 def test_mimo_pilot_placement():
     params = WaveformParams(N=4, M=1)
-    frame = build_mimo_pilot_frame(params, MimoConfig(num_tx=2, tx=1))
+    frame = build_mimo_pilot_frame(params, MimoConfig(num_tx=2), 1)
     assert np.array_equal(frame[:, 0], [0, 0, 1, 0])
 
 
 def test_mimo_pilot_p0_equals_siso():
     params = WaveformParams(N=16, M=3)
-    mimo = build_mimo_pilot_frame(params, MimoConfig(num_tx=4, tx=0))
+    mimo = build_mimo_pilot_frame(params, MimoConfig(num_tx=4), 0)
     assert np.array_equal(mimo, build_pilot_frame(params))
 
 
 def test_mimo_pilot_full_scale_allocation():
     params = WaveformParams(N=2048, M=1)
     for p in range(4):
-        frame = build_mimo_pilot_frame(params, MimoConfig(num_tx=4, tx=p))
+        frame = build_mimo_pilot_frame(params, MimoConfig(num_tx=4), p)
         assert np.nonzero(frame[:, 0])[0].tolist() == [p * 512]
 
 
 def test_mimo_pilot_orthogonality():
     params = WaveformParams(N=16, M=2)
     frames = [
-        build_mimo_pilot_frame(params, MimoConfig(num_tx=4, tx=p)) for p in range(4)
+        build_mimo_pilot_frame(params, MimoConfig(num_tx=4), p) for p in range(4)
     ]
     for p in range(4):
         for q in range(p + 1, 4):
@@ -87,7 +87,7 @@ def test_mimo_pilot_orthogonality():
 def test_mimo_pilot_indivisible_rejected():
     params = WaveformParams(N=10, M=1)
     with pytest.raises(ValueError):
-        build_mimo_pilot_frame(params, MimoConfig(num_tx=4, tx=0))
+        build_mimo_pilot_frame(params, MimoConfig(num_tx=4), 0)
 
 
 def test_radcom_frame_layout():

@@ -114,14 +114,14 @@ def test_peak_splitting_at_half_bin_doppler():
 def test_mimo_demux_identity_slice():
     params = WaveformParams(N=32, M=2)
     frame = receive_frame(pilot_stream(params), params)
-    assert np.array_equal(mimo_demux(frame, MimoConfig(num_tx=1, tx=0)), frame)
+    assert np.array_equal(mimo_demux(frame, MimoConfig(num_tx=1), 0), frame)
 
 
 def test_mimo_demux_pilot_identity_channel():
     params = WaveformParams(N=8, M=2)
-    mimo = MimoConfig(num_tx=2, tx=1)
-    stream = to_stream(idfnt_fast(build_mimo_pilot_frame(params, mimo)), params)
-    sliced = mimo_demux(receive_frame(stream, params), mimo)
+    mimo = MimoConfig(num_tx=2)
+    stream = to_stream(idfnt_fast(build_mimo_pilot_frame(params, mimo, 1)), params)
+    sliced = mimo_demux(receive_frame(stream, params), mimo, 1)
     want = np.zeros((4, 2), dtype=complex)
     want[0, :] = 1.0
     assert np.max(np.abs(sliced - want)) < 1e-12
@@ -129,8 +129,8 @@ def test_mimo_demux_pilot_identity_channel():
 
 def test_mimo_demux_target_in_own_slice():
     params = WaveformParams(N=256, M=4)
-    mimo = MimoConfig(num_tx=4, tx=2)
-    stream = to_stream(idfnt_fast(build_mimo_pilot_frame(params, mimo)), params)
+    mimo = MimoConfig(num_tx=4)
+    stream = to_stream(idfnt_fast(build_mimo_pilot_frame(params, mimo, 2)), params)
     rx = apply_shift_channel(stream, params, [(50.0, 0.0, 1.0)])
     frame = receive_frame(rx, params)
     own = mimo_demux(frame, mimo, 2)
@@ -144,7 +144,15 @@ def test_mimo_demux_target_in_own_slice():
 def test_mimo_demux_validation():
     frame = np.zeros((10, 2), dtype=complex)
     with pytest.raises(ValueError):
-        mimo_demux(frame, MimoConfig(num_tx=4, tx=0))
+        mimo_demux(frame, MimoConfig(num_tx=4), 0)
+
+
+def test_mimo_tx_index_out_of_range_rejected():
+    params, mimo = WaveformParams(N=8, M=2), MimoConfig(num_tx=4)
+    with pytest.raises(ValueError, match=r"tx index 4 outside \[0, 4\)"):
+        mimo_demux(np.zeros((8, 2), dtype=complex), mimo, 4)
+    with pytest.raises(ValueError, match=r"tx index -1 outside \[0, 4\)"):
+        build_mimo_pilot_frame(params, mimo, -1)
 
 
 def test_radcom_extract_rows():
