@@ -4,15 +4,18 @@ Metric definitions (applied identically to every compared waveform so the
 relative comparisons stay valid):
 
 * range cut: the image column magnitude at the Doppler bin of the global peak
-* mainlobe: peak bin plus/minus mainlobe_halfwidth bins (circular), default 1
+* mainlobe: peak bin plus/minus MAINLOBE_HALFWIDTH = 1 bins (circular)
 * PPLR: peak power over the zero-Doppler reference peak power
 * PSLR: strongest sidelobe power over the mainlobe peak power
 * ISLR: integrated sidelobe power over integrated mainlobe power
+
+PAPR CCDFs are evaluated on the fixed PAPR_THRESHOLDS_DB grid, 0 to 18 dB in
+0.1 dB steps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,6 +46,10 @@ __all__ = [
     "ofdm_symbol_builder",
 ]
 
+MAINLOBE_HALFWIDTH = 1
+PAPR_THRESHOLDS_DB = np.arange(0.0, 18.0 + 1e-9, 0.1)
+PAPR_THRESHOLDS_DB.flags.writeable = False  # shared by every PaprCcdf
+
 
 @dataclass(frozen=True)
 class RangeCutMetrics:
@@ -56,7 +63,6 @@ class RangeCutMetrics:
 class PaprCcdf:
     thresholds_db: np.ndarray
     exceedance: np.ndarray
-    oversample: int
     papr_samples_db: np.ndarray
 
     @property
@@ -77,9 +83,7 @@ class SweepResult:
     islr_db: np.ndarray
 
 
-def range_cut_metrics(
-    image: RangeVelocityImage, reference_peak_power: float, mainlobe_halfwidth: int = 1
-) -> RangeCutMetrics:
+def range_cut_metrics(image: RangeVelocityImage, reference_peak_power: float) -> RangeCutMetrics:
     """Mainlobe/sidelobe metrics of the range cut through the global peak."""
     if reference_peak_power <= 0:
         raise ValueError("reference peak power must be positive")
@@ -89,7 +93,7 @@ def range_cut_metrics(
     peak_row, peak_col = np.unravel_index(int(np.argmax(mag)), mag.shape)
     cut_power = mag[:, peak_col] ** 2
     n_bins = cut_power.size
-    lobe = [(peak_row + d) % n_bins for d in range(-mainlobe_halfwidth, mainlobe_halfwidth + 1)]
+    lobe = [(peak_row + d) % n_bins for d in range(-MAINLOBE_HALFWIDTH, MAINLOBE_HALFWIDTH + 1)]
     lobe_set = sorted(set(lobe))
     side_mask = np.ones(n_bins, dtype=bool)
     side_mask[lobe_set] = False
@@ -128,12 +132,7 @@ def single_point_image(
     return _point_image(_pilot_stream(params), params, n_delta, k_delta)
 
 
-def doppler_tolerance_sweep(
-    params: WaveformParams,
-    n_grid,
-    k_grid,
-    mainlobe_halfwidth: int = 1,
-) -> SweepResult:
+def doppler_tolerance_sweep(params: WaveformParams, n_grid, k_grid) -> SweepResult:
     """Metric surfaces over the (n_delta, k_delta) grid, noise-free.
 
     The PPLR reference for each n_delta is that target's own zero-Doppler
@@ -157,7 +156,6 @@ def doppler_tolerance_sweep(
             metrics = range_cut_metrics(
                 reference if k_delta == 0 else _point_image(stream, params, n_delta, k_delta),
                 power,
-                mainlobe_halfwidth,
             )
             values[i, j] = metrics.pplr_db, metrics.pslr_db, metrics.islr_db
         del reference  # so that at most one reference image is alive at a time
@@ -185,13 +183,7 @@ def oversampled_papr_db(time_symbol: np.ndarray, oversample: int = 20) -> float:
     return float(10.0 * np.log10(power.max() / power.mean()))
 
 
-def papr_ccdf(
-    symbol_builder,
-    trials: int,
-    oversample: int = 20,
-    thresholds_db: np.ndarray | None = None,
-    rng_seed: int = 0,
-) -> PaprCcdf:
+def papr_ccdf(symbol_builder, trials: int, oversample: int = 20, rng_seed: int = 0) -> PaprCcdf:
     """Empirical PAPR CCDF over random payload realizations.
 
     ``symbol_builder(rng)`` must return one discrete-time symbol (no CP).
@@ -202,11 +194,8 @@ def papr_ccdf(
     samples = np.array(
         [oversampled_papr_db(symbol_builder(rng), oversample) for _ in range(trials)]
     )
-    if thresholds_db is None:
-        thresholds_db = np.arange(0.0, 18.0 + 1e-9, 0.1)
-    thresholds_db = np.asarray(thresholds_db, dtype=float)
-    exceedance = np.array([(samples > t).mean() for t in thresholds_db])
-    return PaprCcdf(thresholds_db, exceedance, oversample, samples)
+    exceedance = np.array([(samples > t).mean() for t in PAPR_THRESHOLDS_DB])
+    return PaprCcdf(PAPR_THRESHOLDS_DB, exceedance, samples)
 
 
 def pilot_symbol_builder(params: WaveformParams):
@@ -223,23 +212,21 @@ def pilot_symbol_builder(params: WaveformParams):
 
 def radcom_symbol_builder(params: WaveformParams, spec: RadComFrameSpec):
     """Sector-modulated symbol with a fresh random QPSK payload per trial."""
+    single = replace(params, M=1)
     n_data = spec.num_data_subchirps(params.N)
     scale = np.sqrt(spec.symbol_energy)
 
     def build(rng):
         bits = rng.integers(0, 2, size=2 * n_data)
         symbols = (scale * qpsk_map(bits)).reshape(n_data, 1)
-        frame = build_radcom_frame(
-            WaveformParams(params.N, 1, params.N_CP, params.B, params.fc), spec, symbols
-        )
-        return idfnt_fast(frame)[:, 0]
+        return idfnt_fast(build_radcom_frame(single, spec, symbols))[:, 0]
 
     return build
 
 
 def ofdm_symbol_builder(params: WaveformParams):
     """Comb-pilot OFDM symbol with a fresh random QPSK payload per trial."""
-    single = WaveformParams(params.N, 1, 0, params.B, params.fc)
+    single = replace(params, M=1, N_CP=0)
     n_data = params.N - int(ofdm_pilot_mask(params.N).sum())
 
     def build(rng):

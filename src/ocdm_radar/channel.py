@@ -14,9 +14,9 @@ fold that the receiver's phase-fold correction removes.  Doppler is a
 per-sample phase ramp over the serialized stream, so symbol m accumulates
 phi_m = 2 pi k_delta [m (N + N_CP) + N_CP] / N relative to the symbol start.
 
-Velocity maps to the normalized Doppler shift with a configurable sign whose
-default (-1) pairs positive radial velocity with negative k_delta, matching
-the reference range-velocity maps.
+Velocity maps to the normalized Doppler shift with the fixed sign
+DOPPLER_SIGN = -1, which pairs positive radial velocity with negative k_delta,
+matching the reference range-velocity maps.
 """
 
 from __future__ import annotations
@@ -43,6 +43,8 @@ __all__ = [
     "cfr_from_cir",
 ]
 
+DOPPLER_SIGN = -1.0
+
 
 @dataclass(frozen=True)
 class Target:
@@ -62,33 +64,33 @@ class RadarChannelConfig:
     targets: list[Target] = field(default_factory=list)
     snr_db: float | None = None
     rng_seed: int = 0
-    doppler_sign: float = -1.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class CommChannelConfig:
-    """Static frequency-selective channel given by short CIR taps or a CFR.
+    """Static frequency-selective channel given by its CIR taps (length <= N_CP + 1)."""
 
-    Exactly one of ``cir`` (time-domain taps, length <= N_CP + 1) or ``cfr``
-    (length-N frequency response over unshifted DFT bins) must be set.
-    """
-
-    cir: np.ndarray | None = None
-    cfr: np.ndarray | None = None
+    cir: np.ndarray
     snr_db: float | None = None
     rng_seed: int = 0
 
+    def __post_init__(self):
+        cir = np.asarray(self.cir, dtype=np.complex128)
+        if not np.isfinite(cir).all():
+            raise ValueError("CIR taps are not finite")
+        if not cir.any():
+            raise ValueError("CIR is all zero")
 
-def normalize_target(target: Target, params: WaveformParams, doppler_sign: float = -1.0):
+
+def normalize_target(target: Target, params: WaveformParams):
     """Map (range, velocity) to the normalized shift pair (n_delta, k_delta).
 
-    n_delta = 2 R B / c0 range bins; k_delta = sign * (2 v fc / c0) / (B / N)
-    Doppler bins.  The default sign makes positive velocities produce negative
-    k_delta.
+    n_delta = 2 R B / c0 range bins; k_delta = DOPPLER_SIGN * (2 v fc / c0) /
+    (B / N) Doppler bins, so positive velocities produce negative k_delta.
     """
     n_delta = 2.0 * target.range_m * params.B / C0
     f_doppler = 2.0 * target.velocity_mps * params.fc / C0
-    k_delta = doppler_sign * f_doppler / params.delta_f
+    k_delta = DOPPLER_SIGN * f_doppler / params.delta_f
     return n_delta, k_delta
 
 
@@ -159,7 +161,7 @@ def apply_radar_channel(stream: np.ndarray, cfg: RadarChannelConfig, params: Wav
     """Propagate a transmit stream past the configured point targets."""
     shifts = []
     for t in cfg.targets:
-        n_delta, k_delta = normalize_target(t, params, cfg.doppler_sign)
+        n_delta, k_delta = normalize_target(t, params)
         shifts.append((n_delta, k_delta, t.amplitude))
     return apply_shift_channel(stream, params, shifts, cfg.snr_db, cfg.rng_seed)
 
@@ -234,35 +236,39 @@ def cfr_from_cir(cir: np.ndarray, n: int) -> np.ndarray:
 
 
 def load_cfr_csv(path, n: int) -> np.ndarray:
-    """Read a CFR from CSV rows (bin index, Re, Im); all N bins required."""
+    """Read a CFR from CSV rows (bin index, Re, Im); each of the N bins exactly once.
+
+    Rejects non-finite values, non-integer or repeated bin indices and an
+    all-zero response.
+    """
     raw = np.loadtxt(path, delimiter=",", ndmin=2)
     if raw.shape[1] != 3:
         raise ValueError("CFR CSV must have columns (bin, Re, Im)")
-    cfr = np.zeros(n, dtype=np.complex128)
-    seen = np.zeros(n, dtype=bool)
-    for row in raw:
-        idx = int(row[0])
+    if not np.isfinite(raw).all():
+        raise ValueError("CFR CSV holds a non-finite value")
+    bins = raw[:, 0]
+    for idx in bins:
+        if idx != int(idx):
+            raise ValueError(f"CFR bin index {idx} is not an integer")
         if not 0 <= idx < n:
-            raise ValueError(f"CFR bin index {idx} outside [0, {n})")
-        cfr[idx] = row[1] + 1j * row[2]
-        seen[idx] = True
-    if not seen.all():
+            raise ValueError(f"CFR bin index {int(idx)} outside [0, {n})")
+    bins = bins.astype(int)
+    counts = np.bincount(bins, minlength=n)
+    if counts.max() > 1:
+        raise ValueError(f"CFR bin index {int(np.argmax(counts))} is listed twice")
+    if counts.min() == 0:
         raise ValueError("CFR CSV does not cover all N bins")
+    cfr = np.zeros(n, dtype=np.complex128)
+    cfr[bins] = raw[:, 1] + 1j * raw[:, 2]
+    if not cfr.any():
+        raise ValueError("CFR is all zero")
     return cfr
 
 
 def _resolve_comm_cir(cfg: CommChannelConfig, params: WaveformParams) -> np.ndarray:
-    if (cfg.cir is None) == (cfg.cfr is None):
-        raise ValueError("exactly one of cir or cfr must be configured")
-    if cfg.cir is not None:
-        cir = np.asarray(cfg.cir, dtype=np.complex128)
-        if cir.size > params.N:
-            raise ValueError("CIR longer than the symbol length")
-    else:
-        cfr = np.asarray(cfg.cfr, dtype=np.complex128)
-        if cfr.size != params.N:
-            raise ValueError(f"CFR must have N={params.N} bins, got {cfr.size}")
-        cir = np.fft.ifft(cfr)
+    cir = np.asarray(cfg.cir, dtype=np.complex128)
+    if cir.size > params.N:
+        raise ValueError("CIR longer than the symbol length")
     spread = int(np.max(np.nonzero(np.abs(cir) > 1e-12 * np.max(np.abs(cir)))[0]))
     if spread > params.N_CP:
         raise ValueError(

@@ -281,16 +281,20 @@ def build_scenario(config: dict) -> Scenario:
         _build(f"config.targets[{i}]", Target, **t) for i, t in enumerate(config["targets"])
     ]
     if comm["cfr_csv"] is not None:
-        taps = {"cfr": _build("config.comm.cfr_csv", load_cfr_csv, comm["cfr_csv"], params.N)}
+        cir_path = "config.comm.cfr_csv"
+        cfr = _build(cir_path, load_cfr_csv, comm["cfr_csv"], params.N)
+        with np.errstate(over="ignore", invalid="ignore"):  # CommChannelConfig rejects an overflow
+            cir = np.fft.ifft(cfr)
     else:
-        taps = {"cir": _build("config.comm.tilt_db", two_tap_tilt_cir, comm["tilt_db"])}
+        cir_path = "config.comm.tilt_db"
+        cir = _build(cir_path, two_tap_tilt_cir, comm["tilt_db"])
     return Scenario(
         params,
         radcom_params,
         mimo,
         spec,
         RadarChannelConfig(targets=targets, snr_db=config["snr_db"], rng_seed=config["seed"]),
-        CommChannelConfig(**taps, snr_db=comm["snr_db"], rng_seed=config["seed"] + 1),
+        _build(cir_path, CommChannelConfig, cir, snr_db=comm["snr_db"], rng_seed=config["seed"] + 1),
     )
 
 
@@ -383,8 +387,8 @@ def _cmd_params(config: dict, sc: Scenario, out_dir: Path, files: list[str]) -> 
     params = sc.radcom_params if mode == "radcom" else sc.params
     rp = compute_radar_params(params, num_tx=sc.mimo.num_tx if mode == "mimo" else None)
     payload = {key: None if v is None else round(v, 2) for key, v in asdict(rp).items()}
-    payload["data_rate_radcom_bps"] = data_rate_radcom(params, sc.spec.N_CP)
-    payload["data_rate_comb_pilot_bps"] = data_rate_comb_pilot(params, sc.spec.N_CP)
+    payload["data_rate_radcom_bps"] = data_rate_radcom(sc.radcom_params)
+    payload["data_rate_comb_pilot_bps"] = data_rate_comb_pilot(sc.radcom_params)
     _emit_json(out_dir, files, "radar_params.json", payload)
 
 
@@ -420,11 +424,13 @@ def _cmd_radcom(config: dict, sc: Scenario, out_dir: Path, files: list[str]) -> 
     )
     recovered = equalize_and_extract(comm_frame, cfr_est, spec)
     rx_bits = qpsk_demap(recovered)
-    errors = int(np.count_nonzero(rx_bits != bits))
-    report = evm_and_snr(
-        recovered, symbols, bit_errors=errors, data_rate_bps=data_rate_radcom(params)
-    )
-    _emit_json(out_dir, files, "comm_report.json", {**asdict(report), "total_bits": int(bits.size)})
+    report = {
+        **asdict(evm_and_snr(recovered, symbols)),
+        "bit_errors": int(np.count_nonzero(rx_bits != bits)),
+        "data_rate_bps": data_rate_radcom(params),
+        "total_bits": int(bits.size),
+    }
+    _emit_json(out_dir, files, "comm_report.json", report)
     _emit_csv(
         out_dir,
         files,
@@ -503,7 +509,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
     if args.command == "selftest":
-        return EXIT_OK if run_selftest() else EXIT_RUNTIME
+        checks = run_selftest()
+        for name, ok, detail in checks:
+            print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+        return EXIT_OK if all(ok for _, ok, _ in checks) else EXIT_RUNTIME
 
     raw = {}
     if args.config is not None:

@@ -47,8 +47,6 @@ class CommReport:
     evm_mean_db: float
     evm_std_db: float
     est_snr_db: float
-    bit_errors: int = 0
-    data_rate_bps: float = 0.0
 
 
 def estimate_comm_cfr(
@@ -95,12 +93,7 @@ def equalize_and_extract(
     return equalized[spec.N_CP : n - spec.N_CP + 1]
 
 
-def evm_and_snr(
-    rx_symbols: np.ndarray,
-    ref_symbols: np.ndarray,
-    bit_errors: int = 0,
-    data_rate_bps: float = 0.0,
-) -> CommReport:
+def evm_and_snr(rx_symbols: np.ndarray, ref_symbols: np.ndarray) -> CommReport:
     """Error-vector statistics per subchirp row, aggregated over the frame.
 
     EVM per row is the error RMS over that row's symbols relative to the
@@ -126,8 +119,6 @@ def evm_and_snr(
         evm_mean_db=float(np.mean(evm_rows)),
         evm_std_db=float(np.std(evm_rows)),
         est_snr_db=float(est_snr),
-        bit_errors=int(bit_errors),
-        data_rate_bps=float(data_rate_bps),
     )
 
 
@@ -175,19 +166,12 @@ def ofdm_demodulate(stream: np.ndarray, params: WaveformParams) -> np.ndarray:
     return np.fft.fft(from_stream(stream, params), axis=0)
 
 
-def estimate_ofdm_cfr(
-    rx_grid: np.ndarray,
-    params: WaveformParams,
-    avg_symbols: int | None = None,
-) -> np.ndarray:
-    """LS estimate at the pilot comb, linearly interpolated to all bins."""
+def estimate_ofdm_cfr(rx_grid: np.ndarray, params: WaveformParams) -> np.ndarray:
+    """LS estimate at the pilot comb, averaged over all symbols, linearly interpolated to all bins."""
     rx = np.asarray(rx_grid, dtype=np.complex128)
-    avg = rx.shape[1] if avg_symbols is None else avg_symbols
-    if not 0 < avg <= rx.shape[1]:
-        raise ValueError(f"avg_symbols={avg} outside (0, M={rx.shape[1]}]")
     mask = ofdm_pilot_mask(params.N)
     pilot_bins = np.nonzero(mask)[0]
-    ls = rx[mask, :avg].mean(axis=1) / ofdm_pilot_values(params.N)
+    ls = rx[mask].mean(axis=1) / ofdm_pilot_values(params.N)
     # Periodic extension keeps interpolation valid past the last pilot.
     bins_ext = np.concatenate([pilot_bins, [pilot_bins[0] + params.N]])
     ls_ext = np.concatenate([ls, [ls[0]]])
@@ -205,9 +189,7 @@ def ofdm_equalize(rx_grid: np.ndarray, cfr: np.ndarray, params: WaveformParams) 
     return eq[~mask]
 
 
-def ofdm_radar_process(
-    tx_grid: np.ndarray, rx_grid: np.ndarray, params: WaveformParams, window: np.ndarray | None = None
-) -> RangeVelocityImage:
+def ofdm_radar_process(tx_grid: np.ndarray, rx_grid: np.ndarray, params: WaveformParams) -> RangeVelocityImage:
     """Spectral-division OFDM radar: divide, IDFT over bins, DFT over symbols."""
     tx = np.asarray(tx_grid, dtype=np.complex128)
     rx = np.asarray(rx_grid, dtype=np.complex128)
@@ -216,18 +198,16 @@ def ofdm_radar_process(
     if np.any(tx == 0):
         raise ValueError("zero transmit symbol: spectral division is singular")
     profiles = np.fft.ifft(rx / tx, axis=0)
-    return doppler_process(profiles, params, window)
+    return doppler_process(profiles, params)
 
 
-def data_rate_radcom(params: WaveformParams, n_cp: int | None = None) -> float:
-    """Payload bit rate of the sector-modulated frame with QPSK data."""
-    cp = params.N_CP if n_cp is None else n_cp
-    n_data = RadComFrameSpec(cp).num_data_subchirps(params.N)
-    return 2.0 * n_data * params.B / (params.N + cp)
+def data_rate_radcom(params: WaveformParams) -> float:
+    """Payload bit rate of the sector-modulated frame with QPSK data; the sector is N_CP wide."""
+    n_data = RadComFrameSpec(params.N_CP).num_data_subchirps(params.N)
+    return 2.0 * n_data * params.B / params.symbol_len
 
 
-def data_rate_comb_pilot(params: WaveformParams, n_cp: int | None = None) -> float:
+def data_rate_comb_pilot(params: WaveformParams) -> float:
     """Payload bit rate of the comb-pilot OFDM (or conventional OCDM) frame."""
-    cp = params.N_CP if n_cp is None else n_cp
     n_data = params.N - int(ofdm_pilot_mask(params.N).sum())
-    return 2.0 * n_data * params.B / (params.N + cp)
+    return 2.0 * n_data * params.B / params.symbol_len

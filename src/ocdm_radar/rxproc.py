@@ -97,20 +97,12 @@ def radcom_extract_cir(fresnel_frame: np.ndarray, n_cp: int) -> np.ndarray:
     return frame[:n_cp].copy()
 
 
-def doppler_process(cir: np.ndarray, params: WaveformParams, window: np.ndarray | None = None) -> RangeVelocityImage:
-    """Row-wise DFT across symbols, centered, converted to physical axes.
-
-    No window is applied by default; pass an M-length taper to override.
-    """
+def doppler_process(cir: np.ndarray, params: WaveformParams) -> RangeVelocityImage:
+    """Row-wise DFT across symbols (no taper), centered, converted to physical axes."""
     cir = np.asarray(cir, dtype=np.complex128)
     if cir.ndim != 2 or cir.shape[1] < 2:
         raise ValueError("need a (range bins x M>=2) CIR matrix")
     m = cir.shape[1]
-    if window is not None:
-        window = np.asarray(window, dtype=np.float64)
-        if window.shape != (m,):
-            raise ValueError(f"window must have length {m}")
-        cir = cir * window[None, :]
     image = np.fft.fftshift(np.fft.fft(cir, axis=1), axes=1)
     rp = compute_radar_params(params)
     range_axis = np.arange(cir.shape[0]) * rp.range_resolution_m

@@ -14,24 +14,19 @@ from .fresnel import (
 __all__ = ["run_selftest"]
 
 
-def _check(name: str, ok: bool, detail: str = "") -> bool:
-    status = "PASS" if ok else "FAIL"
-    print(f"[{status}] {name}{': ' + detail if detail else ''}")
-    return ok
-
-
-def run_selftest() -> bool:
+def run_selftest() -> list[tuple[str, bool, str]]:
+    """Run every check; returns one (name, ok, detail) tuple per check, in order."""
     rng = np.random.default_rng(0)
-    ok = True
+    checks = []
 
     for n in (4, 64, 256):
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         err = np.max(np.abs(dfnt_fast(idfnt_fast(x)) - x))
-        ok &= _check(f"round trip N={n}", err <= 1e-9, f"max err {err:.2e}")
+        checks.append((f"round trip N={n}", bool(err <= 1e-9), f"max err {err:.2e}"))
 
     x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     err = np.max(np.abs(dfnt_fast(x) - dfnt_direct(x)))
-    ok &= _check("fast vs direct N=64", err <= 1e-9, f"max err {err:.2e}")
+    checks.append(("fast vs direct N=64", bool(err <= 1e-9), f"max err {err:.2e}"))
 
     n = 64
     X = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -40,7 +35,7 @@ def run_selftest() -> bool:
     want = np.fft.ifft(np.fft.fft(X) * np.fft.fft(h))
     got = dfnt_fast(np.fft.ifft(np.fft.fft(idfnt_fast(X)) * np.fft.fft(h)))
     err = np.max(np.abs(got - want))
-    ok &= _check("convolution theorem N=64", err <= 1e-9, f"max err {err:.2e}")
+    checks.append(("convolution theorem N=64", bool(err <= 1e-9), f"max err {err:.2e}"))
 
     k = np.arange(n)
     for k_delta in (-5, 1, 17):
@@ -49,11 +44,10 @@ def run_selftest() -> bool:
         )
         got = dfnt_fast(np.exp(2j * np.pi * k_delta * k / n) * idfnt_fast(X))
         err = np.max(np.abs(got - shifted))
-        ok &= _check(f"frequency-shift theorem k_delta={k_delta}", err <= 1e-9, f"max err {err:.2e}")
+        checks.append((f"frequency-shift theorem k_delta={k_delta}", bool(err <= 1e-9), f"max err {err:.2e}"))
 
     a = 0.5
     explicit = sum(np.exp(2j * np.pi * a * l / 8) for l in range(8))
     err = abs(dirichlet_kernel(a, 8) - explicit)
-    ok &= _check("dirichlet closed form", err <= 1e-12, f"err {err:.2e}")
-
-    return bool(ok)
+    checks.append(("dirichlet closed form", bool(err <= 1e-12), f"err {err:.2e}"))
+    return checks

@@ -37,11 +37,7 @@ def test_normalize_target_doppler_sign_and_magnitude():
     params = WaveformParams(N=2048, M=2, B=1e9, fc=79e9)
     _, k_delta = normalize_target(Target(range_m=0.0, velocity_mps=92.71), params)
     assert abs(abs(k_delta) - 0.1) < 1e-3
-    assert k_delta < 0  # default convention: positive velocity -> negative shift
-    _, k_pos = normalize_target(
-        Target(range_m=0.0, velocity_mps=92.71), params, doppler_sign=+1.0
-    )
-    assert k_pos > 0
+    assert k_delta < 0  # convention: positive velocity -> negative shift
 
 
 def test_integer_delay_equals_circular_shift():
@@ -195,7 +191,7 @@ def test_comm_channel_identity():
     params = WaveformParams(N=32, M=4, N_CP=4)
     rng = np.random.default_rng(9)
     stream = rng.standard_normal(params.stream_len) + 1j * rng.standard_normal(params.stream_len)
-    cfg = CommChannelConfig(cfr=np.ones(32, dtype=complex))
+    cfg = CommChannelConfig(cir=np.ones(1, dtype=complex))
     out = apply_comm_channel(stream, cfg, params)
     # CP is rebuilt from the filtered useful part; with identity filtering the
     # stream comes back with each symbol's own tail as its CP.
@@ -228,17 +224,13 @@ def test_comm_channel_delay_spread_flagged():
         )
 
 
-def test_comm_channel_config_exclusive():
-    params = WaveformParams(N=16, M=1, N_CP=2)
-    stream = np.zeros(18, dtype=complex)
-    with pytest.raises(ValueError):
-        apply_comm_channel(stream, CommChannelConfig(), params)
-    with pytest.raises(ValueError):
-        apply_comm_channel(
-            stream,
-            CommChannelConfig(cir=np.ones(1), cfr=np.ones(16)),
-            params,
-        )
+@pytest.mark.parametrize(
+    "cir, reason",
+    [(np.zeros(4), "all zero"), ([1.0, np.nan], "not finite"), ([np.inf, 0.5], "not finite")],
+)
+def test_comm_channel_config_rejects_degenerate_cir(cir, reason):
+    with pytest.raises(ValueError, match=reason):
+        CommChannelConfig(cir=cir)
 
 
 def test_two_tap_tilt_cir_span():
@@ -258,3 +250,23 @@ def test_load_cfr_csv(tmp_path):
     assert np.max(np.abs(loaded - cfr)) < 1e-12
     with pytest.raises(ValueError):
         load_cfr_csv(path, 16)
+
+
+CFR_ROWS = [f"{k},1,0" for k in range(8)]
+
+
+@pytest.mark.parametrize(
+    "rows, reason",
+    [
+        (CFR_ROWS[:2] + ["2,nan,0"] + CFR_ROWS[3:], "non-finite"),
+        ([f"{k},0,0" for k in range(8)], "all zero"),
+        (["0.5,1,0"] + CFR_ROWS[1:], "bin index 0.5 is not an integer"),
+        (CFR_ROWS + ["3,1,0"], "bin index 3 is listed twice"),
+        (CFR_ROWS[:4] + ["9,1,0"] + CFR_ROWS[5:], "bin index 9 outside"),
+    ],
+)
+def test_load_cfr_csv_rejects_hostile_rows(tmp_path, rows, reason):
+    path = tmp_path / "cfr.csv"
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match=reason):
+        load_cfr_csv(path, 8)

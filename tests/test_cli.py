@@ -10,6 +10,7 @@ import pytest
 
 from ocdm_radar.cli import EXIT_OK, EXIT_PRECONDITION, EXIT_SCHEMA, main, resolve_config
 from ocdm_radar.cli import ConfigError
+from ocdm_radar.selftest import run_selftest
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -41,8 +42,13 @@ def test_precondition_violation_exit_code(tmp_path):
     )
 
 
-def test_selftest_command():
+def test_selftest_command(capsys):
     assert main(["selftest"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"[PASS] {name}: {detail}" for name, _, detail in run_selftest()]
+    assert len(lines) == 9
+    assert lines[0].startswith("[PASS] round trip N=4: max err ")
+    assert lines[-1].startswith("[PASS] dirichlet closed form: err ")
 
 
 def test_params_full_scale_matches_reference_table(tmp_path):
@@ -312,6 +318,8 @@ SIZE_KEYS = {("waveform", "N"), ("waveform", "M"), ("papr", "trials"), ("papr", 
 FIELDS = [(section, key) for section, body in SMALL_CONFIG.items() if isinstance(body, dict) for key in body]
 FIELDS += [(section, None) for section in SMALL_CONFIG] + [("targets", "range_m"), ("targets", "velocity_mps"), ("targets", "amplitude")]
 DROP = object()
+# A target at 10 m lies beyond the 9.6 m unambiguous range of N=64: exit 3.
+FAR_TARGET_CONFIG = {**SMALL_CONFIG, "targets": [{**SMALL_CONFIG["targets"][0], "range_m": 10.0}]}
 
 
 def test_perturbed_config_exit_contract():
@@ -340,13 +348,17 @@ def test_perturbed_config_exit_contract():
 
     commands = st.sampled_from(["params", "radar", "mimo", "radcom", "sweep", "papr"])
 
+    codes = []
+
     @hypothesis.settings(max_examples=40, deadline=None, database=None, derandomize=True)
     @hypothesis.given(config=perturbed(), command=commands)
+    @hypothesis.example(config=FAR_TARGET_CONFIG, command="radar")
     def check(config, command):
         with tempfile.TemporaryDirectory() as tmp:
             cfg = write_config(Path(tmp), config)
             out = Path(tmp) / "out"
             code = main([command, "--config", cfg, "--out", str(out)])
+            codes.append(code)
             assert code in (EXIT_OK, EXIT_SCHEMA, EXIT_PRECONDITION)
             if code == EXIT_OK:
                 manifest = json.loads((out / "manifest.json").read_text())
@@ -356,3 +368,37 @@ def test_perturbed_config_exit_contract():
                 assert not out.exists()
 
     check()
+    assert EXIT_PRECONDITION in codes  # the explicit example keeps the exit-3 checks running
+
+
+CFR_ROWS = [f"{k},1,0" for k in range(64)]
+
+
+@pytest.mark.parametrize(
+    "rows, reason",
+    [
+        (CFR_ROWS[:5] + ["5,nan,0"] + CFR_ROWS[6:], "non-finite"),
+        ([f"{k},0,0" for k in range(64)], "all zero"),
+        (CFR_ROWS[:7] + ["7,1e308,1e308"] + CFR_ROWS[8:], "CIR taps are not finite"),
+        (["0.5,1,0"] + CFR_ROWS[1:], "bin index 0.5 is not an integer"),
+        (CFR_ROWS + ["3,1,0"], "bin index 3 is listed twice"),
+    ],
+)
+def test_hostile_cfr_csv_exits_2_naming_it(tmp_path, capsys, rows, reason):
+    csv = tmp_path / "cfr.csv"
+    csv.write_text("\n".join(rows) + "\n")
+    cfg = write_config(tmp_path, {**SMALL_CONFIG, "comm": {"cfr_csv": str(csv)}})
+    out = tmp_path / "out"
+    assert main(["radcom", "--config", cfg, "--out", str(out)]) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert "config.comm.cfr_csv:" in err and reason in err
+    assert not out.exists()
+
+
+def test_cfr_csv_identity_channel_decodes(tmp_path):
+    csv = tmp_path / "cfr.csv"
+    csv.write_text("\n".join(CFR_ROWS) + "\n")
+    cfg = write_config(tmp_path, {**SMALL_CONFIG, "comm": {"cfr_csv": str(csv)}})
+    out = tmp_path / "out"
+    assert main(["radcom", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert json.loads((out / "comm_report.json").read_text())["bit_errors"] == 0

@@ -255,16 +255,6 @@ def test_doppler_process_validation():
     params = WaveformParams(N=16, M=8)
     with pytest.raises(ValueError):
         doppler_process(np.zeros((16, 1), dtype=complex), params)
-    with pytest.raises(ValueError):
-        doppler_process(np.zeros((16, 8), dtype=complex), params, window=np.ones(4))
-
-
-def test_doppler_window_hook():
-    params = WaveformParams(N=16, M=8)
-    cir = np.ones((16, 8), dtype=complex)
-    taper = np.hanning(8)
-    image = doppler_process(cir, params, window=taper)
-    assert abs(image.magnitude[0].max() - np.sum(taper)) < 1e-9
 
 
 def test_full_scale_high_speed_target():
