@@ -200,9 +200,7 @@ def papr_ccdf(symbol_builder, trials: int, oversample: int = 20, rng_seed: int =
 
 def pilot_symbol_builder(params: WaveformParams):
     """Single active subchirp: a constant-envelope chirp in time."""
-    pilot = np.zeros((params.N, 1), dtype=np.complex128)
-    pilot[0, 0] = 1.0
-    symbol = idfnt_fast(pilot)[:, 0]
+    symbol = idfnt_fast(build_pilot_frame(replace(params, M=1)))[:, 0]
 
     def build(rng):
         return symbol

@@ -105,12 +105,12 @@ def _doppler_ramp(num_samples: int, k_delta: float, n: int) -> np.ndarray:
     return np.exp(2j * np.pi * k_delta * i / n)
 
 
-def _add_awgn(signal: np.ndarray, snr_db: float, rng_seed: int, ref_power: float) -> np.ndarray:
+def _add_awgn(signal: np.ndarray, snr_db: float, rng_seed: int, stream: np.ndarray) -> np.ndarray:
     power = float(np.mean(np.abs(signal) ** 2))
     if power == 0.0:
-        # Zero-target scenes: reference the configured fallback power so a
+        # Zero-target scenes: reference the transmit stream's power so a
         # pure-noise stream is still produced.
-        power = ref_power
+        power = float(np.mean(np.abs(stream) ** 2))
     try:
         sigma2 = power * 10.0 ** (-snr_db / 10.0)
     except OverflowError:
@@ -151,9 +151,7 @@ def apply_shift_channel(
         received += complex(amplitude) * s
 
     if snr_db is not None:
-        received = _add_awgn(
-            received, snr_db, rng_seed, ref_power=float(np.mean(np.abs(stream) ** 2))
-        )
+        received = _add_awgn(received, snr_db, rng_seed, stream)
     return received
 
 
@@ -289,7 +287,5 @@ def apply_comm_channel(stream: np.ndarray, cfg: CommChannelConfig, params: Wavef
     spectrum = np.fft.fft(from_stream(stream, params), axis=0) * cfr[:, None]
     received = to_stream(np.fft.ifft(spectrum, axis=0), params)
     if cfg.snr_db is not None:
-        received = _add_awgn(
-            received, cfg.snr_db, cfg.rng_seed, ref_power=float(np.mean(np.abs(stream) ** 2))
-        )
+        received = _add_awgn(received, cfg.snr_db, cfg.rng_seed, stream)
     return received

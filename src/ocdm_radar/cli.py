@@ -65,6 +65,7 @@ from .framing import (
 )
 from .fresnel import idfnt_fast
 from .rxproc import (
+    RangeVelocityImage,
     compute_radar_params,
     doppler_process,
     estimate_peak,
@@ -230,6 +231,8 @@ def resolve_config(raw: dict, full_scale: bool = False) -> dict:
     output_dir = raw.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
         raise ConfigError("config.output_dir: expected a path string")
+    if output_dir is not None and "\0" in output_dir:
+        raise ConfigError("config.output_dir: embedded null byte")
 
     return {
         "waveform": waveform,
@@ -307,45 +310,6 @@ def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, default=default)
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, files: list[str]) -> None:
-    resolved = _canonical_json(config)
-    manifest = {
-        "command": command,
-        "config": json.loads(resolved),
-        "config_sha256": hashlib.sha256(resolved.encode()).hexdigest(),
-        "seed": config["seed"],
-        "files": sorted(files),
-        "version": __version__,
-    }
-    _emit_json(out_dir, [], "manifest.json", manifest)
-
-
-def _mkdir(out_dir: Path) -> Path:
-    """Create the output directory at a run's first write, so a run that writes nothing leaves none."""
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise RuntimeError(f"cannot create output directory: {exc}") from None
-    return out_dir
-
-
-def _emit_json(out_dir: Path, files: list[str], name: str, payload: dict) -> None:
-    (_mkdir(out_dir) / name).write_text(_canonical_json(payload) + "\n")
-    files.append(name)
-
-
-def _emit_csv(out_dir: Path, files: list[str], name: str, header: str, columns) -> None:
-    np.savetxt(
-        _mkdir(out_dir) / name,
-        np.column_stack(columns),
-        delimiter=",",
-        fmt="%.12g",
-        header=header,
-        comments="",
-    )
-    files.append(name)
-
-
 def _peak_payload(image) -> dict:
     peak = estimate_peak(image)
     power = image.magnitude**2
@@ -361,80 +325,74 @@ def _peak_payload(image) -> dict:
     }
 
 
-def _emit_radar(
-    out_dir: Path,
-    files: list[str],
+def _radar_artifacts(
     prefix: str,
-    frame: np.ndarray,
+    tx: np.ndarray,
     params: WaveformParams,
     channel: RadarChannelConfig,
     extract=None,
-) -> np.ndarray:
-    """Send ``frame`` past the targets and image the receive rows ``extract`` keeps.
+) -> dict:
+    """Send the tx stream past the targets and image the receive rows ``extract`` keeps.
 
-    Writes the peak report, which rejects a bad image, then the image; returns the tx stream.
+    Returns the image and its peak report, which rejects a bad image.
     """
-    tx = to_stream(idfnt_fast(frame), params)
     fresnel = receive_frame(apply_radar_channel(tx, channel, params), params)
     image = doppler_process(fresnel if extract is None else extract(fresnel), params)
-    _emit_json(out_dir, files, f"{prefix}_peak.json", _peak_payload(image))
-    files.extend(Path(p).name for p in image_to_csv(image, out_dir / prefix))
-    return tx
+    return {f"{prefix}_peak.json": _peak_payload(image), prefix: image}
 
 
-def _cmd_params(config: dict, sc: Scenario, out_dir: Path, files: list[str]) -> None:
+def _cmd_params(config: dict, sc: Scenario) -> dict:
     mode = config["mode"]
     params = sc.radcom_params if mode == "radcom" else sc.params
     rp = compute_radar_params(params, num_tx=sc.mimo.num_tx if mode == "mimo" else None)
     payload = {key: None if v is None else round(v, 2) for key, v in asdict(rp).items()}
     payload["data_rate_radcom_bps"] = data_rate_radcom(sc.radcom_params)
     payload["data_rate_comb_pilot_bps"] = data_rate_comb_pilot(sc.radcom_params)
-    _emit_json(out_dir, files, "radar_params.json", payload)
+    return {"radar_params.json": payload}
 
 
-def _cmd_radar(config: dict, sc: Scenario, out_dir: Path, files: list[str]) -> None:
-    _emit_radar(out_dir, files, "radar", build_pilot_frame(sc.params), sc.params, sc.channel)
+def _cmd_radar(config: dict, sc: Scenario) -> dict:
+    tx = to_stream(idfnt_fast(build_pilot_frame(sc.params)), sc.params)
+    return _radar_artifacts("radar", tx, sc.params, sc.channel)
 
 
-def _cmd_mimo(config: dict, sc: Scenario, out_dir: Path, files: list[str]) -> None:
+def _cmd_mimo(config: dict, sc: Scenario) -> dict:
     params, mimo = sc.params, sc.mimo
+    artifacts = {}
     for p in range(mimo.num_tx):
-        frame = build_mimo_pilot_frame(params, mimo, p)
+        tx = to_stream(idfnt_fast(build_mimo_pilot_frame(params, mimo, p)), params)
         extract = partial(mimo_demux, mimo=mimo, tx=p)
-        _emit_radar(out_dir, files, f"mimo_p{p}", frame, params, sc.channel, extract)
+        artifacts.update(_radar_artifacts(f"mimo_p{p}", tx, params, sc.channel, extract))
+        del tx  # free it before the next stream is built, so two are never alive at once
+    return artifacts
 
 
-def _cmd_radcom(config: dict, sc: Scenario, out_dir: Path, files: list[str]) -> None:
+def _cmd_radcom(config: dict, sc: Scenario) -> dict:
     params, spec = sc.radcom_params, sc.spec
     n_data = spec.num_data_subchirps(params.N)
 
     rng = np.random.default_rng(config["seed"])
     bits = rng.integers(0, 2, size=2 * n_data * params.M)
     symbols = (np.sqrt(spec.symbol_energy) * qpsk_map(bits)).reshape(n_data, params.M)
-    frame = build_radcom_frame(params, spec, symbols)
+    tx = to_stream(idfnt_fast(build_radcom_frame(params, spec, symbols)), params)
     extract = partial(radcom_extract_cir, n_cp=spec.N_CP)
-    tx = _emit_radar(out_dir, files, "radcom", frame, params, sc.channel, extract)
+    artifacts = _radar_artifacts("radcom", tx, params, sc.channel, extract)
 
     # Communication leg over the configured frequency-selective channel.
-    rx_comm = apply_comm_channel(tx, sc.comm_channel, params)
-    comm_frame = receive_frame(rx_comm, params, correct_fold=False)
+    comm_frame = receive_frame(apply_comm_channel(tx, sc.comm_channel, params), params, correct_fold=False)
     avg = config["radcom"]["avg_symbols"] or params.M
     cfr_est = estimate_comm_cfr(
         comm_frame, spec.N_CP, avg, pilot_amplitude=np.sqrt(spec.pilot_energy)
     )
     recovered = equalize_and_extract(comm_frame, cfr_est, spec)
     rx_bits = qpsk_demap(recovered)
-    report = {
+    artifacts["comm_report.json"] = {
         **asdict(evm_and_snr(recovered, symbols)),
         "bit_errors": int(np.count_nonzero(rx_bits != bits)),
         "data_rate_bps": data_rate_radcom(params),
         "total_bits": int(bits.size),
     }
-    _emit_json(out_dir, files, "comm_report.json", report)
-    _emit_csv(
-        out_dir,
-        files,
-        "constellation.csv",
+    artifacts["constellation.csv"] = (
         "re,im,subchirp",
         [
             recovered.real.flatten(order="F"),
@@ -442,16 +400,18 @@ def _cmd_radcom(config: dict, sc: Scenario, out_dir: Path, files: list[str]) -> 
             np.tile(np.arange(n_data), params.M),
         ],
     )
+    return artifacts
 
 
-def _cmd_sweep(config: dict, sc: Scenario, out_dir: Path, files: list[str]) -> None:
+def _cmd_sweep(config: dict, sc: Scenario) -> dict:
     result = doppler_tolerance_sweep(sc.params, config["sweep"]["n_grid"], config["sweep"]["k_grid"])
     n_size, k_size = result.n_grid.size, result.k_grid.size
     grid = [np.repeat(result.n_grid, k_size), np.tile(result.k_grid, n_size)]
+    artifacts = {}
     for name, surface in (("pplr", result.pplr_db), ("pslr", result.pslr_db), ("islr", result.islr_db)):
-        _emit_csv(out_dir, files, f"sweep_{name}.csv", "n_delta,k_delta,value_db", grid + [surface.ravel()])
+        artifacts[f"sweep_{name}.csv"] = ("n_delta,k_delta,value_db", grid + [surface.ravel()])
     worst = int(np.argmin(result.pplr_db))
-    summary = {
+    artifacts["sweep_summary.json"] = {
         "pplr_min_db": float(result.pplr_db.min()),
         "pplr_max_db": float(result.pplr_db.max()),
         "worst_point": {
@@ -459,19 +419,19 @@ def _cmd_sweep(config: dict, sc: Scenario, out_dir: Path, files: list[str]) -> N
             "k_delta": float(result.k_grid[worst % k_size]),
         },
     }
-    _emit_json(out_dir, files, "sweep_summary.json", summary)
+    return artifacts
 
 
-def _cmd_papr(config: dict, sc: Scenario, out_dir: Path, files: list[str]) -> None:
+def _cmd_papr(config: dict, sc: Scenario) -> dict:
     pc = config["papr"]
     makers = {
         "pilot": partial(pilot_symbol_builder, sc.params),
         "radcom": partial(radcom_symbol_builder, sc.params, sc.spec),
         "ofdm": partial(ofdm_symbol_builder, sc.params),
     }
-    # Build only the requested waveforms, all of them before any file is written.
+    # Build only the requested waveforms, before any trial: an unrequested one may fail its preconditions.
     builders = {name: makers[name]() for name in pc["waveforms"]}
-    summary = {}
+    artifacts, summary = {}, {}
     for i, name in enumerate(pc["waveforms"]):
         ccdf = papr_ccdf(
             builders[name],
@@ -479,13 +439,53 @@ def _cmd_papr(config: dict, sc: Scenario, out_dir: Path, files: list[str]) -> No
             oversample=pc["oversample"],
             rng_seed=config["seed"] + i,
         )
-        columns = [ccdf.thresholds_db, ccdf.exceedance]
-        _emit_csv(out_dir, files, f"papr_{name}.csv", "threshold_db,exceedance", columns)
+        artifacts[f"papr_{name}.csv"] = ("threshold_db,exceedance", [ccdf.thresholds_db, ccdf.exceedance])
         summary[name] = {
             "mean_papr_db": ccdf.mean_papr_db,
             "papr_at_1e-2_db": ccdf.papr_at_probability(1e-2),
         }
-    _emit_json(out_dir, files, "papr_summary.json", summary)
+    artifacts["papr_summary.json"] = summary
+    return artifacts
+
+
+def _write_run(out_dir: Path, command: str, config: dict, artifacts: dict) -> None:
+    """Write a finished command's artifacts, then the manifest that lists them.
+
+    An artifact is a JSON payload (dict), a CSV ``(header, columns)`` pair or a
+    RangeVelocityImage, which image_to_csv writes with the key as its prefix.
+    """
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise RuntimeError(f"cannot create output directory: {exc}") from None
+    files = []
+    for name, value in artifacts.items():
+        if isinstance(value, RangeVelocityImage):
+            files.extend(Path(p).name for p in image_to_csv(value, out_dir / name))
+            continue
+        if isinstance(value, dict):
+            (out_dir / name).write_text(_canonical_json(value) + "\n")
+        else:
+            header, columns = value
+            np.savetxt(
+                out_dir / name,
+                np.column_stack(columns),
+                delimiter=",",
+                fmt="%.12g",
+                header=header,
+                comments="",
+            )
+        files.append(name)
+    resolved = _canonical_json(config)
+    manifest = {
+        "command": command,
+        "config": json.loads(resolved),
+        "config_sha256": hashlib.sha256(resolved.encode()).hexdigest(),
+        "seed": config["seed"],
+        "files": sorted(files),
+        "version": __version__,
+    }
+    (out_dir / "manifest.json").write_text(_canonical_json(manifest) + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -548,17 +548,16 @@ def main(argv=None) -> int:
         "sweep": _cmd_sweep,
         "papr": _cmd_papr,
     }
-    files: list[str] = []
     try:
-        commands[args.command](config, scenario, out_dir, files)
-    except ValueError as exc:
-        print(f"error: precondition violated: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        try:
+            artifacts = commands[args.command](config, scenario)
+        except ValueError as exc:
+            print(f"error: precondition violated: {exc}", file=sys.stderr)
+            return EXIT_PRECONDITION
+        _write_run(out_dir, args.command, config, artifacts)
     except Exception as exc:  # noqa: BLE001 - reported as runtime failure
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-
-    _write_manifest(out_dir, args.command, config, files)
     return EXIT_OK
 
 

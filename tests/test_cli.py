@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ocdm_radar.cli import EXIT_OK, EXIT_PRECONDITION, EXIT_SCHEMA, main, resolve_config
+from ocdm_radar.cli import EXIT_OK, EXIT_PRECONDITION, EXIT_RUNTIME, EXIT_SCHEMA, main, resolve_config
 from ocdm_radar.cli import ConfigError
 from ocdm_radar.selftest import run_selftest
 
@@ -245,6 +245,7 @@ def test_manifest_config_round_trip(tmp_path):
         ("radar", {"seed": -5}, "config.seed: must be >= 0"),
         ("papr", {"papr": {"waveforms": []}}, "config.papr.waveforms: expected a non-empty list"),
         ("papr", {"papr": {"waveforms": ["radcom", "radcom"]}}, "config.papr.waveforms[1]: duplicate"),
+        ("params", {"output_dir": "a\u0000b"}, "config.output_dir: embedded null byte"),
     ],
 )
 def test_hostile_config_exits_2_naming_field(tmp_path, capsys, command, config, field):
@@ -287,6 +288,28 @@ def test_failing_image_leaves_no_file(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_comm_leg_failure_writes_nothing(tmp_path, capsys):
+    # A CFR whose CIR has a tap at delay 100 passes the config checks but
+    # exceeds the desk-scale RadCom CP (64) only once the comm leg runs,
+    # after the radar-leg image is computed.
+    k = np.arange(256)
+    cfr = 1.0 + 0.5 * np.exp(-2j * np.pi * k * 100 / 256)
+    csv = tmp_path / "cfr.csv"
+    csv.write_text("".join(f"{i},{c.real!r},{c.imag!r}\n" for i, c in enumerate(cfr.tolist())))
+    cfg = write_config(tmp_path, {"targets": [{"range_m": 7.5}], "comm": {"cfr_csv": str(csv)}})
+    out = tmp_path / "out"
+    assert main(["radcom", "--config", cfg, "--out", str(out)]) == EXIT_PRECONDITION
+    assert "channel delay spread 100 exceeds the CP length 64" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_uncreatable_output_directory_exits_1(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["params", "--out", str(blocker / "out")]) == EXIT_RUNTIME
+    assert "cannot create output directory" in capsys.readouterr().err
+
+
 def test_default_config_hashes_are_pinned(tmp_path):
     # The manifest hash of the resolved defaults is the reproducibility key of
     # every earlier run; a change here changes every config hash.
@@ -320,6 +343,15 @@ FIELDS += [(section, None) for section in SMALL_CONFIG] + [("targets", "range_m"
 DROP = object()
 # A target at 10 m lies beyond the 9.6 m unambiguous range of N=64: exit 3.
 FAR_TARGET_CONFIG = {**SMALL_CONFIG, "targets": [{**SMALL_CONFIG["targets"][0], "range_m": 10.0}]}
+
+
+@pytest.mark.parametrize("command", ["params", "radar", "mimo", "radcom", "sweep", "papr"])
+def test_manifest_lists_every_written_file(tmp_path, command):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, SMALL_CONFIG)
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["files"] == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
 
 
 def test_perturbed_config_exit_contract():
