@@ -13,6 +13,9 @@ plain circular shift; for fractional n_delta it carries the alternating-sign
 fold that the receiver's phase-fold correction removes.  Doppler is a
 per-sample phase ramp over the serialized stream, so symbol m accumulates
 phi_m = 2 pi k_delta [m (N + N_CP) + N_CP] / N relative to the symbol start.
+The ramp e^{2 pi i k_delta [m (N + N_CP) + r] / N} is applied as an in-symbol
+factor over the rows r in [0, N + N_CP), CP rows included, times a per-symbol
+factor, a block of symbols at a time; no stream-length ramp is built.
 
 Velocity maps to the normalized Doppler shift with the fixed sign
 DOPPLER_SIGN = -1, which pairs positive radial velocity with negative k_delta,
@@ -21,7 +24,7 @@ matching the reference range-velocity maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -44,6 +47,11 @@ __all__ = [
 ]
 
 DOPPLER_SIGN = -1.0
+
+# Symbols per channel block.  Any width from 16 to 256 runs a full-scale frame
+# (N=2048, M=5120, 3 targets) in 0.8-0.9 s on 2 vCPUs, 1024 takes 1.2 s; at 64
+# the block temporaries (2 MiB per array) add 8 MiB to the 160 MiB output.
+_CHANNEL_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -100,11 +108,6 @@ def _delay_phase(n: int, n_delta: float) -> np.ndarray:
     return np.exp(-2j * np.pi * k_signed * n_delta / n)
 
 
-def _doppler_ramp(num_samples: int, k_delta: float, n: int) -> np.ndarray:
-    i = np.arange(num_samples)
-    return np.exp(2j * np.pi * k_delta * i / n)
-
-
 def _add_awgn(signal: np.ndarray, snr_db: float, rng_seed: int, stream: np.ndarray) -> np.ndarray:
     power = float(np.mean(np.abs(signal) ** 2))
     if power == 0.0:
@@ -115,11 +118,14 @@ def _add_awgn(signal: np.ndarray, snr_db: float, rng_seed: int, stream: np.ndarr
         sigma2 = power * 10.0 ** (-snr_db / 10.0)
     except OverflowError:
         raise ValueError(f"snr_db={snr_db} puts the noise power out of float range") from None
+    # All real parts, then all imaginary parts: signal + sqrt(sigma2/2) * (re + 1j*im).
     rng = np.random.default_rng(rng_seed)
-    noise = np.sqrt(sigma2 / 2.0) * (
-        rng.standard_normal(signal.shape) + 1j * rng.standard_normal(signal.shape)
-    )
-    return signal + noise
+    noise = np.empty_like(signal)
+    noise.real = rng.standard_normal(signal.shape)
+    noise.imag = rng.standard_normal(signal.shape)
+    noise *= np.sqrt(sigma2 / 2.0)
+    signal += noise
+    return signal
 
 
 def apply_shift_channel(
@@ -135,21 +141,40 @@ def apply_shift_channel(
     (CP rebuilt afterwards), then the per-sample Doppler phase ramp over the
     serialized stream, then the complex gain.  Scatterer contributions add;
     AWGN at snr_db relative to the noise-free received power comes last.
+
+    Works on blocks of _CHANNEL_BLOCK symbols in (N + N_CP, width) form: the
+    Doppler ramp is the in-symbol factor e^{2 pi i k_delta r / N} over every row
+    r, CP rows included (so each keeps its phase e^{-2 pi i k_delta} relative to
+    its tail), times the per-symbol factor A e^{2 pi i k_delta m (N + N_CP) / N}.
     """
     stream = np.asarray(stream, dtype=np.complex128)
-    spectrum = np.fft.fft(from_stream(stream, params), axis=0)
-
-    received = np.zeros_like(stream)
-    for n_delta, k_delta, amplitude in shifts:
+    frame = from_stream(stream, params)
+    for n_delta, _, _ in shifts:
         if not 0 <= n_delta < params.N:
             raise ValueError(
                 f"n_delta={n_delta} violates the unambiguous range [0, N={params.N})"
             )
-        delayed = np.fft.ifft(spectrum * _delay_phase(params.N, n_delta)[:, None], axis=0)
-        s = to_stream(delayed, params)
-        s *= _doppler_ramp(s.size, k_delta, params.N)
-        received += complex(amplitude) * s
+    n, rows = params.N, params.symbol_len
+    r, m = np.arange(rows), np.arange(params.M)
+    factors = [
+        (_delay_phase(n, n_delta)[:, None], np.exp(2j * np.pi * k_delta * r / n)[:, None],
+         complex(amplitude) * np.exp(2j * np.pi * k_delta * m * rows / n))
+        for n_delta, k_delta, amplitude in shifts
+    ]
 
+    received = np.zeros((rows, params.M), dtype=np.complex128, order="F")
+    for start in range(0, params.M, _CHANNEL_BLOCK):
+        stop = min(start + _CHANNEL_BLOCK, params.M)
+        block_params = replace(params, M=stop - start)
+        spectrum = np.fft.fft(frame[:, start:stop], axis=0)
+        for phase, in_symbol, per_symbol in factors:
+            s = to_stream(np.fft.ifft(spectrum * phase, axis=0), block_params)
+            s = s.reshape((rows, block_params.M), order="F")
+            s *= in_symbol
+            s *= per_symbol[start:stop]
+            received[:, start:stop] += s
+
+    received = received.ravel(order="F")
     if snr_db is not None:
         received = _add_awgn(received, snr_db, rng_seed, stream)
     return received

@@ -1,9 +1,12 @@
 """Radar/comm channel models against brute-force and closed-form oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ocdm_radar.channel import (
+    _CHANNEL_BLOCK,
     CommChannelConfig,
     RadarChannelConfig,
     Target,
@@ -127,6 +130,70 @@ def test_noise_determinism_and_snr():
     noise = a - clean
     measured = 10 * np.log10(np.mean(np.abs(clean) ** 2) / np.mean(np.abs(noise) ** 2))
     assert abs(measured - 10.0) < 0.5
+
+
+def _stream_form_channel(stream, params, shifts):
+    # Per target: delay the CP-free frame, re-serialize it (CP rebuilt from
+    # the delayed tail), then apply the Doppler ramp over the whole stream.
+    spectrum = np.fft.fft(from_stream(stream, params), axis=0)
+    bins = np.fft.fftfreq(params.N, d=1.0 / params.N)
+    i = np.arange(params.stream_len)
+    received = np.zeros(params.stream_len, dtype=np.complex128)
+    for n_delta, k_delta, amplitude in shifts:
+        phase = np.exp(-2j * np.pi * bins * n_delta / params.N)
+        s = to_stream(np.fft.ifft(spectrum * phase[:, None], axis=0), params)
+        received += amplitude * s * np.exp(2j * np.pi * k_delta * i / params.N)
+    return received
+
+
+@pytest.mark.parametrize("n_cp", [0, 16])
+def test_block_channel_matches_stream_form_cp_included(n_cp):
+    # Every stream sample, CP rows included: a CP row carries e^{-2 pi i k_delta}
+    # relative to its tail.  M leaves a partial last block.
+    params = WaveformParams(N=64, M=_CHANNEL_BLOCK + 3, N_CP=n_cp)
+    rng = np.random.default_rng(7)
+    frame = rng.standard_normal((params.N, params.M)) + 1j * rng.standard_normal((params.N, params.M))
+    stream = to_stream(frame, params)
+    shifts = [(3.3, 0.27, 0.8 - 0.3j), (17.6, -0.41, 0.2 + 0.1j), (40.25, 1.5, -0.5j)]
+    want = _stream_form_channel(stream, params, shifts)
+    got = apply_shift_channel(stream, params, shifts)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("shifts", [[], [(12.5, -0.3, 0.6 + 0.2j)]], ids=["no target", "one target"])
+def test_noise_realization_is_pinned(shifts):
+    # All real parts are drawn before all imaginary parts, in one call each.
+    params = WaveformParams(N=64, M=70, N_CP=8)
+    stream = pilot_stream(params)
+    snr_db, seed = 6.0, 42
+    clean = apply_shift_channel(stream, params, shifts)
+    reference = clean if shifts else stream
+    sigma2 = np.mean(np.abs(reference) ** 2) * 10.0 ** (-snr_db / 10.0)
+    rng = np.random.default_rng(seed)
+    re = rng.standard_normal(clean.shape)
+    im = rng.standard_normal(clean.shape)
+    want = clean + np.sqrt(sigma2 / 2.0) * (re + 1j * im)
+    got = apply_shift_channel(stream, params, shifts, snr_db=snr_db, rng_seed=seed)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n_cp", [0, 16])
+def test_shift_channel_memory_is_bounded(n_cp):
+    # The received buffer, the noise buffer and one real-valued draw: measured
+    # 2.6-2.8x the stream bytes, against 6.4-6.5x when each target built a
+    # stream-length Doppler ramp.
+    params = WaveformParams(N=256, M=1024, N_CP=n_cp)
+    stream = pilot_stream(params)
+    shifts = [(10.5, 0.2, 1.0), (60.25, -0.35, 0.3j), (130.0, 0.05, 0.2 - 0.1j)]
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        apply_shift_channel(stream, params, shifts, snr_db=15.0, rng_seed=3)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * stream.nbytes
 
 
 def test_ideal_oracle_integer_delta():
