@@ -26,8 +26,8 @@ from .framing import (
     WaveformParams,
     build_pilot_frame,
     build_radcom_frame,
+    modulate,
     qpsk_map,
-    to_stream,
 )
 from .fresnel import idfnt_fast
 from .rxproc import RangeVelocityImage, doppler_process, receive_frame
@@ -37,6 +37,7 @@ __all__ = [
     "PaprCcdf",
     "SweepResult",
     "range_cut_metrics",
+    "radar_image",
     "single_point_image",
     "doppler_tolerance_sweep",
     "oversampled_papr_db",
@@ -114,22 +115,22 @@ def range_cut_metrics(image: RangeVelocityImage, reference_peak_power: float) ->
     return RangeCutMetrics(float(pplr), float(pslr), float(islr), tuple(lobe_set))
 
 
-def _pilot_stream(params: WaveformParams) -> np.ndarray:
-    return to_stream(idfnt_fast(build_pilot_frame(params)), params)
-
-
-def _point_image(
-    stream: np.ndarray, params: WaveformParams, n_delta: float, k_delta: float
+def radar_image(
+    stream: np.ndarray, params: WaveformParams, shifts, snr_db=None, rng_seed: int = 0, extract=None
 ) -> RangeVelocityImage:
-    rx = apply_shift_channel(stream, params, [(n_delta, k_delta, 1.0)])
-    return doppler_process(receive_frame(rx, params), params)
+    """The radar chain after the transmitter, on one (reusable) transmit stream.
+
+    apply_shift_channel with (n_delta, k_delta, amplitude) shifts and AWGN at
+    snr_db, receive_frame, ``extract`` when given (a mimo_demux or
+    radcom_extract_cir partial keeping the rows to image), doppler_process.
+    """
+    fresnel = receive_frame(apply_shift_channel(stream, params, shifts, snr_db, rng_seed), params)
+    return doppler_process(fresnel if extract is None else extract(fresnel), params)
 
 
-def single_point_image(
-    params: WaveformParams, n_delta: float, k_delta: float
-) -> RangeVelocityImage:
+def single_point_image(params: WaveformParams, n_delta: float, k_delta: float) -> RangeVelocityImage:
     """Noise-free single-scatterer pilot-frame pipeline run."""
-    return _point_image(_pilot_stream(params), params, n_delta, k_delta)
+    return radar_image(modulate(build_pilot_frame(params), params), params, [(n_delta, k_delta, 1.0)])
 
 
 def doppler_tolerance_sweep(params: WaveformParams, n_grid, k_grid) -> SweepResult:
@@ -137,8 +138,8 @@ def doppler_tolerance_sweep(params: WaveformParams, n_grid, k_grid) -> SweepResu
 
     The PPLR reference for each n_delta is that target's own zero-Doppler
     peak power, so the k_delta = 0 column of the PPLR surface is exactly
-    0 dB.  Every cell runs the single_point_image chain on one pilot stream
-    built per call; the k_delta = 0 cells reuse the reference image.
+    0 dB.  Every cell runs radar_image on one pilot stream built per call;
+    the k_delta = 0 cells reuse the reference image.
     """
     n_grid = np.asarray(n_grid, dtype=float)
     k_grid = np.asarray(k_grid, dtype=float)
@@ -147,21 +148,19 @@ def doppler_tolerance_sweep(params: WaveformParams, n_grid, k_grid) -> SweepResu
     if np.any(np.abs(k_grid) > 0.5 + 1e-12):
         raise ValueError("k_delta grid must lie within [-0.5, 0.5]")
 
-    stream = _pilot_stream(params)
+    stream = modulate(build_pilot_frame(params), params)
     values = np.empty((n_grid.size, k_grid.size, 3))
     for i, n_delta in enumerate(n_grid.tolist()):
-        reference = _point_image(stream, params, n_delta, 0.0)
+        reference = radar_image(stream, params, [(n_delta, 0.0, 1.0)])
         power = float(reference.magnitude.max() ** 2)
         for j, k_delta in enumerate(k_grid.tolist()):
             metrics = range_cut_metrics(
-                reference if k_delta == 0 else _point_image(stream, params, n_delta, k_delta),
+                reference if k_delta == 0 else radar_image(stream, params, [(n_delta, k_delta, 1.0)]),
                 power,
             )
             values[i, j] = metrics.pplr_db, metrics.pslr_db, metrics.islr_db
         del reference  # so that at most one reference image is alive at a time
-    return SweepResult(
-        n_grid, k_grid, values[:, :, 0], values[:, :, 1], values[:, :, 2]
-    )
+    return SweepResult(n_grid, k_grid, values[:, :, 0], values[:, :, 1], values[:, :, 2])
 
 
 def oversampled_papr_db(time_symbol: np.ndarray, oversample: int = 20) -> float:

@@ -24,7 +24,7 @@ matching the reference range-velocity maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,10 +33,8 @@ from .framing import C0, WaveformParams, from_stream, to_stream
 
 __all__ = [
     "Target",
-    "RadarChannelConfig",
     "CommChannelConfig",
     "normalize_target",
-    "apply_radar_channel",
     "apply_shift_channel",
     "ideal_cir_from_shifts",
     "biased_cir_from_shifts",
@@ -65,13 +63,6 @@ class Target:
     def __post_init__(self):
         if self.range_m < 0:
             raise ValueError(f"target range must be >= 0, got {self.range_m}")
-
-
-@dataclass
-class RadarChannelConfig:
-    targets: list[Target] = field(default_factory=list)
-    snr_db: float | None = None
-    rng_seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -178,15 +169,6 @@ def apply_shift_channel(
     if snr_db is not None:
         received = _add_awgn(received, snr_db, rng_seed, stream)
     return received
-
-
-def apply_radar_channel(stream: np.ndarray, cfg: RadarChannelConfig, params: WaveformParams) -> np.ndarray:
-    """Propagate a transmit stream past the configured point targets."""
-    shifts = []
-    for t in cfg.targets:
-        n_delta, k_delta = normalize_target(t, params)
-        shifts.append((n_delta, k_delta, t.amplitude))
-    return apply_shift_channel(stream, params, shifts, cfg.snr_db, cfg.rng_seed)
 
 
 def _phi_m(params: WaveformParams, k_delta: float) -> np.ndarray:

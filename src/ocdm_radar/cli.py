@@ -34,15 +34,15 @@ from .analysis import (
     ofdm_symbol_builder,
     papr_ccdf,
     pilot_symbol_builder,
+    radar_image,
     radcom_symbol_builder,
 )
 from .channel import (
     CommChannelConfig,
-    RadarChannelConfig,
     Target,
     apply_comm_channel,
-    apply_radar_channel,
     load_cfr_csv,
+    normalize_target,
     two_tap_tilt_cir,
 )
 from .comms import (
@@ -59,15 +59,13 @@ from .framing import (
     build_mimo_pilot_frame,
     build_pilot_frame,
     build_radcom_frame,
+    modulate,
     qpsk_demap,
     qpsk_map,
-    to_stream,
 )
-from .fresnel import idfnt_fast
 from .rxproc import (
     RangeVelocityImage,
     compute_radar_params,
-    doppler_process,
     estimate_peak,
     image_to_csv,
     mimo_demux,
@@ -202,7 +200,7 @@ def resolve_config(raw: dict, full_scale: bool = False) -> dict:
         raw.get("radcom", {}), RadComFrameSpec, "config.radcom", N_CP=None, avg_symbols=None
     )
     if radcom["N_CP"] is None:
-        radcom["N_CP"] = max(waveform["N_CP"], waveform["N"] // 4)
+        radcom["N_CP"] = max(waveform["N_CP"], waveform["N"] // 4, 1)
     if radcom["avg_symbols"] is not None:
         radcom["avg_symbols"] = _number(
             radcom["avg_symbols"], "config.radcom.avg_symbols", lo=1, hi=waveform["M"], integer=True
@@ -250,13 +248,17 @@ def resolve_config(raw: dict, full_scale: bool = False) -> dict:
 
 
 class Scenario(NamedTuple):
-    """The library objects of one run, built from a resolved config."""
+    """The library objects of one run, built from a resolved config.
+
+    ``shifts`` are the targets as radar_image's (n_delta, k_delta, amplitude)
+    triples, valid for both numerologies: normalize_target ignores N_CP.
+    """
 
     params: WaveformParams
     radcom_params: WaveformParams
     mimo: MimoConfig
     spec: RadComFrameSpec
-    channel: RadarChannelConfig
+    shifts: list[tuple[float, float, complex]]
     comm_channel: CommChannelConfig
 
 
@@ -296,7 +298,7 @@ def build_scenario(config: dict) -> Scenario:
         radcom_params,
         mimo,
         spec,
-        RadarChannelConfig(targets=targets, snr_db=config["snr_db"], rng_seed=config["seed"]),
+        [(*normalize_target(t, params), t.amplitude) for t in targets],
         _build(cir_path, CommChannelConfig, cir, snr_db=comm["snr_db"], rng_seed=config["seed"] + 1),
     )
 
@@ -307,7 +309,18 @@ def _canonical_json(obj) -> str:
             return [o.real, o.imag]
         raise TypeError(f"not JSON serializable: {type(o)}")
 
-    return json.dumps(obj, sort_keys=True, indent=2, default=default)
+    return json.dumps(obj, sort_keys=True, indent=2, default=default, allow_nan=False)
+
+
+def _render_json(name: str, payload: dict) -> str:
+    """A report's JSON text; a non-finite number, which JSON cannot hold, is a ValueError naming it."""
+    items = list(payload.items())
+    for key, value in items:  # nested sections join the end of the list as dotted keys
+        if isinstance(value, dict):
+            items += [(f"{key}.{k}", v) for k, v in value.items()]
+        elif isinstance(value, float) and not np.isfinite(value):
+            raise ValueError(f"{name}: {key} is not finite")
+    return _canonical_json(payload) + "\n"
 
 
 def _peak_payload(image) -> dict:
@@ -325,19 +338,8 @@ def _peak_payload(image) -> dict:
     }
 
 
-def _radar_artifacts(
-    prefix: str,
-    tx: np.ndarray,
-    params: WaveformParams,
-    channel: RadarChannelConfig,
-    extract=None,
-) -> dict:
-    """Send the tx stream past the targets and image the receive rows ``extract`` keeps.
-
-    Returns the image and its peak report, which rejects a bad image.
-    """
-    fresnel = receive_frame(apply_radar_channel(tx, channel, params), params)
-    image = doppler_process(fresnel if extract is None else extract(fresnel), params)
+def _radar_artifacts(prefix: str, image: RangeVelocityImage) -> dict:
+    """The image and its peak report, which rejects a bad image."""
     return {f"{prefix}_peak.json": _peak_payload(image), prefix: image}
 
 
@@ -352,18 +354,19 @@ def _cmd_params(config: dict, sc: Scenario) -> dict:
 
 
 def _cmd_radar(config: dict, sc: Scenario) -> dict:
-    tx = to_stream(idfnt_fast(build_pilot_frame(sc.params)), sc.params)
-    return _radar_artifacts("radar", tx, sc.params, sc.channel)
+    tx = modulate(build_pilot_frame(sc.params), sc.params)
+    return _radar_artifacts("radar", radar_image(tx, sc.params, sc.shifts, config["snr_db"], config["seed"]))
 
 
 def _cmd_mimo(config: dict, sc: Scenario) -> dict:
     params, mimo = sc.params, sc.mimo
     artifacts = {}
     for p in range(mimo.num_tx):
-        tx = to_stream(idfnt_fast(build_mimo_pilot_frame(params, mimo, p)), params)
+        tx = modulate(build_mimo_pilot_frame(params, mimo, p), params)
         extract = partial(mimo_demux, mimo=mimo, tx=p)
-        artifacts.update(_radar_artifacts(f"mimo_p{p}", tx, params, sc.channel, extract))
+        image = radar_image(tx, params, sc.shifts, config["snr_db"], config["seed"], extract)
         del tx  # free it before the next stream is built, so two are never alive at once
+        artifacts.update(_radar_artifacts(f"mimo_p{p}", image))
     return artifacts
 
 
@@ -374,9 +377,10 @@ def _cmd_radcom(config: dict, sc: Scenario) -> dict:
     rng = np.random.default_rng(config["seed"])
     bits = rng.integers(0, 2, size=2 * n_data * params.M)
     symbols = (np.sqrt(spec.symbol_energy) * qpsk_map(bits)).reshape(n_data, params.M)
-    tx = to_stream(idfnt_fast(build_radcom_frame(params, spec, symbols)), params)
+    tx = modulate(build_radcom_frame(params, spec, symbols), params)
     extract = partial(radcom_extract_cir, n_cp=spec.N_CP)
-    artifacts = _radar_artifacts("radcom", tx, params, sc.channel, extract)
+    image = radar_image(tx, params, sc.shifts, config["snr_db"], config["seed"], extract)
+    artifacts = _radar_artifacts("radcom", image)
 
     # Communication leg over the configured frequency-selective channel.
     comm_frame = receive_frame(apply_comm_channel(tx, sc.comm_channel, params), params, correct_fold=False)
@@ -451,8 +455,8 @@ def _cmd_papr(config: dict, sc: Scenario) -> dict:
 def _write_run(out_dir: Path, command: str, config: dict, artifacts: dict) -> None:
     """Write a finished command's artifacts, then the manifest that lists them.
 
-    An artifact is a JSON payload (dict), a CSV ``(header, columns)`` pair or a
-    RangeVelocityImage, which image_to_csv writes with the key as its prefix.
+    An artifact is rendered JSON text (str), a CSV ``(header, columns)`` pair or
+    a RangeVelocityImage, which image_to_csv writes with the key as its prefix.
     """
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -463,8 +467,8 @@ def _write_run(out_dir: Path, command: str, config: dict, artifacts: dict) -> No
         if isinstance(value, RangeVelocityImage):
             files.extend(Path(p).name for p in image_to_csv(value, out_dir / name))
             continue
-        if isinstance(value, dict):
-            (out_dir / name).write_text(_canonical_json(value) + "\n")
+        if isinstance(value, str):
+            (out_dir / name).write_text(value)
         else:
             header, columns = value
             np.savetxt(
@@ -551,6 +555,8 @@ def main(argv=None) -> int:
     try:
         try:
             artifacts = commands[args.command](config, scenario)
+            # Render the reports before anything is written: a non-finite value is exit 3.
+            artifacts = {k: _render_json(k, v) if isinstance(v, dict) else v for k, v in artifacts.items()}
         except ValueError as exc:
             print(f"error: precondition violated: {exc}", file=sys.stderr)
             return EXIT_PRECONDITION

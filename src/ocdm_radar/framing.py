@@ -4,7 +4,8 @@ Frames are plain (N x M) complex ndarrays: rows index subchirps in the
 Fresnel domain (or samples in the time domain), columns index OCDM symbols.
 A sample stream is a 1-D array holding the M symbols one after another,
 each preceded by its last N_CP samples as cyclic prefix; only ``to_stream``
-and ``from_stream`` build or take apart that layout.
+and ``from_stream`` build or take apart that layout, and ``modulate`` is the
+one place a Fresnel-domain frame becomes a transmit stream.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .fresnel import idfnt_fast
 
 __all__ = [
     "C0",
@@ -25,6 +28,7 @@ __all__ = [
     "qpsk_demap",
     "to_stream",
     "from_stream",
+    "modulate",
 ]
 
 # Propagation speed used throughout; the rounded value reproduces the
@@ -51,6 +55,8 @@ class WaveformParams:
             raise ValueError(f"N_CP must satisfy 0 <= N_CP < N, got {self.N_CP}")
         if self.B <= 0:
             raise ValueError(f"bandwidth must be positive, got {self.B}")
+        if self.B / self.N == 0:  # normalize_target divides by the bin width
+            raise ValueError(f"bandwidth {self.B} leaves a zero bin width B/N")
         if self.fc <= self.B:
             raise ValueError(f"carrier must exceed the bandwidth, got fc={self.fc}")
 
@@ -201,3 +207,8 @@ def from_stream(stream: np.ndarray, params: WaveformParams) -> np.ndarray:
             f"stream length must be M*(N+N_CP) = {params.stream_len}, got {stream.size}"
         )
     return stream.reshape((params.symbol_len, params.M), order="F")[params.N_CP :]
+
+
+def modulate(frame: np.ndarray, params: WaveformParams) -> np.ndarray:
+    """OCDM transmitter: Fresnel-domain (N x M) frame to its sample stream (IDFnT, then CP)."""
+    return to_stream(idfnt_fast(frame), params)

@@ -8,10 +8,8 @@ import pytest
 from ocdm_radar.channel import (
     _CHANNEL_BLOCK,
     CommChannelConfig,
-    RadarChannelConfig,
     Target,
     apply_comm_channel,
-    apply_radar_channel,
     apply_shift_channel,
     biased_cir_from_shifts,
     cfr_from_cir,
@@ -73,16 +71,16 @@ def test_fractional_delay_matches_dirichlet_convolution():
 
 def test_zero_targets_zero_output():
     params = WaveformParams(N=16, M=2)
-    out = apply_radar_channel(pilot_stream(params), RadarChannelConfig(targets=[]), params)
+    out = apply_shift_channel(pilot_stream(params), params, [])
     assert np.all(out == 0)
 
 
 def test_range_ambiguity_rejected():
     params = WaveformParams(N=16, M=2, B=1e9, fc=79e9)
     # n_delta = 2 R B / c0 = 16 exactly at R = 2.4 m
-    cfg = RadarChannelConfig(targets=[Target(range_m=2.4)])
+    shifts = [(*normalize_target(Target(range_m=2.4), params), 1.0)]
     with pytest.raises(ValueError):
-        apply_radar_channel(pilot_stream(params), cfg, params)
+        apply_shift_channel(pilot_stream(params), params, shifts)
 
 
 def test_brute_force_received_frame_oracle():

@@ -3,13 +3,28 @@
 import json
 import math
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ocdm_radar import cli
+from ocdm_radar.analysis import radar_image
+from ocdm_radar.channel import Target, normalize_target
 from ocdm_radar.cli import EXIT_OK, EXIT_PRECONDITION, EXIT_RUNTIME, EXIT_SCHEMA, main, resolve_config
 from ocdm_radar.cli import ConfigError
+from ocdm_radar.framing import (
+    MimoConfig,
+    RadComFrameSpec,
+    WaveformParams,
+    build_mimo_pilot_frame,
+    build_pilot_frame,
+    build_radcom_frame,
+    modulate,
+    qpsk_map,
+)
+from ocdm_radar.rxproc import mimo_demux, radcom_extract_cir
 from ocdm_radar.selftest import run_selftest
 
 
@@ -204,6 +219,64 @@ def test_sector_layout_failure_names_n_cp_in_params_and_radcom(tmp_path, capsys)
         assert not out.exists()
 
 
+def test_radcom_cp_default_is_valid_at_tiny_n(tmp_path, capsys):
+    # N // 4 = 0 at N=2: the CLI's own radcom.N_CP default must still be >= 1, so that no
+    # command fails on the radcom section the config never set.
+    cfg = write_config(tmp_path, {"waveform": {"N": 2, "M": 2}, "targets": [{"range_m": 0.1}]})
+    want = {
+        "params": "comb-pilot layout needs N >= 8, got N=2",
+        "radar": None,
+        "mimo": "N=2 is not divisible by num_tx=4",
+        "radcom": None,
+        "sweep": "n_delta grid must lie within [0, N)",
+        "papr": "comb-pilot layout needs N >= 8, got N=2",
+    }
+    for command, reason in want.items():
+        code = main([command, "--config", cfg, "--out", str(tmp_path / command)])
+        err = capsys.readouterr().err
+        if reason is None:
+            assert code == EXIT_OK, err
+        else:
+            assert code == EXIT_PRECONDITION and reason in err, err
+    manifest = json.loads((tmp_path / "radcom" / "manifest.json").read_text())
+    assert manifest["config"]["radcom"]["N_CP"] == 1
+
+
+WIRING_TARGETS = [
+    {"range_m": 5.03, "velocity_mps": 10.0, "amplitude": [1.0, 0.5]},
+    {"range_m": 2.2, "velocity_mps": -20.0, "amplitude": [0.0, 0.2]},
+]
+
+
+def _library_shifts(params):
+    targets = [Target(t["range_m"], t["velocity_mps"], complex(*t["amplitude"])) for t in WIRING_TARGETS]
+    return [(*normalize_target(t, params), t.amplitude) for t in targets]
+
+
+def test_commands_image_through_the_library_chain():
+    # Every target, the config's SNR and its seed must reach each command's radar channel.
+    raw = {"targets": WIRING_TARGETS, "snr_db": 10.0, "seed": 7, "radcom": {"N_CP": 16}}
+    config = resolve_config(raw)
+    sc = cli.build_scenario(config)
+    p = WaveformParams(N=256, M=32)
+
+    want = radar_image(modulate(build_pilot_frame(p), p), p, _library_shifts(p), 10.0, 7)
+    assert np.array_equal(cli._cmd_radar(config, sc)["radar"].magnitude, want.magnitude)
+
+    mimo = MimoConfig(4)
+    tx = modulate(build_mimo_pilot_frame(p, mimo, 1), p)
+    want = radar_image(tx, p, _library_shifts(p), 10.0, 7, partial(mimo_demux, mimo=mimo, tx=1))
+    assert np.array_equal(cli._cmd_mimo(config, sc)["mimo_p1"].magnitude, want.magnitude)
+
+    p, spec = WaveformParams(N=256, M=32, N_CP=16), RadComFrameSpec(N_CP=16)
+    n_data = spec.num_data_subchirps(p.N)
+    bits = np.random.default_rng(7).integers(0, 2, size=2 * n_data * p.M)
+    symbols = (np.sqrt(spec.symbol_energy) * qpsk_map(bits)).reshape(n_data, p.M)
+    tx = modulate(build_radcom_frame(p, spec, symbols), p)
+    want = radar_image(tx, p, _library_shifts(p), 10.0, 7, partial(radcom_extract_cir, n_cp=16))
+    assert np.array_equal(cli._cmd_radcom(config, sc)["radcom"].magnitude, want.magnitude)
+
+
 def test_manifest_config_round_trip(tmp_path):
     out1 = tmp_path / "r1"
     cfg = write_config(
@@ -246,6 +319,7 @@ def test_manifest_config_round_trip(tmp_path):
         ("papr", {"papr": {"waveforms": []}}, "config.papr.waveforms: expected a non-empty list"),
         ("papr", {"papr": {"waveforms": ["radcom", "radcom"]}}, "config.papr.waveforms[1]: duplicate"),
         ("params", {"output_dir": "a\u0000b"}, "config.output_dir: embedded null byte"),
+        ("params", {"waveform": {"B": 5e-324}}, "config.waveform: bandwidth 5e-324 leaves a zero bin width"),
     ],
 )
 def test_hostile_config_exits_2_naming_field(tmp_path, capsys, command, config, field):
@@ -256,19 +330,28 @@ def test_hostile_config_exits_2_naming_field(tmp_path, capsys, command, config, 
     assert not out.exists()
 
 
+ONE_TARGET = [{"range_m": 1.0}]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
-    "config, reason",
+    "command, config, reason",
     [
-        ({"snr_db": -4000.0}, "snr_db=-4000.0"),
-        ({"targets": [{"range_m": 3.0, "velocity_mps": 1.7e308}]}, "not finite"),
-        ({"targets": [{"range_m": 3.0, "amplitude": 1e308}], "snr_db": 20.0}, "not finite"),
+        ("radar", {"snr_db": -4000.0}, "snr_db=-4000.0"),
+        ("radar", {"targets": [{"range_m": 3.0, "velocity_mps": 1.7e308}]}, "not finite"),
+        ("radar", {"targets": [{"range_m": 3.0, "amplitude": 1e308}], "snr_db": 20.0}, "not finite"),
+        # A report value JSON cannot hold (NaN, +-Infinity) is exit 3 naming its file and key.
+        ("params", {"waveform": {"B": 1e-300}}, "radar_params.json: max_unambiguous_range_m is not finite"),
+        ("radcom", {"targets": ONE_TARGET, "radcom": {"symbol_energy": 1e308}}, "comm_report.json: evm_mean_db is not finite"),
+        ("radcom", {"targets": ONE_TARGET, "radcom": {"pilot_energy": 1e308}}, "radcom_peak.json: noise_margin_db is not finite"),
+        ("radcom", {"targets": ONE_TARGET, "radcom": {"symbol_energy": 1e-320}}, "comm_report.json: evm_mean_db is not finite"),
+        ("papr", {"radcom": {"symbol_energy": 1e308}, "papr": {"trials": 20}}, "papr_summary.json: radcom.mean_papr_db is not finite"),
     ],
 )
-def test_extreme_scene_exits_3_naming_precondition(tmp_path, capsys, config, reason):
+def test_extreme_scene_exits_3_naming_precondition(tmp_path, capsys, command, config, reason):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, config)
-    assert main(["radar", "--config", cfg, "--out", str(out)]) == EXIT_PRECONDITION
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_PRECONDITION
     assert reason in capsys.readouterr().err
     assert not out.exists()
 
@@ -343,6 +426,13 @@ FIELDS += [(section, None) for section in SMALL_CONFIG] + [("targets", "range_m"
 DROP = object()
 # A target at 10 m lies beyond the 9.6 m unambiguous range of N=64: exit 3.
 FAR_TARGET_CONFIG = {**SMALL_CONFIG, "targets": [{**SMALL_CONFIG["targets"][0], "range_m": 10.0}]}
+# Reports of these hold a value strict JSON cannot write (NaN, +-Infinity): exit 3.
+TINY_BANDWIDTH_CONFIG = {**SMALL_CONFIG, "waveform": {**SMALL_CONFIG["waveform"], "B": 1e-300}}
+HUGE_SYMBOL_CONFIG = {**SMALL_CONFIG, "radcom": {**SMALL_CONFIG["radcom"], "symbol_energy": 1e308}}
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
 
 
 @pytest.mark.parametrize("command", ["params", "radar", "mimo", "radcom", "sweep", "papr"])
@@ -354,6 +444,7 @@ def test_manifest_lists_every_written_file(tmp_path, command):
     assert manifest["files"] == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_perturbed_config_exit_contract():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
@@ -385,6 +476,8 @@ def test_perturbed_config_exit_contract():
     @hypothesis.settings(max_examples=40, deadline=None, database=None, derandomize=True)
     @hypothesis.given(config=perturbed(), command=commands)
     @hypothesis.example(config=FAR_TARGET_CONFIG, command="radar")
+    @hypothesis.example(config=TINY_BANDWIDTH_CONFIG, command="params")
+    @hypothesis.example(config=HUGE_SYMBOL_CONFIG, command="radcom")
     def check(config, command):
         with tempfile.TemporaryDirectory() as tmp:
             cfg = write_config(Path(tmp), config)
@@ -393,9 +486,12 @@ def test_perturbed_config_exit_contract():
             codes.append(code)
             assert code in (EXIT_OK, EXIT_SCHEMA, EXIT_PRECONDITION)
             if code == EXIT_OK:
-                manifest = json.loads((out / "manifest.json").read_text())
+                manifest = json.loads((out / "manifest.json").read_text(), parse_constant=_reject_constant)
                 assert manifest["files"]
                 assert all((out / name).exists() for name in manifest["files"])
+                for name in manifest["files"]:
+                    if name.endswith(".json"):  # strict JSON: no NaN or Infinity
+                        json.loads((out / name).read_text(), parse_constant=_reject_constant)
             if code in (EXIT_SCHEMA, EXIT_PRECONDITION):
                 assert not out.exists()
 

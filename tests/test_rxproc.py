@@ -260,10 +260,10 @@ def test_doppler_process_validation():
 def test_full_scale_high_speed_target():
     # 30 m / 92.71 m/s target at full scale: peak at range bin
     # 200 and the 92.71 m/s velocity bin.
-    from ocdm_radar.channel import RadarChannelConfig, Target, apply_radar_channel
+    from ocdm_radar.channel import Target, normalize_target
 
-    cfg = RadarChannelConfig(targets=[Target(range_m=30.0, velocity_mps=92.71)])
-    rx = apply_radar_channel(pilot_stream(FULL), cfg, FULL)
+    target = Target(range_m=30.0, velocity_mps=92.71)
+    rx = apply_shift_channel(pilot_stream(FULL), FULL, [(*normalize_target(target, FULL), target.amplitude)])
     image = doppler_process(receive_frame(rx, FULL), FULL)
     peak = estimate_peak(image)
     assert abs(peak.range_m - 30.0) < 1e-9
@@ -332,10 +332,10 @@ def test_coupling_biases_reported_range():
     # 231.78 m/s pairs with k_delta = -0.25: Dirichlet mainlobe center moves
     # by a quarter bin so the reported range can bias by one resolution cell.
     params = WaveformParams(N=2048, M=80, B=1e9, fc=79e9)
-    from ocdm_radar.channel import RadarChannelConfig, Target, apply_radar_channel
+    from ocdm_radar.channel import Target, normalize_target
 
-    cfg = RadarChannelConfig(targets=[Target(range_m=30.0, velocity_mps=231.78)])
-    rx = apply_radar_channel(pilot_stream(params), cfg, params)
+    target = Target(range_m=30.0, velocity_mps=231.78)
+    rx = apply_shift_channel(pilot_stream(params), params, [(*normalize_target(target, params), target.amplitude)])
     image = doppler_process(receive_frame(rx, params), params)
     peak = estimate_peak(image)
     rp = compute_radar_params(params)
