@@ -116,16 +116,17 @@ def range_cut_metrics(image: RangeVelocityImage, reference_peak_power: float) ->
 
 
 def radar_image(
-    stream: np.ndarray, params: WaveformParams, shifts, snr_db=None, rng_seed: int = 0, extract=None
+    stream: np.ndarray, params: WaveformParams, shifts, snr_db=None, rng_seed: int = 0, rows=slice(None)
 ) -> RangeVelocityImage:
     """The radar chain after the transmitter, on one (reusable) transmit stream.
 
     apply_shift_channel with (n_delta, k_delta, amplitude) shifts and AWGN at
-    snr_db, receive_frame, ``extract`` when given (a mimo_demux or
-    radcom_extract_cir partial keeping the rows to image), doppler_process.
+    snr_db, receive_frame, then doppler_process on the Fresnel-domain ``rows``
+    that hold the CIR (a ``MimoConfig.slice_rows`` slice or
+    ``RadComFrameSpec.radar_rows``; every row by default).
     """
     fresnel = receive_frame(apply_shift_channel(stream, params, shifts, snr_db, rng_seed), params)
-    return doppler_process(fresnel if extract is None else extract(fresnel), params)
+    return doppler_process(fresnel[rows], params)
 
 
 def single_point_image(params: WaveformParams, n_delta: float, k_delta: float) -> RangeVelocityImage:

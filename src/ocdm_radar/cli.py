@@ -68,8 +68,6 @@ from .rxproc import (
     compute_radar_params,
     estimate_peak,
     image_to_csv,
-    mimo_demux,
-    radcom_extract_cir,
     receive_frame,
 )
 from .selftest import run_selftest
@@ -363,8 +361,7 @@ def _cmd_mimo(config: dict, sc: Scenario) -> dict:
     artifacts = {}
     for p in range(mimo.num_tx):
         tx = modulate(build_mimo_pilot_frame(params, mimo, p), params)
-        extract = partial(mimo_demux, mimo=mimo, tx=p)
-        image = radar_image(tx, params, sc.shifts, config["snr_db"], config["seed"], extract)
+        image = radar_image(tx, params, sc.shifts, config["snr_db"], config["seed"], mimo.slice_rows(params.N, p))
         del tx  # free it before the next stream is built, so two are never alive at once
         artifacts.update(_radar_artifacts(f"mimo_p{p}", image))
     return artifacts
@@ -378,16 +375,13 @@ def _cmd_radcom(config: dict, sc: Scenario) -> dict:
     bits = rng.integers(0, 2, size=2 * n_data * params.M)
     symbols = (np.sqrt(spec.symbol_energy) * qpsk_map(bits)).reshape(n_data, params.M)
     tx = modulate(build_radcom_frame(params, spec, symbols), params)
-    extract = partial(radcom_extract_cir, n_cp=spec.N_CP)
-    image = radar_image(tx, params, sc.shifts, config["snr_db"], config["seed"], extract)
+    image = radar_image(tx, params, sc.shifts, config["snr_db"], config["seed"], spec.radar_rows)
     artifacts = _radar_artifacts("radcom", image)
 
     # Communication leg over the configured frequency-selective channel.
     comm_frame = receive_frame(apply_comm_channel(tx, sc.comm_channel, params), params, correct_fold=False)
     avg = config["radcom"]["avg_symbols"] or params.M
-    cfr_est = estimate_comm_cfr(
-        comm_frame, spec.N_CP, avg, pilot_amplitude=np.sqrt(spec.pilot_energy)
-    )
+    cfr_est = estimate_comm_cfr(comm_frame, spec, avg)
     recovered = equalize_and_extract(comm_frame, cfr_est, spec)
     rx_bits = qpsk_demap(recovered)
     artifacts["comm_report.json"] = {

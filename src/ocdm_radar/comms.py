@@ -1,8 +1,8 @@
 """Communication receiver for sector-modulated RadCom and an OFDM baseline.
 
 The RadCom receiver reuses the unmodulated pilot subchirp for channel
-estimation: the first N_CP rows of the (uncorrected) receive Fresnel frame
-hold the CIR, zero-padding rejects trailing noise, and a length-N DFT gives
+estimation: the radar rows of the (uncorrected) receive Fresnel frame hold
+the CIR, zero-padding rejects trailing noise, and a length-N DFT gives
 the CFR.  Equalization is single-tap zero-forcing in the discrete-frequency
 domain; an MMSE variant would slot in at the same place.
 
@@ -27,7 +27,6 @@ __all__ = [
     "evm_and_snr",
     "ofdm_grid",
     "ofdm_pilot_mask",
-    "ofdm_pilot_values",
     "ofdm_modulate",
     "ofdm_demodulate",
     "estimate_ofdm_cfr",
@@ -49,27 +48,20 @@ class CommReport:
     est_snr_db: float
 
 
-def estimate_comm_cfr(
-    fresnel_frame: np.ndarray,
-    n_cp: int,
-    avg_symbols: int,
-    pilot_amplitude: float = 1.0,
-) -> np.ndarray:
+def estimate_comm_cfr(fresnel_frame: np.ndarray, spec: RadComFrameSpec, avg_symbols: int) -> np.ndarray:
     """CFR estimate from the radar sector of a sector-modulated transmission.
 
-    Takes rows 0..N_CP-1 (the pilot-sector CIR), averages them over the first
-    avg_symbols columns, zero-pads to N and transforms to the frequency
+    Takes ``spec.radar_rows`` (the pilot-sector CIR), averages them over the
+    first avg_symbols columns, divides out the pilot amplitude
+    sqrt(pilot_energy), zero-pads to N and transforms to the frequency
     domain.  Averaging over K symbols cuts the estimation error variance by K
     since the pilot repeats in every symbol.
     """
     frame = np.asarray(fresnel_frame, dtype=np.complex128)
-    n = frame.shape[0]
-    if not 0 < n_cp <= n:
-        raise ValueError(f"N_CP={n_cp} outside (0, {n}]")
     if not 0 < avg_symbols <= frame.shape[1]:
         raise ValueError(f"avg_symbols={avg_symbols} outside (0, M={frame.shape[1]}]")
-    cir = frame[:n_cp, :avg_symbols].mean(axis=1) / pilot_amplitude
-    return np.fft.fft(cir, n)
+    cir = frame[spec.radar_rows, :avg_symbols].mean(axis=1) / np.sqrt(spec.pilot_energy)
+    return np.fft.fft(cir, frame.shape[0])
 
 
 def equalize_and_extract(
@@ -78,7 +70,7 @@ def equalize_and_extract(
     """Zero-forcing equalization, then the data-sector rows of every symbol.
 
     Per symbol: inverse Fresnel transform to time, DFT, divide by the CFR,
-    inverse DFT, forward Fresnel transform, slice rows N_CP..N-N_CP.
+    inverse DFT, forward Fresnel transform, keep ``spec.data_rows``.
     """
     frame = np.asarray(fresnel_frame, dtype=np.complex128)
     cfr = np.asarray(cfr, dtype=np.complex128)
@@ -90,7 +82,7 @@ def equalize_and_extract(
     time = idfnt_fast(frame)
     spectrum = np.fft.fft(time, axis=0) / cfr[:, None]
     equalized = dfnt_fast(np.fft.ifft(spectrum, axis=0))
-    return equalized[spec.N_CP : n - spec.N_CP + 1]
+    return equalized[spec.data_rows(n)]
 
 
 def evm_and_snr(rx_symbols: np.ndarray, ref_symbols: np.ndarray) -> CommReport:
@@ -130,7 +122,8 @@ def ofdm_pilot_mask(n: int) -> np.ndarray:
     mask[::DEFAULT_PILOT_SPACING] = True
     return mask
 
-def ofdm_pilot_values(n: int) -> np.ndarray:
+
+def _ofdm_pilot_values(n: int) -> np.ndarray:
     """Deterministic pseudo-random QPSK comb values known to both link ends.
 
     A constant-valued comb would collapse to a periodic impulse train in time
@@ -151,7 +144,7 @@ def ofdm_grid(data_symbols: np.ndarray, params: WaveformParams) -> np.ndarray:
             f"data symbol matrix must be {(n_data, params.M)}, got {data_symbols.shape}"
         )
     grid = np.empty((params.N, params.M), dtype=np.complex128)
-    grid[mask, :] = ofdm_pilot_values(params.N)[:, None]
+    grid[mask, :] = _ofdm_pilot_values(params.N)[:, None]
     grid[~mask, :] = data_symbols
     return grid
 
@@ -171,7 +164,7 @@ def estimate_ofdm_cfr(rx_grid: np.ndarray, params: WaveformParams) -> np.ndarray
     rx = np.asarray(rx_grid, dtype=np.complex128)
     mask = ofdm_pilot_mask(params.N)
     pilot_bins = np.nonzero(mask)[0]
-    ls = rx[mask].mean(axis=1) / ofdm_pilot_values(params.N)
+    ls = rx[mask].mean(axis=1) / _ofdm_pilot_values(params.N)
     # Periodic extension keeps interpolation valid past the last pilot.
     bins_ext = np.concatenate([pilot_bins, [pilot_bins[0] + params.N]])
     ls_ext = np.concatenate([ls, [ls[0]]])

@@ -2,6 +2,8 @@
 
 Frames are plain (N x M) complex ndarrays: rows index subchirps in the
 Fresnel domain (or samples in the time domain), columns index OCDM symbols.
+``MimoConfig`` and ``RadComFrameSpec`` own the row layouts of a Fresnel-domain
+frame: which rows a transmitter, the radar sector or the data sector uses.
 A sample stream is a 1-D array holding the M symbols one after another,
 each preceded by its last N_CP samples as cyclic prefix; only ``to_stream``
 and ``from_stream`` build or take apart that layout, and ``modulate`` is the
@@ -88,7 +90,12 @@ class MimoConfig:
             raise ValueError(f"num_tx must be >= 1, got {self.num_tx}")
 
     def slice_rows(self, n: int, tx: int) -> slice:
-        """Rows of transmitter tx in an n-row Fresnel-domain frame."""
+        """Rows of transmitter tx in an n-row Fresnel-domain frame.
+
+        Leakage past a slice boundary (from fractional shifts or delay-Doppler
+        coupling) stays in the neighbouring slices; it is a measured property
+        of the multiplexing, not an error condition.
+        """
         if not 0 <= tx < self.num_tx:
             raise ValueError(f"tx index {tx} outside [0, {self.num_tx})")
         if n % self.num_tx:
@@ -101,8 +108,10 @@ class MimoConfig:
 class RadComFrameSpec:
     """Sector-modulated symbol layout: pilot sector, data sector, guard nulls.
 
-    pilot_energy is the energy put on the single unmodulated subchirp,
-    symbol_energy the mean constellation energy of the data subchirps.
+    An n-row Fresnel-domain frame holds ``radar_rows``, then ``data_rows(n)``,
+    then N_CP - 1 guard nulls.  pilot_energy is the energy put on the single
+    unmodulated subchirp (row 0), symbol_energy the mean constellation energy
+    of the data subchirps.
     """
 
     N_CP: int
@@ -115,12 +124,30 @@ class RadComFrameSpec:
         if self.pilot_energy <= 0 or self.symbol_energy <= 0:
             raise ValueError("sector energies must be positive")
 
-    def num_data_subchirps(self, n: int) -> int:
+    @property
+    def radar_rows(self) -> slice:
+        """Rows 0..N_CP-1, the pilot sector: the radar CIR of a received symbol.
+
+        Valid while every target delay plus its Doppler coupling stays below
+        N_CP bins; beyond that the data sector wraps into these rows.
+        """
+        return slice(0, self.N_CP)
+
+    def data_rows(self, n: int) -> slice:
+        """Rows N_CP..n-N_CP of an n-row frame, the data sector.
+
+        The range follows the symbol count n - 2*N_CP + 1 (the alternative
+        off-by-one prose reading would not leave N_CP - 1 guard nulls).
+        """
         if 2 * self.N_CP - 1 >= n:
             raise ValueError(
                 f"sector layout needs 2*N_CP-1 < N, got N_CP={self.N_CP}, N={n}"
             )
-        return n - 2 * self.N_CP + 1
+        return slice(self.N_CP, n - self.N_CP + 1)
+
+    def num_data_subchirps(self, n: int) -> int:
+        rows = self.data_rows(n)
+        return rows.stop - rows.start
 
 
 def build_pilot_frame(params: WaveformParams) -> np.ndarray:
@@ -143,11 +170,9 @@ def build_mimo_pilot_frame(params: WaveformParams, mimo: MimoConfig, tx: int) ->
 
 
 def build_radcom_frame(params: WaveformParams, spec: RadComFrameSpec, symbols: np.ndarray) -> np.ndarray:
-    """Sector-modulated frame: sqrt(E_rad) pilot, data at rows N_CP..N-N_CP, null guard.
+    """Sector-modulated frame: sqrt(E_rad) pilot, data on ``spec.data_rows``, null guard.
 
-    The modulated range follows the symbol-count N - 2*N_CP + 1 (the
-    alternative off-by-one prose reading would not leave N_CP - 1 guard
-    nulls). ``symbols`` carries the constellation points as transmitted.
+    ``symbols`` carries the constellation points as transmitted.
     """
     n_data = spec.num_data_subchirps(params.N)
     symbols = np.asarray(symbols, dtype=np.complex128)
@@ -157,7 +182,7 @@ def build_radcom_frame(params: WaveformParams, spec: RadComFrameSpec, symbols: n
         )
     frame = np.zeros((params.N, params.M), dtype=np.complex128)
     frame[0, :] = np.sqrt(spec.pilot_energy)
-    frame[spec.N_CP : params.N - spec.N_CP + 1, :] = symbols
+    frame[spec.data_rows(params.N), :] = symbols
     return frame
 
 

@@ -1,8 +1,10 @@
-"""Receiver chain: Fresnel-domain CIR extraction and range-velocity imaging.
+"""Receiver chain: receive DFnT, range-velocity imaging and peak estimation.
 
 The corrected receive frame of a pilot transmission is directly the stack of
 M consecutive radar CIR estimates.  A row-wise DFT across the symbols then
-turns the per-symbol Doppler phases into velocity information.
+turns the per-symbol Doppler phases into velocity information.  Which rows
+of the frame hold a CIR (a MIMO transmitter's slice, the RadCom radar
+sector) is a frame layout, defined in ``framing``.
 
 Velocity axis: the row-wise DFT peak for a Doppler progression of d cycles
 per M symbols sits at raw bin d; after centering, bin offset j - M//2 maps to
@@ -25,8 +27,6 @@ __all__ = [
     "PeakReport",
     "RadarParams",
     "receive_frame",
-    "mimo_demux",
-    "radcom_extract_cir",
     "doppler_process",
     "compute_radar_params",
     "estimate_peak",
@@ -72,29 +72,6 @@ def receive_frame(stream: np.ndarray, params: WaveformParams, correct_fold: bool
     """
     fresnel = dfnt_fast(from_stream(stream, params))
     return phase_fold_correct(fresnel) if correct_fold else fresnel
-
-
-def mimo_demux(fresnel_frame: np.ndarray, mimo: MimoConfig, tx: int) -> np.ndarray:
-    """Slice the N/P rows belonging to one transmitter out of a receive frame.
-
-    Leakage past a slice boundary (from fractional shifts or delay-Doppler
-    coupling) stays in the neighbouring slices; it is a measured property of
-    the multiplexing, not an error condition.
-    """
-    frame = np.asarray(fresnel_frame)
-    return frame[mimo.slice_rows(frame.shape[0], tx)].copy()
-
-
-def radcom_extract_cir(fresnel_frame: np.ndarray, n_cp: int) -> np.ndarray:
-    """First N_CP rows of the corrected frame: the radar sector of a RadCom symbol.
-
-    Valid while every target delay plus its Doppler coupling stays below N_CP
-    bins; beyond that the data sector wraps into the radar rows.
-    """
-    frame = np.asarray(fresnel_frame)
-    if not 0 < n_cp <= frame.shape[0]:
-        raise ValueError(f"N_CP={n_cp} outside (0, {frame.shape[0]}]")
-    return frame[:n_cp].copy()
 
 
 def doppler_process(cir: np.ndarray, params: WaveformParams) -> RangeVelocityImage:
@@ -143,7 +120,7 @@ def estimate_peak(image: RangeVelocityImage) -> PeakReport:
     if peak == 0.0:
         raise ValueError("all-zero image has no peak")
     rows, cols = np.nonzero(mag == peak)
-    order = sorted(
+    best = min(
         range(rows.size),
         key=lambda i: (
             image.range_axis_m[rows[i]],
@@ -151,7 +128,7 @@ def estimate_peak(image: RangeVelocityImage) -> PeakReport:
             image.velocity_axis_mps[cols[i]],
         ),
     )
-    r, c = rows[order[0]], cols[order[0]]
+    r, c = rows[best], cols[best]
     return PeakReport(
         range_m=float(image.range_axis_m[r]),
         velocity_mps=float(image.velocity_axis_mps[c]),

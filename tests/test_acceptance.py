@@ -53,8 +53,6 @@ from ocdm_radar.fresnel import dfnt_direct, dfnt_fast, idfnt_direct, idfnt_fast
 from ocdm_radar.rxproc import (
     compute_radar_params,
     doppler_process,
-    mimo_demux,
-    radcom_extract_cir,
     receive_frame,
 )
 
@@ -240,9 +238,9 @@ def test_criterion_08_mimo_isolation():
     # noise-free integer-bin static target: exact slice orthogonality
     stream = to_stream(idfnt_fast(build_mimo_pilot_frame(params, mimo, 2)), params)
     frame = receive_frame(apply_shift_channel(stream, params, [(50.0, 0.0, 1.0)]), params)
-    own_peak = float(np.max(np.abs(mimo_demux(frame, mimo, 2))) ** 2)
+    own_peak = float(np.max(np.abs(frame[mimo.slice_rows(params.N, 2)])) ** 2)
     leak = max(
-        float(np.max(np.abs(mimo_demux(frame, mimo, p))) ** 2) for p in (0, 1, 3)
+        float(np.max(np.abs(frame[mimo.slice_rows(params.N, p)])) ** 2) for p in (0, 1, 3)
     )
     leak_db = 10 * np.log10(leak / own_peak)
 
@@ -256,7 +254,7 @@ def test_criterion_08_mimo_isolation():
     worst_cut = 0.0
     for p in range(4):
         s = to_stream(idfnt_fast(build_mimo_pilot_frame(params, mimo, p)), params)
-        sliced = mimo_demux(receive_frame(apply_shift_channel(s, params, shifts), params), mimo, p)
+        sliced = receive_frame(apply_shift_channel(s, params, shifts), params)[mimo.slice_rows(params.N, p)]
         img = doppler_process(sliced, params)
         colp = int(np.argmax(np.max(img.magnitude, axis=0)))
         cut = img.magnitude[window, colp]
@@ -280,21 +278,13 @@ def test_criterion_09_radcom_guard_interval():
     worst = 0.0
     for delay in range(spec.N_CP):
         shifts = [(float(delay), 0.0, 1.0)]
-        cir_a = radcom_extract_cir(
-            receive_frame(apply_shift_channel(with_data, params, shifts), params), 64
-        )
-        cir_b = radcom_extract_cir(
-            receive_frame(apply_shift_channel(without, params, shifts), params), 64
-        )
+        cir_a = receive_frame(apply_shift_channel(with_data, params, shifts), params)[spec.radar_rows]
+        cir_b = receive_frame(apply_shift_channel(without, params, shifts), params)[spec.radar_rows]
         worst = max(worst, float(np.max(np.abs(cir_a - cir_b))))
 
     shifts = [(80.0, 0.0, 1.0)]  # delay beyond N_CP
-    bad_a = radcom_extract_cir(
-        receive_frame(apply_shift_channel(with_data, params, shifts), params), 64
-    )
-    bad_b = radcom_extract_cir(
-        receive_frame(apply_shift_channel(without, params, shifts), params), 64
-    )
+    bad_a = receive_frame(apply_shift_channel(with_data, params, shifts), params)[spec.radar_rows]
+    bad_b = receive_frame(apply_shift_channel(without, params, shifts), params)[spec.radar_rows]
     violation = float(np.max(np.abs(bad_a - bad_b)))
     ok = worst <= 1e-9 and violation > 1e-3
     report(
@@ -324,7 +314,7 @@ def test_criterion_10_communication_loopback():
         tx, CommChannelConfig(cir=cir, snr_db=snr_db, rng_seed=11), params
     )
     fresnel = receive_frame(rx, params, correct_fold=False)
-    cfr_est = estimate_comm_cfr(fresnel, spec.N_CP, avg_symbols=params.M)
+    cfr_est = estimate_comm_cfr(fresnel, spec, avg_symbols=params.M)
     recovered = equalize_and_extract(fresnel, cfr_est, spec)
     errors = int(np.count_nonzero(qpsk_demap(recovered) != bits))
     ocdm_report = evm_and_snr(recovered, symbols)

@@ -3,7 +3,6 @@
 import json
 import math
 import tempfile
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +23,6 @@ from ocdm_radar.framing import (
     modulate,
     qpsk_map,
 )
-from ocdm_radar.rxproc import mimo_demux, radcom_extract_cir
 from ocdm_radar.selftest import run_selftest
 
 
@@ -158,6 +156,25 @@ def test_radcom_run_reports(tmp_path):
     assert (out / "radcom_image.csv").exists()
 
 
+def test_radcom_strong_pilot_decodes(tmp_path):
+    # The comm receiver must divide the pilot amplitude sqrt(pilot_energy) out of its CFR.
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path,
+        {
+            "waveform": {"N": 128, "M": 32},
+            "radcom": {"N_CP": 32, "pilot_energy": 4.0},
+            "targets": [{"range_m": 3.0}],
+            "comm": {"tilt_db": 10.0, "snr_db": 30.0},
+            "seed": 11,
+        },
+    )
+    assert main(["radcom", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    report = json.loads((out / "comm_report.json").read_text())
+    assert report["bit_errors"] == 0
+    assert report["est_snr_db"] > 20.0
+
+
 def test_sweep_run_emits_three_surfaces(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(
@@ -265,7 +282,7 @@ def test_commands_image_through_the_library_chain():
 
     mimo = MimoConfig(4)
     tx = modulate(build_mimo_pilot_frame(p, mimo, 1), p)
-    want = radar_image(tx, p, _library_shifts(p), 10.0, 7, partial(mimo_demux, mimo=mimo, tx=1))
+    want = radar_image(tx, p, _library_shifts(p), 10.0, 7, mimo.slice_rows(p.N, 1))
     assert np.array_equal(cli._cmd_mimo(config, sc)["mimo_p1"].magnitude, want.magnitude)
 
     p, spec = WaveformParams(N=256, M=32, N_CP=16), RadComFrameSpec(N_CP=16)
@@ -273,7 +290,7 @@ def test_commands_image_through_the_library_chain():
     bits = np.random.default_rng(7).integers(0, 2, size=2 * n_data * p.M)
     symbols = (np.sqrt(spec.symbol_energy) * qpsk_map(bits)).reshape(n_data, p.M)
     tx = modulate(build_radcom_frame(p, spec, symbols), p)
-    want = radar_image(tx, p, _library_shifts(p), 10.0, 7, partial(radcom_extract_cir, n_cp=16))
+    want = radar_image(tx, p, _library_shifts(p), 10.0, 7, spec.radar_rows)
     assert np.array_equal(cli._cmd_radcom(config, sc)["radcom"].magnitude, want.magnitude)
 
 

@@ -55,7 +55,18 @@ def test_cfr_estimate_identity_channel():
     rng = np.random.default_rng(0)
     cfg = CommChannelConfig(cir=np.ones(1, dtype=complex))
     _, _, fresnel = radcom_link(params, spec, rng, cfg)
-    cfr = estimate_comm_cfr(fresnel, 16, avg_symbols=8)
+    cfr = estimate_comm_cfr(fresnel, spec, avg_symbols=8)
+    assert np.max(np.abs(cfr - 1.0)) < 1e-9
+
+
+@pytest.mark.parametrize("pilot_energy", [0.25, 4.0])
+def test_cfr_estimate_divides_out_pilot_energy(pilot_energy):
+    params = WaveformParams(N=64, M=8, N_CP=16)
+    spec = RadComFrameSpec(N_CP=16, pilot_energy=pilot_energy)
+    rng = np.random.default_rng(0)
+    cfg = CommChannelConfig(cir=np.ones(1, dtype=complex))
+    _, _, fresnel = radcom_link(params, spec, rng, cfg)
+    cfr = estimate_comm_cfr(fresnel, spec, avg_symbols=8)
     assert np.max(np.abs(cfr - 1.0)) < 1e-9
 
 
@@ -66,7 +77,7 @@ def test_cfr_estimate_two_tap_channel():
     cir = np.array([1.0, 0.35 - 0.2j])
     cfg = CommChannelConfig(cir=cir)
     _, _, fresnel = radcom_link(params, spec, rng, cfg)
-    cfr = estimate_comm_cfr(fresnel, 16, avg_symbols=8)
+    cfr = estimate_comm_cfr(fresnel, spec, avg_symbols=8)
     assert np.max(np.abs(cfr - cfr_from_cir(cir, 64))) < 1e-8
 
 
@@ -78,7 +89,7 @@ def test_cfr_estimate_averaging_reduces_variance():
     for avg in (1, 64):
         rng = np.random.default_rng(2)
         _, _, fresnel = radcom_link(params, spec, rng, cfg)
-        cfr = estimate_comm_cfr(fresnel, 8, avg_symbols=avg)
+        cfr = estimate_comm_cfr(fresnel, spec, avg_symbols=avg)
         errs[avg] = np.mean(np.abs(cfr - 1.0) ** 2)
     ratio = errs[1] / errs[64]
     assert 25 < ratio < 160
@@ -86,9 +97,9 @@ def test_cfr_estimate_averaging_reduces_variance():
 
 def test_cfr_estimate_validation():
     with pytest.raises(ValueError):
-        estimate_comm_cfr(np.zeros((8, 4), dtype=complex), 2, avg_symbols=0)
+        estimate_comm_cfr(np.zeros((8, 4), dtype=complex), RadComFrameSpec(N_CP=2), avg_symbols=0)
     with pytest.raises(ValueError):
-        estimate_comm_cfr(np.zeros((8, 4), dtype=complex), 0, avg_symbols=1)
+        estimate_comm_cfr(np.zeros((8, 4), dtype=complex), RadComFrameSpec(N_CP=0), avg_symbols=1)
 
 
 def test_equalize_identity_noise_free():
@@ -126,7 +137,7 @@ def test_error_free_decisions_over_tilted_channel():
     rng = np.random.default_rng(6)
     cfg = CommChannelConfig(cir=two_tap_tilt_cir(10.0), snr_db=30.0, rng_seed=7)
     bits, symbols, fresnel = radcom_link(params, spec, rng, cfg)
-    cfr = estimate_comm_cfr(fresnel, 32, avg_symbols=params.M)
+    cfr = estimate_comm_cfr(fresnel, spec, avg_symbols=params.M)
     recovered = equalize_and_extract(fresnel, cfr, spec)
     assert recovered.shape[0] * params.M >= 1e4
     rx_bits = qpsk_demap(recovered)
@@ -139,7 +150,7 @@ def test_ocdm_error_power_uniform_across_subchirps():
     rng = np.random.default_rng(8)
     cfg = CommChannelConfig(cir=two_tap_tilt_cir(10.0), snr_db=20.0, rng_seed=9)
     _, symbols, fresnel = radcom_link(params, spec, rng, cfg)
-    cfr = estimate_comm_cfr(fresnel, 32, avg_symbols=params.M)
+    cfr = estimate_comm_cfr(fresnel, spec, avg_symbols=params.M)
     recovered = equalize_and_extract(fresnel, cfr, spec)
     err = np.mean(np.abs(recovered - symbols) ** 2, axis=1)
     spread_db = 10 * np.log10(err.max() / err.min())
@@ -275,7 +286,7 @@ def test_ofdm_evm_spread_exceeds_ocdm_over_selective_channel():
     rng = np.random.default_rng(15)
     cfg = CommChannelConfig(cir=cir, snr_db=snr_db, rng_seed=16)
     _, symbols, fresnel = radcom_link(params, spec, rng, cfg)
-    cfr = estimate_comm_cfr(fresnel, 32, avg_symbols=params.M)
+    cfr = estimate_comm_cfr(fresnel, spec, avg_symbols=params.M)
     rec = equalize_and_extract(fresnel, cfr, spec)
     ocdm_report = evm_and_snr(rec, symbols)
 

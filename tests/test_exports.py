@@ -1,0 +1,38 @@
+"""No dead exports: every exported function is used outside its own module.
+
+A function listed in a module's ``__all__`` must be referenced, as a whole
+word, from another ``ocdm_radar`` module or from the test suite.  A helper
+that only its own module calls belongs out of ``__all__`` (and private).
+Stdlib only: the modules are parsed, not imported.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ocdm_radar"
+TESTS = Path(__file__).resolve().parent
+
+
+def _exported_functions(tree: ast.Module) -> list[str]:
+    exported = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported = ast.literal_eval(node.value)
+    functions = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    return [name for name in exported if name in functions]
+
+
+def test_every_exported_function_is_used_elsewhere():
+    modules = {path: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    tests = [path.read_text() for path in sorted(TESTS.glob("*.py"))]
+    unused = []
+    for path, source in modules.items():
+        others = [text for other, text in modules.items() if other != path] + tests
+        for name in _exported_functions(ast.parse(source)):
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            if not any(word.search(text) for text in others):
+                unused.append(f"{path.stem}.{name}")
+    assert unused == [], f"exported but used only in their own module: {unused}"

@@ -110,6 +110,37 @@ def test_radcom_sector_partition():
     assert len(pilot) + (spec.N_CP - 1) + len(data) + (spec.N_CP - 1) == params.N
 
 
+@pytest.mark.parametrize("num_tx", [1, 2, 4, 8, 32])
+def test_mimo_slices_tile_the_frame(num_tx):
+    n, mimo = 32, MimoConfig(num_tx=num_tx)
+    rows = [r for tx in range(num_tx) for r in range(n)[mimo.slice_rows(n, tx)]]
+    assert rows == list(range(n))
+
+
+@pytest.mark.parametrize("n_cp", [1, 2, 8, 16])
+def test_radcom_rows_partition_the_frame(n_cp):
+    params, spec = WaveformParams(N=32, M=3), RadComFrameSpec(N_CP=n_cp, pilot_energy=2.0)
+    radar = list(range(params.N)[spec.radar_rows])
+    data = list(range(params.N)[spec.data_rows(params.N)])
+    guard = list(range(params.N - n_cp + 1, params.N))
+    assert len(radar) == n_cp and len(guard) == n_cp - 1
+    assert radar + data + guard == list(range(params.N))
+
+    rng = np.random.default_rng(n_cp)
+    symbols = qpsk_map(rng.integers(0, 2, size=2 * len(data) * params.M)).reshape(len(data), params.M)
+    frame = build_radcom_frame(params, spec, symbols)
+    assert np.array_equal(frame[spec.data_rows(params.N)], symbols)
+    assert not frame[guard].any()
+    assert np.array_equal(frame[spec.radar_rows][0], np.full(params.M, np.sqrt(2.0)))
+    assert not frame[spec.radar_rows][1:].any()
+
+
+def test_data_rows_rejects_overlapping_sectors():
+    assert RadComFrameSpec(N_CP=4).data_rows(9) == slice(4, 6)
+    with pytest.raises(ValueError, match=r"sector layout needs 2\*N_CP-1 < N, got N_CP=5, N=9"):
+        RadComFrameSpec(N_CP=5).data_rows(9)
+
+
 def test_radcom_total_energy():
     params = WaveformParams(N=64, M=4)
     spec = RadComFrameSpec(N_CP=8, pilot_energy=2.0)

@@ -21,8 +21,6 @@ from ocdm_radar.rxproc import (
     doppler_process,
     estimate_peak,
     image_to_csv,
-    mimo_demux,
-    radcom_extract_cir,
     receive_frame,
 )
 
@@ -114,14 +112,14 @@ def test_peak_splitting_at_half_bin_doppler():
 def test_mimo_demux_identity_slice():
     params = WaveformParams(N=32, M=2)
     frame = receive_frame(pilot_stream(params), params)
-    assert np.array_equal(mimo_demux(frame, MimoConfig(num_tx=1), 0), frame)
+    assert np.array_equal(frame[MimoConfig(num_tx=1).slice_rows(32, 0)], frame)
 
 
 def test_mimo_demux_pilot_identity_channel():
     params = WaveformParams(N=8, M=2)
     mimo = MimoConfig(num_tx=2)
     stream = to_stream(idfnt_fast(build_mimo_pilot_frame(params, mimo, 1)), params)
-    sliced = mimo_demux(receive_frame(stream, params), mimo, 1)
+    sliced = receive_frame(stream, params)[mimo.slice_rows(params.N, 1)]
     want = np.zeros((4, 2), dtype=complex)
     want[0, :] = 1.0
     assert np.max(np.abs(sliced - want)) < 1e-12
@@ -133,35 +131,35 @@ def test_mimo_demux_target_in_own_slice():
     stream = to_stream(idfnt_fast(build_mimo_pilot_frame(params, mimo, 2)), params)
     rx = apply_shift_channel(stream, params, [(50.0, 0.0, 1.0)])
     frame = receive_frame(rx, params)
-    own = mimo_demux(frame, mimo, 2)
+    own = frame[mimo.slice_rows(params.N, 2)]
     assert np.argmax(np.abs(own[:, 0])) == 50
     own_peak = np.max(np.abs(own)) ** 2
     for other in (0, 1, 3):
-        leak = np.max(np.abs(mimo_demux(frame, mimo, other))) ** 2
+        leak = np.max(np.abs(frame[mimo.slice_rows(params.N, other)])) ** 2
         assert 10 * np.log10(leak / own_peak) <= -200
 
 
 def test_mimo_demux_validation():
     frame = np.zeros((10, 2), dtype=complex)
     with pytest.raises(ValueError):
-        mimo_demux(frame, MimoConfig(num_tx=4), 0)
+        frame[MimoConfig(num_tx=4).slice_rows(frame.shape[0], 0)]
 
 
 def test_mimo_tx_index_out_of_range_rejected():
     params, mimo = WaveformParams(N=8, M=2), MimoConfig(num_tx=4)
     with pytest.raises(ValueError, match=r"tx index 4 outside \[0, 4\)"):
-        mimo_demux(np.zeros((8, 2), dtype=complex), mimo, 4)
+        mimo.slice_rows(params.N, 4)
     with pytest.raises(ValueError, match=r"tx index -1 outside \[0, 4\)"):
         build_mimo_pilot_frame(params, mimo, -1)
 
 
 def test_radcom_extract_rows():
     frame = np.arange(24, dtype=complex).reshape(8, 3)
-    assert np.array_equal(radcom_extract_cir(frame, 2), frame[:2])
+    assert np.array_equal(frame[RadComFrameSpec(N_CP=2).radar_rows], frame[:2])
     with pytest.raises(ValueError):
-        radcom_extract_cir(frame, 0)
+        RadComFrameSpec(N_CP=0)
     with pytest.raises(ValueError):
-        radcom_extract_cir(frame, 9)
+        RadComFrameSpec(N_CP=9).data_rows(frame.shape[0])
 
 
 def test_radcom_pilot_only_matches_siso_rows():
@@ -171,7 +169,7 @@ def test_radcom_pilot_only_matches_siso_rows():
     frame = build_radcom_frame(params, spec, np.zeros((n_data, params.M)))
     stream = to_stream(idfnt_fast(frame), params)
     rx = apply_shift_channel(stream, params, [(5.0, 0.0, 1.0)])
-    cir = radcom_extract_cir(receive_frame(rx, params), 16)
+    cir = receive_frame(rx, params)[spec.radar_rows]
 
     siso = WaveformParams(N=64, M=4, N_CP=16)
     rx_siso = apply_shift_channel(pilot_stream(siso), siso, [(5.0, 0.0, 1.0)])
@@ -192,7 +190,7 @@ def test_radcom_guard_interval_isolates_radar_sector():
     for frame in (with_data, without):
         stream = to_stream(idfnt_fast(frame), params)
         rx = apply_shift_channel(stream, params, shifts)
-        cirs.append(radcom_extract_cir(receive_frame(rx, params), 32))
+        cirs.append(receive_frame(rx, params)[spec.radar_rows])
     assert np.max(np.abs(cirs[0] - cirs[1])) < 1e-9
 
 
@@ -210,7 +208,7 @@ def test_radcom_excess_delay_contaminates_cir():
     ):
         stream = to_stream(idfnt_fast(frame), params)
         rx = apply_shift_channel(stream, params, shifts)
-        cirs.append(radcom_extract_cir(receive_frame(rx, params), 32))
+        cirs.append(receive_frame(rx, params)[spec.radar_rows])
     assert np.max(np.abs(cirs[0] - cirs[1])) > 1e-3
 
 
