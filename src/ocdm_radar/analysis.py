@@ -29,7 +29,6 @@ from .framing import (
     modulate,
     qpsk_map,
 )
-from .fresnel import idfnt_fast
 from .rxproc import RangeVelocityImage, doppler_process, receive_frame
 
 __all__ = [
@@ -49,7 +48,7 @@ __all__ = [
 
 MAINLOBE_HALFWIDTH = 1
 PAPR_THRESHOLDS_DB = np.arange(0.0, 18.0 + 1e-9, 0.1)
-PAPR_THRESHOLDS_DB.flags.writeable = False  # shared by every PaprCcdf
+PAPR_THRESHOLDS_DB.flags.writeable = False  # shared by every caller
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,6 @@ class RangeCutMetrics:
 
 @dataclass(frozen=True)
 class PaprCcdf:
-    thresholds_db: np.ndarray
     exceedance: np.ndarray
     papr_samples_db: np.ndarray
 
@@ -195,12 +193,13 @@ def papr_ccdf(symbol_builder, trials: int, oversample: int = 20, rng_seed: int =
         [oversampled_papr_db(symbol_builder(rng), oversample) for _ in range(trials)]
     )
     exceedance = np.array([(samples > t).mean() for t in PAPR_THRESHOLDS_DB])
-    return PaprCcdf(PAPR_THRESHOLDS_DB, exceedance, samples)
+    return PaprCcdf(exceedance, samples)
 
 
 def pilot_symbol_builder(params: WaveformParams):
     """Single active subchirp: a constant-envelope chirp in time."""
-    symbol = idfnt_fast(build_pilot_frame(replace(params, M=1)))[:, 0]
+    single = replace(params, M=1, N_CP=0)
+    symbol = modulate(build_pilot_frame(single), single)
 
     def build(rng):
         return symbol
@@ -210,14 +209,14 @@ def pilot_symbol_builder(params: WaveformParams):
 
 def radcom_symbol_builder(params: WaveformParams, spec: RadComFrameSpec):
     """Sector-modulated symbol with a fresh random QPSK payload per trial."""
-    single = replace(params, M=1)
+    single = replace(params, M=1, N_CP=0)
     n_data = spec.num_data_subchirps(params.N)
     scale = np.sqrt(spec.symbol_energy)
 
     def build(rng):
         bits = rng.integers(0, 2, size=2 * n_data)
         symbols = (scale * qpsk_map(bits)).reshape(n_data, 1)
-        return idfnt_fast(build_radcom_frame(single, spec, symbols))[:, 0]
+        return modulate(build_radcom_frame(single, spec, symbols), single)
 
     return build
 

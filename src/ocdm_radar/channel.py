@@ -80,6 +80,12 @@ class CommChannelConfig:
         if not cir.any():
             raise ValueError("CIR is all zero")
 
+    @property
+    def delay_spread(self) -> int:
+        """Delay of the last tap above 1e-12 of the strongest one (what counts as a tap)."""
+        mag = np.abs(np.asarray(self.cir, dtype=np.complex128))
+        return int(np.max(np.nonzero(mag > 1e-12 * np.max(mag))[0]))
+
 
 def normalize_target(target: Target, params: WaveformParams):
     """Map (range, velocity) to the normalized shift pair (n_delta, k_delta).
@@ -270,27 +276,17 @@ def load_cfr_csv(path, n: int) -> np.ndarray:
     return cfr
 
 
-def _resolve_comm_cir(cfg: CommChannelConfig, params: WaveformParams) -> np.ndarray:
-    cir = np.asarray(cfg.cir, dtype=np.complex128)
-    if cir.size > params.N:
-        raise ValueError("CIR longer than the symbol length")
-    spread = int(np.max(np.nonzero(np.abs(cir) > 1e-12 * np.max(np.abs(cir)))[0]))
-    if spread > params.N_CP:
-        raise ValueError(
-            f"channel delay spread {spread} exceeds the CP length {params.N_CP}"
-        )
-    return cir
-
-
 def apply_comm_channel(stream: np.ndarray, cfg: CommChannelConfig, params: WaveformParams) -> np.ndarray:
     """Per-symbol circular convolution with the configured CIR, plus AWGN.
 
-    Valid channel model only while the delay spread fits the CP, which
-    _resolve_comm_cir enforces.
+    A valid channel model only while the delay spread fits the CP: a longer
+    spread is rejected.
     """
     stream = np.asarray(stream, dtype=np.complex128)
-    cir = _resolve_comm_cir(cfg, params)
-    cfr = cfr_from_cir(cir, params.N)
+    cfr = cfr_from_cir(cfg.cir, params.N)
+    spread = cfg.delay_spread
+    if spread > params.N_CP:
+        raise ValueError(f"channel delay spread {spread} exceeds the CP length {params.N_CP}")
     spectrum = np.fft.fft(from_stream(stream, params), axis=0) * cfr[:, None]
     received = to_stream(np.fft.ifft(spectrum, axis=0), params)
     if cfg.snr_db is not None:

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    PAPR_THRESHOLDS_DB,
     doppler_tolerance_sweep,
     ofdm_symbol_builder,
     papr_ccdf,
@@ -380,6 +381,9 @@ def _cmd_radcom(config: dict, sc: Scenario) -> dict:
 
     # Communication leg over the configured frequency-selective channel.
     comm_frame = receive_frame(apply_comm_channel(tx, sc.comm_channel, params), params, correct_fold=False)
+    spread = sc.comm_channel.delay_spread
+    if spread >= spec.N_CP:  # apply_comm_channel allows N_CP, which wraps the last data row into the pilot row
+        raise ValueError(f"channel delay spread {spread} must be below the RadCom N_CP {spec.N_CP} (N_CP-1 guard nulls)")
     avg = config["radcom"]["avg_symbols"] or params.M
     cfr_est = estimate_comm_cfr(comm_frame, spec, avg)
     recovered = equalize_and_extract(comm_frame, cfr_est, spec)
@@ -437,7 +441,7 @@ def _cmd_papr(config: dict, sc: Scenario) -> dict:
             oversample=pc["oversample"],
             rng_seed=config["seed"] + i,
         )
-        artifacts[f"papr_{name}.csv"] = ("threshold_db,exceedance", [ccdf.thresholds_db, ccdf.exceedance])
+        artifacts[f"papr_{name}.csv"] = ("threshold_db,exceedance", [PAPR_THRESHOLDS_DB, ccdf.exceedance])
         summary[name] = {
             "mean_papr_db": ccdf.mean_papr_db,
             "papr_at_1e-2_db": ccdf.papr_at_probability(1e-2),

@@ -3,8 +3,10 @@
 The RadCom receiver reuses the unmodulated pilot subchirp for channel
 estimation: the radar rows of the (uncorrected) receive Fresnel frame hold
 the CIR, zero-padding rejects trailing noise, and a length-N DFT gives
-the CFR.  Equalization is single-tap zero-forcing in the discrete-frequency
-domain; an MMSE variant would slot in at the same place.
+the CFR.  Equalization is single-tap zero-forcing on the Fresnel coefficients:
+an even-length DFnT is circulant, so it commutes with the channel's per-symbol
+circular convolution (the DFnT convolution theorem) and the subchirps see the
+same CFR as the time samples; an MMSE variant would slot in at the same place.
 
 The OFDM baseline uses a uniform comb-pilot layout; its spacing of 8 yields
 the reference payload data rate for the full-scale numerology.
@@ -16,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fresnel import dfnt_fast, idfnt_fast
 from .framing import RadComFrameSpec, WaveformParams, from_stream, qpsk_map, to_stream
 from .rxproc import RangeVelocityImage, doppler_process
 
@@ -69,8 +70,9 @@ def equalize_and_extract(
 ) -> np.ndarray:
     """Zero-forcing equalization, then the data-sector rows of every symbol.
 
-    Per symbol: inverse Fresnel transform to time, DFT, divide by the CFR,
-    inverse DFT, forward Fresnel transform, keep ``spec.data_rows``.
+    Per symbol: DFT of the Fresnel coefficients, divide by the CFR, inverse
+    DFT, keep ``spec.data_rows``.  By the convolution theorem this equals
+    going to time (IDFnT), equalizing there and coming back (DFnT).
     """
     frame = np.asarray(fresnel_frame, dtype=np.complex128)
     cfr = np.asarray(cfr, dtype=np.complex128)
@@ -79,10 +81,7 @@ def equalize_and_extract(
         raise ValueError(f"CFR must have {n} bins, got {cfr.shape}")
     if np.any(cfr == 0):
         raise ValueError("zero CFR bin: zero-forcing equalizer is singular")
-    time = idfnt_fast(frame)
-    spectrum = np.fft.fft(time, axis=0) / cfr[:, None]
-    equalized = dfnt_fast(np.fft.ifft(spectrum, axis=0))
-    return equalized[spec.data_rows(n)]
+    return np.fft.ifft(np.fft.fft(frame, axis=0) / cfr[:, None], axis=0)[spec.data_rows(n)]
 
 
 def evm_and_snr(rx_symbols: np.ndarray, ref_symbols: np.ndarray) -> CommReport:

@@ -7,7 +7,8 @@ frame: which rows a transmitter, the radar sector or the data sector uses.
 A sample stream is a 1-D array holding the M symbols one after another,
 each preceded by its last N_CP samples as cyclic prefix; only ``to_stream``
 and ``from_stream`` build or take apart that layout, and ``modulate`` is the
-one place a Fresnel-domain frame becomes a transmit stream.
+one place a Fresnel-domain frame becomes a transmit stream (and the only
+caller of the inverse DFnT).
 """
 
 from __future__ import annotations
@@ -151,14 +152,12 @@ class RadComFrameSpec:
 
 
 def build_pilot_frame(params: WaveformParams) -> np.ndarray:
-    """Radar pilot frame: only subchirp 0 active, every column identical.
+    """Radar pilot frame: only subchirp 0 active, every column identical (one transmitter).
 
     All M symbols are equal, so the serialized stream is M-fold periodic and
     the frame needs no CP.
     """
-    frame = np.zeros((params.N, params.M), dtype=np.complex128)
-    frame[0, :] = 1.0
-    return frame
+    return build_mimo_pilot_frame(params, MimoConfig(1), 0)
 
 
 def build_mimo_pilot_frame(params: WaveformParams, mimo: MimoConfig, tx: int) -> np.ndarray:

@@ -13,7 +13,8 @@ from ocdm_radar.analysis import (
     range_cut_metrics,
     single_point_image,
 )
-from ocdm_radar.framing import RadComFrameSpec, WaveformParams
+from ocdm_radar.framing import RadComFrameSpec, WaveformParams, build_pilot_frame, build_radcom_frame, qpsk_map
+from ocdm_radar.fresnel import idfnt_fast
 
 
 def test_zero_doppler_integer_target_metrics():
@@ -148,6 +149,19 @@ def test_sector_symbol_papr_above_pilot():
     pilot = papr_ccdf(pilot_symbol_builder(params), trials=1)
     sector = papr_ccdf(radcom_symbol_builder(params, spec), trials=100, rng_seed=4)
     assert sector.mean_papr_db > pilot.mean_papr_db + 3.0
+
+
+def test_ocdm_symbol_builders_equal_the_plain_idfnt_column():
+    # The builders go through modulate with no CP; the symbol must be the IDFnT column, bit for bit.
+    params = WaveformParams(N=128, M=4, N_CP=32)
+    spec = RadComFrameSpec(N_CP=32, pilot_energy=2.0, symbol_energy=0.5)
+    single = WaveformParams(N=128, M=1, N_CP=32)
+    pilot = pilot_symbol_builder(params)(np.random.default_rng(0))
+    assert np.array_equal(pilot, idfnt_fast(build_pilot_frame(single))[:, 0])
+    got = radcom_symbol_builder(params, spec)(np.random.default_rng(9))
+    bits = np.random.default_rng(9).integers(0, 2, size=2 * spec.num_data_subchirps(128))
+    symbols = (np.sqrt(spec.symbol_energy) * qpsk_map(bits)).reshape(-1, 1)
+    assert np.array_equal(got, idfnt_fast(build_radcom_frame(single, spec, symbols))[:, 0])
 
 
 def test_ofdm_builder_symbol_length():

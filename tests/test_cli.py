@@ -238,13 +238,14 @@ def test_sector_layout_failure_names_n_cp_in_params_and_radcom(tmp_path, capsys)
 
 def test_radcom_cp_default_is_valid_at_tiny_n(tmp_path, capsys):
     # N // 4 = 0 at N=2: the CLI's own radcom.N_CP default must still be >= 1, so that no
-    # command fails on the radcom section the config never set.
+    # command fails on the radcom section the config never set.  radcom fails on the
+    # default two-tap comm channel instead: its tap at delay 1 needs N_CP >= 2.
     cfg = write_config(tmp_path, {"waveform": {"N": 2, "M": 2}, "targets": [{"range_m": 0.1}]})
     want = {
         "params": "comb-pilot layout needs N >= 8, got N=2",
         "radar": None,
         "mimo": "N=2 is not divisible by num_tx=4",
-        "radcom": None,
+        "radcom": "channel delay spread 1 must be below the RadCom N_CP 1",
         "sweep": "n_delta grid must lie within [0, N)",
         "papr": "comb-pilot layout needs N >= 8, got N=2",
     }
@@ -255,7 +256,7 @@ def test_radcom_cp_default_is_valid_at_tiny_n(tmp_path, capsys):
             assert code == EXIT_OK, err
         else:
             assert code == EXIT_PRECONDITION and reason in err, err
-    manifest = json.loads((tmp_path / "radcom" / "manifest.json").read_text())
+    manifest = json.loads((tmp_path / "radar" / "manifest.json").read_text())
     assert manifest["config"]["radcom"]["N_CP"] == 1
 
 
@@ -337,6 +338,7 @@ def test_manifest_config_round_trip(tmp_path):
         ("papr", {"papr": {"waveforms": ["radcom", "radcom"]}}, "config.papr.waveforms[1]: duplicate"),
         ("params", {"output_dir": "a\u0000b"}, "config.output_dir: embedded null byte"),
         ("params", {"waveform": {"B": 5e-324}}, "config.waveform: bandwidth 5e-324 leaves a zero bin width"),
+        ("radcom", {"radcom": {"N_CP": 0}}, "config.radcom: RadCom N_CP must be >= 1"),
     ],
 )
 def test_hostile_config_exits_2_naming_field(tmp_path, capsys, command, config, field):
@@ -401,6 +403,26 @@ def test_comm_leg_failure_writes_nothing(tmp_path, capsys):
     assert main(["radcom", "--config", cfg, "--out", str(out)]) == EXIT_PRECONDITION
     assert "channel delay spread 100 exceeds the CP length 64" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_comm_leg_spread_must_stay_below_radcom_n_cp(tmp_path, capsys):
+    # The sector layout leaves N_CP - 1 guard nulls: a tap at delay N_CP = 64 moves the
+    # last data row into the pilot row, although the CP of 64 itself would allow it.
+    k = np.arange(256)
+    for delay, code in ((64, EXIT_PRECONDITION), (63, EXIT_OK)):
+        cfr = 1.0 + 0.5 * np.exp(-2j * np.pi * k * delay / 256)
+        csv = tmp_path / f"cfr{delay}.csv"
+        csv.write_text("".join(f"{i},{c.real!r},{c.imag!r}\n" for i, c in enumerate(cfr.tolist())))
+        raw = {"targets": [{"range_m": 7.5}], "comm": {"cfr_csv": str(csv), "snr_db": 60.0}}
+        cfg = write_config(tmp_path, raw)
+        out = tmp_path / f"out{delay}"
+        assert main(["radcom", "--config", cfg, "--out", str(out)]) == code
+        if code == EXIT_PRECONDITION:
+            assert "channel delay spread 64 must be below the RadCom N_CP 64" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            report = json.loads((out / "comm_report.json").read_text())
+            assert report["bit_errors"] == 0 and report["est_snr_db"] > 50.0
 
 
 def test_uncreatable_output_directory_exits_1(tmp_path, capsys):

@@ -33,7 +33,7 @@ from ocdm_radar.framing import (
     qpsk_map,
     to_stream,
 )
-from ocdm_radar.fresnel import idfnt_fast
+from ocdm_radar.fresnel import dfnt_fast, idfnt_fast
 from ocdm_radar.rxproc import doppler_process, estimate_peak, receive_frame
 
 
@@ -121,6 +121,20 @@ def test_equalize_inverts_any_invertible_cfr():
     _, symbols, fresnel = radcom_link(params, spec, rng, cfg)
     recovered = equalize_and_extract(fresnel, cfr_from_cir(cir, 64), spec)
     assert np.max(np.abs(recovered - symbols)) < 1e-8
+
+
+def test_equalize_matches_the_time_domain_chain():
+    # Reference: back to time (IDFnT), zero-forcing there, forward again (DFnT).
+    # The Fresnel-domain equalizer must be the same operator (convolution theorem).
+    rng = np.random.default_rng(12)
+    for n, m, n_cp in ((16, 3, 4), (64, 5, 16), (256, 2, 40)):
+        frame = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+        cfr = (0.2 + rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+        spec = RadComFrameSpec(N_CP=n_cp)
+        spectrum = np.fft.fft(idfnt_fast(frame), axis=0) / cfr[:, None]
+        want = dfnt_fast(np.fft.ifft(spectrum, axis=0))[spec.data_rows(n)]
+        got = equalize_and_extract(frame, cfr, spec)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_equalize_rejects_zero_bin():

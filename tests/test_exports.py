@@ -36,3 +36,17 @@ def test_every_exported_function_is_used_elsewhere():
             if not any(word.search(text) for text in others):
                 unused.append(f"{path.stem}.{name}")
     assert unused == [], f"exported but used only in their own module: {unused}"
+
+
+def test_fresnel_transforms_run_in_one_place_each():
+    # framing.modulate is the only inverse DFnT and rxproc.receive_frame the only forward
+    # one; fresnel defines them and selftest checks their theorems.
+    allowed = {"idfnt_fast": {"framing"}, "dfnt_fast": {"rxproc"}}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem in ("fresnel", "selftest"):
+            continue
+        for name, homes in allowed.items():
+            if path.stem not in homes and re.search(rf"\b{name}\b", path.read_text()):
+                found.append(f"{path.stem} uses {name}")
+    assert found == [], found
