@@ -19,13 +19,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import apply_shift_channel
+from .channel import _CHANNEL_BLOCK, apply_shift_channel
 from .comms import ofdm_grid, ofdm_modulate, ofdm_pilot_mask
 from .framing import (
     RadComFrameSpec,
     WaveformParams,
     build_pilot_frame,
     build_radcom_frame,
+    from_stream,
     modulate,
     qpsk_map,
 )
@@ -122,8 +123,19 @@ def radar_image(
     snr_db, receive_frame, then doppler_process on the Fresnel-domain ``rows``
     that hold the CIR (a ``MimoConfig.slice_rows`` slice or
     ``RadComFrameSpec.radar_rows``; every row by default).
+
+    The rx stream's buffer becomes the Fresnel frame: receive_frame runs on
+    _CHANNEL_BLOCK symbols at a time, and each fold-corrected block overwrites
+    those symbols' samples.  Besides the caller's stream, only the rx stream and
+    the float image are frame-sized: with every row imaged, the three peak at
+    about (2 (N + N_CP) 16 + 8 N) M bytes.
     """
-    fresnel = receive_frame(apply_shift_channel(stream, params, shifts, snr_db, rng_seed), params)
+    rx = apply_shift_channel(stream, params, shifts, snr_db, rng_seed)
+    fresnel = from_stream(rx, params)
+    for start in range(0, params.M, _CHANNEL_BLOCK):
+        stop = min(start + _CHANNEL_BLOCK, params.M)
+        block = rx[start * params.symbol_len : stop * params.symbol_len]
+        fresnel[:, start:stop] = receive_frame(block, replace(params, M=stop - start))
     return doppler_process(fresnel[rows], params)
 
 

@@ -46,10 +46,15 @@ __all__ = [
 
 DOPPLER_SIGN = -1.0
 
-# Symbols per channel block.  Any width from 16 to 256 runs a full-scale frame
-# (N=2048, M=5120, 3 targets) in 0.8-0.9 s on 2 vCPUs, 1024 takes 1.2 s; at 64
-# the block temporaries (2 MiB per array) add 8 MiB to the 160 MiB output.
+# Symbols per channel block; analysis.radar_image receives in blocks of the same
+# width and rxproc.doppler_process sizes its row blocks to as many elements.
+# Any width from 16 to 256 runs a full-scale frame (N=2048, M=5120, 3 targets)
+# in 0.8-0.9 s on 2 vCPUs, 1024 takes 1.2 s; at 64 each block temporary is
+# 2 MiB, a few MiB in all beside the frame-sized rx stream.
 _CHANNEL_BLOCK = 64
+
+# Samples per noise draw in _add_awgn: a 512 KiB float buffer.
+_NOISE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -105,24 +110,39 @@ def _delay_phase(n: int, n_delta: float) -> np.ndarray:
     return np.exp(-2j * np.pi * k_signed * n_delta / n)
 
 
-def _add_awgn(signal: np.ndarray, snr_db: float, rng_seed: int, stream: np.ndarray) -> np.ndarray:
-    power = float(np.mean(np.abs(signal) ** 2))
+def _mean_power(x: np.ndarray) -> float:
+    power = np.abs(x)
+    power *= power  # the values of np.abs(x) ** 2, without a second float array
+    return float(np.mean(power))
+
+
+def _add_awgn(signal: np.ndarray, snr_db: float, rng_seed: int, stream: np.ndarray) -> None:
+    """Add complex AWGN at snr_db below the signal's mean power, in place.
+
+    One generator draws every real part, then every imaginary part, in
+    _NOISE_CHUNK pieces; each piece is scaled by sqrt(sigma2 / 2) and added
+    straight into the signal.  That is the draw order and the arithmetic of
+    signal + sqrt(sigma2 / 2) * (re + 1j*im) with whole-stream re and im, so
+    the noisy signal is equal to it, without a stream-sized noise array.
+    """
+    power = _mean_power(signal)
     if power == 0.0:
         # Zero-target scenes: reference the transmit stream's power so a
         # pure-noise stream is still produced.
-        power = float(np.mean(np.abs(stream) ** 2))
+        power = _mean_power(stream)
     try:
         sigma2 = power * 10.0 ** (-snr_db / 10.0)
     except OverflowError:
         raise ValueError(f"snr_db={snr_db} puts the noise power out of float range") from None
-    # All real parts, then all imaginary parts: signal + sqrt(sigma2/2) * (re + 1j*im).
+    scale = np.sqrt(sigma2 / 2.0)
     rng = np.random.default_rng(rng_seed)
-    noise = np.empty_like(signal)
-    noise.real = rng.standard_normal(signal.shape)
-    noise.imag = rng.standard_normal(signal.shape)
-    noise *= np.sqrt(sigma2 / 2.0)
-    signal += noise
-    return signal
+    draws = np.empty(min(_NOISE_CHUNK, signal.size))
+    for part in (signal.real, signal.imag):
+        for start in range(0, part.size, _NOISE_CHUNK):
+            chunk = draws[: min(_NOISE_CHUNK, part.size - start)]
+            rng.standard_normal(out=chunk)
+            chunk *= scale
+            part[start : start + chunk.size] += chunk
 
 
 def apply_shift_channel(
@@ -145,12 +165,19 @@ def apply_shift_channel(
     its tail), times the per-symbol factor A e^{2 pi i k_delta m (N + N_CP) / N}.
     """
     stream = np.asarray(stream, dtype=np.complex128)
-    frame = from_stream(stream, params)
     for n_delta, _, _ in shifts:
         if not 0 <= n_delta < params.N:
             raise ValueError(
                 f"n_delta={n_delta} violates the unambiguous range [0, N={params.N})"
             )
+    received = _echoes(from_stream(stream, params), params, shifts)
+    if snr_db is not None:
+        _add_awgn(received, snr_db, rng_seed, stream)
+    return received
+
+
+def _echoes(frame: np.ndarray, params: WaveformParams, shifts) -> np.ndarray:
+    """The noise-free received stream; its block temporaries are gone before the noise is added."""
     n, rows = params.N, params.symbol_len
     r, m = np.arange(rows), np.arange(params.M)
     factors = [
@@ -170,11 +197,7 @@ def apply_shift_channel(
             s *= in_symbol
             s *= per_symbol[start:stop]
             received[:, start:stop] += s
-
-    received = received.ravel(order="F")
-    if snr_db is not None:
-        received = _add_awgn(received, snr_db, rng_seed, stream)
-    return received
+    return received.ravel(order="F")
 
 
 def _phi_m(params: WaveformParams, k_delta: float) -> np.ndarray:
@@ -287,8 +310,9 @@ def apply_comm_channel(stream: np.ndarray, cfg: CommChannelConfig, params: Wavef
     spread = cfg.delay_spread
     if spread > params.N_CP:
         raise ValueError(f"channel delay spread {spread} exceeds the CP length {params.N_CP}")
-    spectrum = np.fft.fft(from_stream(stream, params), axis=0) * cfr[:, None]
+    spectrum = np.fft.fft(from_stream(stream, params), axis=0)
+    spectrum *= cfr[:, None]
     received = to_stream(np.fft.ifft(spectrum, axis=0), params)
     if cfg.snr_db is not None:
-        received = _add_awgn(received, cfg.snr_db, cfg.rng_seed, stream)
+        _add_awgn(received, cfg.snr_db, cfg.rng_seed, stream)
     return received

@@ -11,7 +11,7 @@ shapes), supplies its own few defaults, and builds every dataclass once per
 run, before any artifact is written.
 
 Exit codes: 0 ok, 1 runtime failure, 2 config/schema violation,
-3 precondition violation.
+3 precondition violation (running out of memory while computing included).
 """
 
 from __future__ import annotations
@@ -354,7 +354,9 @@ def _cmd_params(config: dict, sc: Scenario) -> dict:
 
 def _cmd_radar(config: dict, sc: Scenario) -> dict:
     tx = modulate(build_pilot_frame(sc.params), sc.params)
-    return _radar_artifacts("radar", radar_image(tx, sc.params, sc.shifts, config["snr_db"], config["seed"]))
+    image = radar_image(tx, sc.params, sc.shifts, config["snr_db"], config["seed"])
+    del tx  # free it before the peak report's image-sized temporaries
+    return _radar_artifacts("radar", image)
 
 
 def _cmd_mimo(config: dict, sc: Scenario) -> dict:
@@ -557,6 +559,15 @@ def main(argv=None) -> int:
             artifacts = {k: _render_json(k, v) if isinstance(v, dict) else v for k, v in artifacts.items()}
         except ValueError as exc:
             print(f"error: precondition violated: {exc}", file=sys.stderr)
+            return EXIT_PRECONDITION
+        except MemoryError:
+            p = scenario.radcom_params if args.command == "radcom" else scenario.params
+            peak = (2 * p.symbol_len * 16 + p.N * 8) * p.M  # tx and rx streams, float image
+            print(
+                f"error: precondition violated: out of memory at N={p.N}, M={p.M}, N_CP={p.N_CP}; "
+                f"the radar chain needs about {peak / 2**20:.1f} MiB",
+                file=sys.stderr,
+            )
             return EXIT_PRECONDITION
         _write_run(out_dir, args.command, config, artifacts)
     except Exception as exc:  # noqa: BLE001 - reported as runtime failure

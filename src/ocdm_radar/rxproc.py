@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import _CHANNEL_BLOCK
 from .fresnel import dfnt_fast, phase_fold_correct
 from .framing import C0, MimoConfig, WaveformParams, from_stream
 
@@ -75,16 +76,31 @@ def receive_frame(stream: np.ndarray, params: WaveformParams, correct_fold: bool
 
 
 def doppler_process(cir: np.ndarray, params: WaveformParams) -> RangeVelocityImage:
-    """Row-wise DFT across symbols (no taper), centered, converted to physical axes."""
+    """Row-wise DFT across symbols (no taper), centered, converted to physical axes.
+
+    Works in blocks of rows holding about _CHANNEL_BLOCK * N elements: the
+    magnitudes of each block's spectrum go straight into their fftshift
+    columns of one float image.  abs is elementwise and fftshift a
+    permutation, so this is abs(fftshift(fft)) bit for bit, and no complex
+    spectrum of the whole frame is built.  A frame of at most _CHANNEL_BLOCK
+    symbols is one block.
+    """
     cir = np.asarray(cir, dtype=np.complex128)
     if cir.ndim != 2 or cir.shape[1] < 2:
         raise ValueError("need a (range bins x M>=2) CIR matrix")
-    m = cir.shape[1]
-    image = np.fft.fftshift(np.fft.fft(cir, axis=1), axes=1)
+    n_rows, m = cir.shape
+    image = np.empty((n_rows, m))
+    step, shift = max(1, _CHANNEL_BLOCK * params.N // m), m // 2
+    for start in range(0, n_rows, step):
+        block = slice(start, start + step)
+        spectrum = np.fft.fft(cir[block], axis=1)
+        # fftshift: bin j lands in column (j + m // 2) % m.
+        np.abs(spectrum[:, : m - shift], out=image[block, shift:])
+        np.abs(spectrum[:, m - shift :], out=image[block, :shift])
     rp = compute_radar_params(params)
-    range_axis = np.arange(cir.shape[0]) * rp.range_resolution_m
+    range_axis = np.arange(n_rows) * rp.range_resolution_m
     velocity_axis = -(np.arange(m) - m // 2) * rp.velocity_resolution_mps
-    return RangeVelocityImage(np.abs(image), range_axis, velocity_axis)
+    return RangeVelocityImage(image, range_axis, velocity_axis)
 
 
 def compute_radar_params(params: WaveformParams, num_tx: int | None = None) -> RadarParams:

@@ -1,5 +1,7 @@
 """Range-cut metrics, Doppler-tolerance sweep, PAPR statistics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,59 @@ from ocdm_radar.analysis import (
     oversampled_papr_db,
     papr_ccdf,
     pilot_symbol_builder,
+    radar_image,
     radcom_symbol_builder,
     range_cut_metrics,
     single_point_image,
 )
-from ocdm_radar.framing import RadComFrameSpec, WaveformParams, build_pilot_frame, build_radcom_frame, qpsk_map
+from ocdm_radar.channel import _CHANNEL_BLOCK, apply_shift_channel
+from ocdm_radar.framing import (
+    RadComFrameSpec,
+    WaveformParams,
+    build_pilot_frame,
+    build_radcom_frame,
+    modulate,
+    qpsk_map,
+)
 from ocdm_radar.fresnel import idfnt_fast
+from ocdm_radar.rxproc import receive_frame
+
+SHIFTS = [(10.5, 0.2, 1.0), (60.25, -0.35, 0.3j), (130.0, 0.05, 0.2 - 0.1j)]
+
+
+@pytest.mark.parametrize("rows", [slice(None), slice(0, 24)], ids=["all rows", "radar rows"])
+def test_radar_image_equals_whole_frame_chain(rows):
+    # M leaves a partial receive block, the CP rows of the rx buffer are skipped, and
+    # the chain matches receive_frame and an fftshift of the complex spectrum on whole frames.
+    params = WaveformParams(N=256, M=2 * _CHANNEL_BLOCK + 5, N_CP=24)
+    spec = RadComFrameSpec(N_CP=24)
+    rng = np.random.default_rng(17)
+    bits = rng.integers(0, 2, size=2 * spec.num_data_subchirps(params.N) * params.M)
+    symbols = qpsk_map(bits).reshape(-1, params.M)
+    stream = modulate(build_radcom_frame(params, spec, symbols), params)
+    fresnel = receive_frame(apply_shift_channel(stream, params, SHIFTS, 9.0, 4), params)
+    want = np.abs(np.fft.fftshift(np.fft.fft(fresnel[rows], axis=1), axes=1))
+    image = radar_image(stream, params, SHIFTS, 9.0, 4, rows)
+    assert np.array_equal(image.magnitude, want)
+
+
+def test_radar_image_holds_no_third_frame():
+    # Above the caller's tx stream, only the rx stream, the float image and block
+    # temporaries: a stream-sized noise array, a second Fresnel frame or a complex
+    # spectrum of the frame would each exceed the quarter-frame allowance.
+    params = WaveformParams(N=256, M=1024, N_CP=64)
+    stream = modulate(build_pilot_frame(params), params)
+    radar_image(stream, params, SHIFTS[:1], 15.0, 3)  # lazy numpy imports, outside the count
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        image = radar_image(stream, params, SHIFTS, 15.0, 3)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    rx_bytes, frame_bytes = params.stream_len * 16, params.N * params.M * 16
+    assert peak <= rx_bytes + image.magnitude.nbytes + frame_bytes // 4
 
 
 def test_zero_doppler_integer_target_metrics():

@@ -425,6 +425,25 @@ def test_comm_leg_spread_must_stay_below_radcom_n_cp(tmp_path, capsys):
             assert report["bit_errors"] == 0 and report["est_snr_db"] > 50.0
 
 
+@pytest.mark.parametrize(
+    "command, chain, numerology",
+    [("radar", "radar_image", "N=256, M=32, N_CP=0"), ("radcom", "apply_comm_channel", "N=256, M=32, N_CP=64")],
+)
+def test_memory_error_exits_3_naming_numerology(tmp_path, capsys, monkeypatch, command, chain, numerology):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, chain, out_of_memory)
+    cfg = write_config(tmp_path, {"targets": [{"range_m": 5.0}], "snr_db": 10.0})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    n_cp = 64 if command == "radcom" else 0
+    peak_mib = (2 * (256 + n_cp) * 16 + 256 * 8) * 32 / 2**20
+    assert f"out of memory at {numerology}" in err and f"about {peak_mib:.1f} MiB" in err, err
+    assert not out.exists()
+
+
 def test_uncreatable_output_directory_exits_1(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")

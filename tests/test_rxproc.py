@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ocdm_radar.channel import apply_shift_channel, biased_cir_from_shifts
+from ocdm_radar.channel import _CHANNEL_BLOCK, apply_shift_channel, biased_cir_from_shifts
 from ocdm_radar.framing import (
     MimoConfig,
     RadComFrameSpec,
@@ -347,3 +347,13 @@ def test_image_export_and_peak_json(tmp_path):
     names = image_to_csv(image, tmp_path / "img")
     mag = np.loadtxt(names[0], delimiter=",")
     assert mag.shape == (16, 4)
+
+
+def test_doppler_row_blocks_equal_whole_frame_transform():
+    # 61 rows in blocks of _CHANNEL_BLOCK * N // M = 4 rows: the last block is partial.
+    params = WaveformParams(N=64, M=1000)
+    assert _CHANNEL_BLOCK * params.N // params.M == 4
+    rng = np.random.default_rng(13)
+    cir = rng.standard_normal((61, params.M)) + 1j * rng.standard_normal((61, params.M))
+    image = doppler_process(cir, params)
+    assert np.array_equal(image.magnitude, np.abs(np.fft.fftshift(np.fft.fft(cir, axis=1), axes=1)))
