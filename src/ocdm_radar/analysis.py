@@ -30,7 +30,7 @@ from .framing import (
     modulate,
     qpsk_map,
 )
-from .rxproc import RangeVelocityImage, doppler_process, receive_frame
+from .rxproc import RangeVelocityImage, _with_axes, doppler_process, receive_frame
 
 __all__ = [
     "RangeCutMetrics",
@@ -139,9 +139,34 @@ def radar_image(
     return doppler_process(fresnel[rows], params)
 
 
+def _pilot_imager(params: WaveformParams):
+    """The noise-free pilot-frame image of one unit scatterer, as a function of (n_delta, k_delta).
+
+    It equals radar_image on the pilot stream, with M - 1 of its M symbol
+    chains left out.  The pilot frame's M columns are equal, and the channel
+    gives symbol m the received symbol 0 times the per-symbol factor
+    p[m] = e^{2 pi i k_delta m (N + N_CP) / N} of channel._echoes.  The receive
+    DFnT and the fold correction act column by column, so the Fresnel frame is
+    exactly d p^T, with d the Fresnel column of one symbol (DFnT linearity),
+    and its Doppler image is the outer product of |d| and |fftshift(fft(p))|.
+    """
+    if params.M < 2:
+        raise ValueError("need M >= 2 symbols for a Doppler axis")
+    single = replace(params, M=1)
+    pilot = modulate(build_pilot_frame(single), single)
+    m = np.arange(params.M)
+
+    def image(n_delta: float, k_delta: float) -> RangeVelocityImage:
+        d = receive_frame(apply_shift_channel(pilot, single, [(n_delta, k_delta, 1.0)]), single)[:, 0]
+        p = np.exp(2j * np.pi * k_delta * m * params.symbol_len / params.N)
+        return _with_axes(np.outer(np.abs(d), np.abs(np.fft.fftshift(np.fft.fft(p)))), params)
+
+    return image
+
+
 def single_point_image(params: WaveformParams, n_delta: float, k_delta: float) -> RangeVelocityImage:
-    """Noise-free single-scatterer pilot-frame pipeline run."""
-    return radar_image(modulate(build_pilot_frame(params), params), params, [(n_delta, k_delta, 1.0)])
+    """Noise-free single-scatterer pilot-frame image, in its exact rank-1 form."""
+    return _pilot_imager(params)(n_delta, k_delta)
 
 
 def doppler_tolerance_sweep(params: WaveformParams, n_grid, k_grid) -> SweepResult:
@@ -149,8 +174,9 @@ def doppler_tolerance_sweep(params: WaveformParams, n_grid, k_grid) -> SweepResu
 
     The PPLR reference for each n_delta is that target's own zero-Doppler
     peak power, so the k_delta = 0 column of the PPLR surface is exactly
-    0 dB.  Every cell runs radar_image on one pilot stream built per call;
-    the k_delta = 0 cells reuse the reference image.
+    0 dB.  Every cell images one pilot symbol built per call, in the rank-1
+    form of single_point_image; the k_delta = 0 cells reuse the reference
+    image.
     """
     n_grid = np.asarray(n_grid, dtype=float)
     k_grid = np.asarray(k_grid, dtype=float)
@@ -159,19 +185,46 @@ def doppler_tolerance_sweep(params: WaveformParams, n_grid, k_grid) -> SweepResu
     if np.any(np.abs(k_grid) > 0.5 + 1e-12):
         raise ValueError("k_delta grid must lie within [-0.5, 0.5]")
 
-    stream = modulate(build_pilot_frame(params), params)
+    image = _pilot_imager(params)
     values = np.empty((n_grid.size, k_grid.size, 3))
     for i, n_delta in enumerate(n_grid.tolist()):
-        reference = radar_image(stream, params, [(n_delta, 0.0, 1.0)])
+        reference = image(n_delta, 0.0)
         power = float(reference.magnitude.max() ** 2)
         for j, k_delta in enumerate(k_grid.tolist()):
-            metrics = range_cut_metrics(
-                reference if k_delta == 0 else radar_image(stream, params, [(n_delta, k_delta, 1.0)]),
-                power,
-            )
+            metrics = range_cut_metrics(reference if k_delta == 0 else image(n_delta, k_delta), power)
             values[i, j] = metrics.pplr_db, metrics.pslr_db, metrics.islr_db
-        del reference  # so that at most one reference image is alive at a time
     return SweepResult(n_grid, k_grid, values[:, :, 0], values[:, :, 1], values[:, :, 2])
+
+
+def _papr_meter(n: int, oversample: int):
+    """PAPR in dB of n-sample symbols, as oversampled_papr_db defines it.
+
+    The zero-padded spectral interpolation is evaluated in polyphase form:
+    sample q * oversample + r of the upsampled symbol is
+    ifft_n(X e^{2 pi i s r / (n oversample)})[q], with X the symbol's spectrum
+    and s the signed bin index, so oversample n-point inverse transforms
+    replace one (n oversample)-point transform.  The twiddle, phase and power
+    buffers (40 n oversample bytes) are built once and reused by every call.
+    """
+    if oversample < 1:
+        raise ValueError("oversampling factor must be >= 1")
+    if n < 2 or n % 2:
+        raise ValueError(f"symbol length must be a positive even number, got {n}")
+    signed = np.fft.fftfreq(n, d=1.0 / n)
+    twiddle = np.exp(2j * np.pi * np.arange(oversample)[:, None] * signed / (n * oversample))
+    spectrum = np.empty(n, dtype=np.complex128)
+    phased = np.empty((oversample, n), dtype=np.complex128)
+    power = np.empty((oversample, n))
+
+    def meter(time_symbol) -> float:
+        np.fft.fft(np.asarray(time_symbol, dtype=np.complex128).ravel(), out=spectrum)
+        np.multiply(twiddle, spectrum, out=phased)
+        np.fft.ifft(phased, axis=1, out=phased)
+        np.abs(phased, out=power)
+        np.multiply(power, power, out=power)
+        return float(10.0 * np.log10(power.max() / power.mean()))
+
+    return meter
 
 
 def oversampled_papr_db(time_symbol: np.ndarray, oversample: int = 20) -> float:
@@ -181,29 +234,24 @@ def oversampled_papr_db(time_symbol: np.ndarray, oversample: int = 20) -> float:
     position, matching a DAC-style reconstruction at oversample x rate.
     """
     x = np.asarray(time_symbol, dtype=np.complex128).ravel()
-    n = x.size
-    if oversample < 1:
-        raise ValueError("oversampling factor must be >= 1")
-    spectrum = np.fft.fft(x)
-    padded = np.zeros(n * oversample, dtype=np.complex128)
-    padded[: n // 2] = spectrum[: n // 2]
-    padded[n * oversample - n // 2 :] = spectrum[n // 2 :]
-    upsampled = np.fft.ifft(padded) * oversample
-    power = np.abs(upsampled) ** 2
-    return float(10.0 * np.log10(power.max() / power.mean()))
+    return _papr_meter(x.size, oversample)(x)
 
 
 def papr_ccdf(symbol_builder, trials: int, oversample: int = 20, rng_seed: int = 0) -> PaprCcdf:
     """Empirical PAPR CCDF over random payload realizations.
 
-    ``symbol_builder(rng)`` must return one discrete-time symbol (no CP).
+    ``symbol_builder(rng)`` must return one discrete-time symbol (no CP); every
+    symbol has the first one's length and goes through one PAPR meter.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.default_rng(rng_seed)
-    samples = np.array(
-        [oversampled_papr_db(symbol_builder(rng), oversample) for _ in range(trials)]
-    )
+    first = symbol_builder(rng)
+    meter = _papr_meter(np.size(first), oversample)
+    samples = np.empty(trials)
+    samples[0] = meter(first)
+    for t in range(1, trials):
+        samples[t] = meter(symbol_builder(rng))
     exceedance = np.array([(samples > t).mean() for t in PAPR_THRESHOLDS_DB])
     return PaprCcdf(exceedance, samples)
 

@@ -199,7 +199,8 @@ def resolve_config(raw: dict, full_scale: bool = False) -> dict:
         raw.get("radcom", {}), RadComFrameSpec, "config.radcom", N_CP=None, avg_symbols=None
     )
     if radcom["N_CP"] is None:
-        radcom["N_CP"] = max(waveform["N_CP"], waveform["N"] // 4, 1)
+        # At least 2 so the default two-tap comm channel fits below it; at most N - 1.
+        radcom["N_CP"] = min(max(waveform["N_CP"], waveform["N"] // 4, 2), waveform["N"] - 1)
     if radcom["avg_symbols"] is not None:
         radcom["avg_symbols"] = _number(
             radcom["avg_symbols"], "config.radcom.avg_symbols", lo=1, hi=waveform["M"], integer=True
@@ -324,12 +325,14 @@ def _render_json(name: str, payload: dict) -> str:
 
 def _peak_payload(image) -> dict:
     peak = estimate_peak(image)
+    # One squared copy; the floor is the mean of every other cell, summed with the peak
+    # cell zeroed (sum minus peak would cancel to 0 on a noise-free image).
     power = image.magnitude**2
     pr, pc = np.unravel_index(int(np.argmax(power)), power.shape)
-    mask = np.ones_like(power, dtype=bool)
-    mask[pr, pc] = False
-    floor = float(power[mask].mean()) if mask.any() else 0.0
-    margin = 10.0 * np.log10(power[pr, pc] / floor) if floor > 0 else np.inf
+    peak_power = power[pr, pc]
+    power[pr, pc] = 0.0
+    floor = float(power.sum()) / (power.size - 1) if power.size > 1 else 0.0
+    margin = 10.0 * np.log10(peak_power / floor) if floor > 0 else np.inf
     return {
         **asdict(peak),
         "noise_margin_db": None if np.isinf(margin) else float(margin),

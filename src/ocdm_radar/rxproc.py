@@ -97,6 +97,12 @@ def doppler_process(cir: np.ndarray, params: WaveformParams) -> RangeVelocityIma
         # fftshift: bin j lands in column (j + m // 2) % m.
         np.abs(spectrum[:, : m - shift], out=image[block, shift:])
         np.abs(spectrum[:, m - shift :], out=image[block, :shift])
+    return _with_axes(image, params)
+
+
+def _with_axes(image: np.ndarray, params: WaveformParams) -> RangeVelocityImage:
+    """A (range bins x centered Doppler bins) magnitude image with its physical axes."""
+    n_rows, m = image.shape
     rp = compute_radar_params(params)
     range_axis = np.arange(n_rows) * rp.range_resolution_m
     velocity_axis = -(np.arange(m) - m // 2) * rp.velocity_resolution_mps

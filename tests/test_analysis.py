@@ -143,6 +143,36 @@ def test_sweep_equals_its_per_cell_chain():
             assert np.array_equal(result.islr_db[i, j], metrics.islr_db)
 
 
+@pytest.mark.parametrize(
+    "params",
+    [WaveformParams(N=64, M=7, N_CP=16), WaveformParams(N=128, M=32), WaveformParams(N=32, M=5, N_CP=3)],
+    ids=["N_CP odd M", "no CP", "short CP odd M"],
+)
+@pytest.mark.parametrize("n_delta, k_delta", [(0.0, 0.0), (7.0, 0.0), (10.4, 0.37), (20.5, -0.37), (31.0, 0.25)])
+def test_single_point_image_equals_the_radar_chain(params, n_delta, k_delta):
+    # The rank-1 image d p^T equals the M-symbol chain on the whole pilot stream.
+    want = radar_image(modulate(build_pilot_frame(params), params), params, [(n_delta, k_delta, 1.0)])
+    got = single_point_image(params, n_delta, k_delta)
+    assert got.magnitude.shape == want.magnitude.shape
+    assert np.max(np.abs(got.magnitude - want.magnitude)) <= 1e-12 * want.magnitude.max()
+    assert np.argmax(got.magnitude) == np.argmax(want.magnitude)
+    assert np.array_equal(got.range_axis_m, want.range_axis_m)
+    assert np.array_equal(got.velocity_axis_mps, want.velocity_axis_mps)
+
+
+def test_single_point_image_needs_a_doppler_axis():
+    with pytest.raises(ValueError, match="M >= 2"):
+        single_point_image(WaveformParams(N=64, M=1), 3.0, 0.1)
+
+
+def test_sweep_is_finite_at_integer_zero_doppler_cells():
+    # Rounding residue of the one-symbol chain keeps every sidelobe power above 0.
+    params = WaveformParams(N=2048, M=32)
+    result = doppler_tolerance_sweep(params, [0, 1, 511, 1024, 2047], [0.0, 0.25])
+    for surface in (result.pplr_db, result.pslr_db, result.islr_db):
+        assert np.all(np.isfinite(surface))
+
+
 def test_sweep_metrics_match_oracle_columns():
     # Metrics computed from the closed-form CIR equal the pipeline's.
     from ocdm_radar.channel import biased_cir_from_shifts
@@ -170,6 +200,56 @@ def test_papr_oversampling_catches_intersample_peaks():
     rng = np.random.default_rng(0)
     x = np.fft.ifft(rng.standard_normal(64) + 1j * rng.standard_normal(64))
     assert oversampled_papr_db(x, 20) >= oversampled_papr_db(x, 1)
+
+
+def _zero_padded_papr_db(x, oversample):
+    # The PAPR as one (n * oversample)-point inverse FFT of the zero-padded spectrum.
+    n = x.size
+    spectrum = np.fft.fft(x)
+    padded = np.zeros(n * oversample, dtype=np.complex128)
+    padded[: n // 2] = spectrum[: n // 2]
+    padded[n * oversample - n // 2 :] = spectrum[n // 2 :]
+    power = np.abs(np.fft.ifft(padded) * oversample) ** 2
+    return float(10.0 * np.log10(power.max() / power.mean()))
+
+
+@pytest.mark.parametrize("oversample", [1, 2, 20])
+def test_polyphase_papr_equals_the_zero_padded_interpolation(oversample):
+    rng = np.random.default_rng(oversample)
+    params = WaveformParams(N=256, M=1, N_CP=64)
+    builders = [radcom_symbol_builder(params, RadComFrameSpec(N_CP=64)), ofdm_symbol_builder(params)]
+    symbols = [build(rng) for build in builders for _ in range(5)]
+    symbols += [rng.standard_normal(n) + 1j * rng.standard_normal(n) for n in (2, 6, 64)]
+    for x in symbols:
+        assert abs(oversampled_papr_db(x, oversample) - _zero_padded_papr_db(x, oversample)) < 1e-12
+    ccdf = papr_ccdf(builders[0], trials=20, oversample=oversample, rng_seed=5)
+    again = np.random.default_rng(5)
+    want = [_zero_padded_papr_db(builders[0](again), oversample) for _ in range(20)]
+    assert np.max(np.abs(ccdf.papr_samples_db - want)) < 1e-12
+
+
+@pytest.mark.parametrize("x, oversample", [(np.ones(8), 0), (np.ones(7), 2), (np.ones(0), 2)])
+def test_papr_meter_validation(x, oversample):
+    with pytest.raises(ValueError):
+        oversampled_papr_db(x, oversample)
+
+
+def test_papr_ccdf_memory_does_not_grow_with_trials():
+    # The meter's buffers are built once per call: 900 more trials cost only their samples.
+    params = WaveformParams(N=256, M=1, N_CP=64)
+    build = radcom_symbol_builder(params, RadComFrameSpec(N_CP=64))
+    papr_ccdf(build, trials=2)  # lazy numpy imports, outside the count
+    peaks = []
+    tracemalloc.start()
+    try:
+        for trials in (100, 1000):
+            entry = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            papr_ccdf(build, trials=trials)
+            peaks.append(tracemalloc.get_traced_memory()[1] - entry)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 64 * 1024
 
 
 def test_papr_ccdf_monotone_and_bounded():

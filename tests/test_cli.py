@@ -3,6 +3,7 @@
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from ocdm_radar.framing import (
     modulate,
     qpsk_map,
 )
+from ocdm_radar.rxproc import RangeVelocityImage
 from ocdm_radar.selftest import run_selftest
 
 
@@ -258,6 +260,82 @@ def test_radcom_cp_default_is_valid_at_tiny_n(tmp_path, capsys):
             assert code == EXIT_PRECONDITION and reason in err, err
     manifest = json.loads((tmp_path / "radar" / "manifest.json").read_text())
     assert manifest["config"]["radcom"]["N_CP"] == 1
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_default_radcom_runs_at_small_n(tmp_path, n):
+    # The radcom.N_CP default is at least 2, so the default two-tap comm channel's tap at
+    # delay 1 stays below it.
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {"waveform": {"N": n}, "targets": [{"range_m": 0.0}]})
+    assert main(["radcom", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert json.loads((out / "comm_report.json").read_text())["bit_errors"] == 0
+    assert json.loads((out / "manifest.json").read_text())["config"]["radcom"]["N_CP"] == 2
+
+
+def _masked_mean_margin(magnitude):
+    # The noise floor as the mean of a masked copy that leaves out the peak cell.
+    power = magnitude**2
+    pr, pc = np.unravel_index(int(np.argmax(power)), power.shape)
+    mask = np.ones_like(power, dtype=bool)
+    mask[pr, pc] = False
+    floor = float(power[mask].mean()) if mask.any() else 0.0
+    margin = 10.0 * np.log10(power[pr, pc] / floor) if floor > 0 else np.inf
+    return None if np.isinf(margin) else float(margin), bool(margin >= cli.DETECTION_MARGIN_DB)
+
+
+def _lone_peak_image(shape):
+    magnitude = np.zeros(shape)
+    magnitude[shape[0] // 2, -1] = 3.0
+    return RangeVelocityImage(magnitude, np.arange(shape[0]) * 0.15, np.arange(shape[1]) * 1.0)
+
+
+@pytest.mark.parametrize(
+    "image",
+    [
+        lambda tx, p: radar_image(tx, p, [(10.4, -0.2, 1.0), (40.0, 0.1, 0.01)], 5.0, 3),
+        lambda tx, p: radar_image(tx, p, [(12.0, 0.0, 1.0)]),
+        lambda tx, p: _lone_peak_image((p.N, p.M)),
+        lambda tx, p: _lone_peak_image((1, 1)),
+    ],
+    ids=["noisy", "noise-free", "lone peak", "one cell"],
+)
+def test_peak_payload_floor_equals_the_masked_mean(image):
+    params = WaveformParams(N=64, M=16)
+    image = image(modulate(build_pilot_frame(params), params), params)
+    want_margin, want_detected = _masked_mean_margin(image.magnitude)
+    payload = cli._peak_payload(image)
+    assert payload["detected"] is want_detected
+    if want_margin is None:
+        assert payload["noise_margin_db"] is None
+    else:
+        assert abs(payload["noise_margin_db"] - want_margin) <= 1e-9
+
+
+def test_repeated_commands_leave_no_traced_memory(tmp_path):
+    # A second run of a command leaves nothing behind: no cache, no buffer kept past the run.
+    cfg = write_config(
+        tmp_path,
+        {
+            "waveform": {"N": 1024, "M": 16},
+            "targets": [{"range_m": 30.0, "velocity_mps": 20.0}],
+            "snr_db": 20.0,
+            "mimo": {"num_tx": 2},
+            "sweep": {"n_grid": [0, 3.5], "k_grid": [0.0, 0.25]},
+            "papr": {"trials": 10, "oversample": 20},
+        },
+    )
+    tracemalloc.start()
+    try:
+        for command in ("papr", "sweep", "mimo"):
+            args = [command, "--config", cfg, "--out", str(tmp_path / command)]
+            assert main(args) == EXIT_OK  # warm-up: lazy imports and first-call state
+            before = tracemalloc.get_traced_memory()[0]
+            assert main(args) == EXIT_OK
+            left = tracemalloc.get_traced_memory()[0] - before
+            assert abs(left) <= 256 * 1024, f"{command} left {left} bytes"
+    finally:
+        tracemalloc.stop()
 
 
 WIRING_TARGETS = [
