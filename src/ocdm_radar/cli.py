@@ -70,6 +70,7 @@ from .rxproc import (
     estimate_peak,
     image_to_csv,
     receive_frame,
+    write_csv,
 )
 from .selftest import run_selftest
 
@@ -345,6 +346,20 @@ def _radar_artifacts(prefix: str, image: RangeVelocityImage) -> dict:
     return {f"{prefix}_peak.json": _peak_payload(image), prefix: image}
 
 
+def _require_targets_within(sc: Scenario, bins: int, range_m: float, region: str) -> None:
+    """Scene precondition: each target's image row, n_delta + k_delta, is below bins.
+
+    The imaged rows are the first ``bins`` of a region; a target past them is
+    not imaged, and another part of the frame wraps into the rows instead.
+    """
+    for i, (n_delta, k_delta, _) in enumerate(sc.shifts):
+        if n_delta + k_delta >= bins:
+            raise ValueError(
+                f"target {i} images at n_delta + k_delta = {n_delta + k_delta:.6g} bins, outside the "
+                f"{bins}-bin {region}: its range must stay below {range_m:.6g} m"
+            )
+
+
 def _cmd_params(config: dict, sc: Scenario) -> dict:
     mode = config["mode"]
     params = sc.radcom_params if mode == "radcom" else sc.params
@@ -364,6 +379,8 @@ def _cmd_radar(config: dict, sc: Scenario) -> dict:
 
 def _cmd_mimo(config: dict, sc: Scenario) -> dict:
     params, mimo = sc.params, sc.mimo
+    limit_m = compute_radar_params(params, num_tx=mimo.num_tx).mimo_max_unambiguous_range_m
+    _require_targets_within(sc, mimo.slice_rows(params.N, 0).stop, limit_m, "MIMO slice")
     artifacts = {}
     for p in range(mimo.num_tx):
         tx = modulate(build_mimo_pilot_frame(params, mimo, p), params)
@@ -375,6 +392,7 @@ def _cmd_mimo(config: dict, sc: Scenario) -> dict:
 
 def _cmd_radcom(config: dict, sc: Scenario) -> dict:
     params, spec = sc.radcom_params, sc.spec
+    _require_targets_within(sc, spec.N_CP, compute_radar_params(params).max_cp_range_m, "RadCom radar sector")
     n_data = spec.num_data_subchirps(params.N)
 
     rng = np.random.default_rng(config["seed"])
@@ -458,8 +476,9 @@ def _cmd_papr(config: dict, sc: Scenario) -> dict:
 def _write_run(out_dir: Path, command: str, config: dict, artifacts: dict) -> None:
     """Write a finished command's artifacts, then the manifest that lists them.
 
-    An artifact is rendered JSON text (str), a CSV ``(header, columns)`` pair or
-    a RangeVelocityImage, which image_to_csv writes with the key as its prefix.
+    An artifact is rendered JSON text (str), a CSV ``(header, columns)`` pair,
+    which write_csv writes, or a RangeVelocityImage, which image_to_csv writes
+    with the key as its prefix.
     """
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -474,14 +493,7 @@ def _write_run(out_dir: Path, command: str, config: dict, artifacts: dict) -> No
             (out_dir / name).write_text(value)
         else:
             header, columns = value
-            np.savetxt(
-                out_dir / name,
-                np.column_stack(columns),
-                delimiter=",",
-                fmt="%.12g",
-                header=header,
-                comments="",
-            )
+            write_csv(out_dir / name, columns, header)
         files.append(name)
     resolved = _canonical_json(config)
     manifest = {

@@ -32,6 +32,7 @@ __all__ = [
     "compute_radar_params",
     "estimate_peak",
     "image_to_csv",
+    "write_csv",
 ]
 
 
@@ -162,7 +163,23 @@ def image_to_csv(image: RangeVelocityImage, prefix) -> list[str]:
     """Write magnitude matrix plus the two axis files; returns written names."""
     prefix = str(prefix)
     names = [f"{prefix}_image.csv", f"{prefix}_range_axis.csv", f"{prefix}_velocity_axis.csv"]
-    np.savetxt(names[0], image.magnitude, delimiter=",", fmt="%.12g")
-    np.savetxt(names[1], image.range_axis_m, delimiter=",", fmt="%.12g")
-    np.savetxt(names[2], image.velocity_axis_mps, delimiter=",", fmt="%.12g")
+    for name, values in zip(names, (image.magnitude, image.range_axis_m, image.velocity_axis_mps)):
+        write_csv(name, values)
     return names
+
+
+def write_csv(path, array, header: str = "") -> None:
+    """Write a table of floats as CSV: '%.12g' values, ',' between them, '\\n' after each row.
+
+    A non-empty header goes first, on a line of its own.  These are the
+    bytes numpy's text writer gives for delimiter=",", fmt="%.12g" and
+    comments="".  ``array`` is a 1-D (one value per row) or 2-D table, or a
+    list of equal-length 1-D columns, joined as np.column_stack would join
+    them but one block of rows at a time.
+    """
+    # Imported on the first write: imported with the package, the formatter's
+    # code shifted the import-time heap layout enough to raise a later
+    # command's peak RSS (mimo, then radcom in one process) by 10-16 MiB.
+    from ._csvwrite import write_table
+
+    write_table(path, array, header)

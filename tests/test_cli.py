@@ -351,7 +351,8 @@ def _library_shifts(params):
 
 def test_commands_image_through_the_library_chain():
     # Every target, the config's SNR and its seed must reach each command's radar channel.
-    raw = {"targets": WIRING_TARGETS, "snr_db": 10.0, "seed": 7, "radcom": {"N_CP": 16}}
+    # A 40-bin (6 m) RadCom sector holds both targets; the MIMO slices are 64 bins (9.6 m).
+    raw = {"targets": WIRING_TARGETS, "snr_db": 10.0, "seed": 7, "radcom": {"N_CP": 40}}
     config = resolve_config(raw)
     sc = cli.build_scenario(config)
     p = WaveformParams(N=256, M=32)
@@ -364,7 +365,7 @@ def test_commands_image_through_the_library_chain():
     want = radar_image(tx, p, _library_shifts(p), 10.0, 7, mimo.slice_rows(p.N, 1))
     assert np.array_equal(cli._cmd_mimo(config, sc)["mimo_p1"].magnitude, want.magnitude)
 
-    p, spec = WaveformParams(N=256, M=32, N_CP=16), RadComFrameSpec(N_CP=16)
+    p, spec = WaveformParams(N=256, M=32, N_CP=40), RadComFrameSpec(N_CP=40)
     n_data = spec.num_data_subchirps(p.N)
     bits = np.random.default_rng(7).integers(0, 2, size=2 * n_data * p.M)
     symbols = (np.sqrt(spec.symbol_energy) * qpsk_map(bits)).reshape(n_data, p.M)
@@ -451,6 +452,26 @@ def test_extreme_scene_exits_3_naming_precondition(tmp_path, capsys, command, co
     assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_PRECONDITION
     assert reason in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, targets, reason",
+    [
+        # At the desk numerology both regions are 64 range bins, 9.6 m.
+        ("radcom", [{"range_m": 3.0}, {"range_m": 9.6}], "target 1 images at n_delta + k_delta = 64 bins"),
+        ("mimo", [{"range_m": 15.0}], "target 0 images at n_delta + k_delta = 100 bins"),
+    ],
+)
+def test_target_outside_imaged_rows_exits_3(tmp_path, capsys, command, targets, reason):
+    # Beyond the RadCom sector or the MIMO slice the image would peak on other rows' data.
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {"targets": targets})
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert reason in err and "below 9.6 m" in err
+    assert not out.exists()
+    # The radar command images the whole unambiguous range.
+    assert main(["radar", "--config", cfg, "--out", str(out)]) == EXIT_OK
 
 
 def test_negative_seed_flag_exits_2_naming_it(tmp_path, capsys):
@@ -545,7 +566,8 @@ def test_default_config_hashes_are_pinned(tmp_path):
 SMALL_CONFIG = {
     "waveform": {"N": 64, "M": 8, "N_CP": 0, "B": 1e9, "fc": 79e9},
     "mode": "radar",
-    "targets": [{"range_m": 3.0, "velocity_mps": 20.0, "amplitude": [1.0, 0.5]}],
+    # 1.8 m is 12 range bins: inside both the 16-bin RadCom sector and the 32-bin MIMO slice.
+    "targets": [{"range_m": 1.8, "velocity_mps": 20.0, "amplitude": [1.0, 0.5]}],
     "snr_db": 20.0,
     "seed": 4,
     "mimo": {"num_tx": 2},

@@ -50,3 +50,9 @@ def test_fresnel_transforms_run_in_one_place_each():
             if path.stem not in homes and re.search(rf"\b{name}\b", path.read_text()):
                 found.append(f"{path.stem} uses {name}")
     assert found == [], found
+
+
+def test_csv_is_written_in_one_place():
+    # rxproc.write_csv writes every CSV; it produces the bytes np.savetxt would.
+    found = [path.stem for path in sorted(PACKAGE.glob("*.py")) if "savetxt" in path.read_text()]
+    assert found == [], found

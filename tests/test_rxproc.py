@@ -1,4 +1,7 @@
-"""Receiver chain, radar parameter table, imaging and peak estimation."""
+"""Receiver chain, radar parameter table, imaging, peak estimation and CSV export."""
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +25,9 @@ from ocdm_radar.rxproc import (
     estimate_peak,
     image_to_csv,
     receive_frame,
+    write_csv,
 )
+from ocdm_radar._csvwrite import _CSV_BLOCK
 
 FULL = WaveformParams(N=2048, M=5120, N_CP=0, B=1e9, fc=79e9)
 
@@ -347,6 +352,78 @@ def test_image_export_and_peak_json(tmp_path):
     names = image_to_csv(image, tmp_path / "img")
     mag = np.loadtxt(names[0], delimiter=",")
     assert mag.shape == (16, 4)
+    for name, values in zip(names, (image.magnitude, image.range_axis_m, image.velocity_axis_mps)):
+        assert Path(name).read_bytes() == _savetxt_bytes(tmp_path / "want.csv", values)
+
+
+def _savetxt_bytes(path, array, header=""):
+    np.savetxt(path, array, delimiter=",", fmt="%.12g", header=header, comments="")
+    return Path(path).read_bytes()
+
+
+def _write_csv_bytes(path, array, header=""):
+    write_csv(path, array, header)
+    return Path(path).read_bytes()
+
+
+# Values where '%.12g' is easy to get wrong: subnormals, signed zeros, non-finite
+# values, powers of ten, exact ties at the 12th digit, carries into a new decade,
+# and values whose scaled significand rounds onto a half integer it is not.
+CSV_EDGE_VALUES = (
+    [5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.0, -0.0, np.nan, np.inf, -np.inf]
+    + [10.0**k for k in range(-30, 31)]
+    + [123456789012.5, 0.5, 2.5, 1e-5, 9.99999999999e-5, 99999.99999995]
+    + [14.54884263465, 172057.6743025, 7.495621119975e-07, 0.008428810805205]
+    + [999999999999.5 * 10.0**k for k in range(-25, 26)]
+    + [123456789012.5 * 10.0**k for k in range(-25, 26)]
+)
+
+
+def test_write_csv_bytes_equal_savetxt():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    raw_bits = st.integers(0, 2**64 - 1).map(lambda b: float(np.array(b, dtype=np.uint64).view(np.float64)))
+    scaled = st.floats(-1e35, 1e35)
+    edge = st.sampled_from(CSV_EDGE_VALUES + [-v for v in CSV_EDGE_VALUES] + [np.nextafter(v, 0) for v in CSV_EDGE_VALUES])
+    values = st.lists(st.one_of(raw_bits, scaled, edge), min_size=1, max_size=60)
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(
+        values=values,
+        shape=st.sampled_from(["1-D", "one row", "one column", "2-D"]),
+        columns=st.integers(2, 5),
+        header=st.sampled_from(["", "re,im"]),
+    )
+    def check(values, shape, columns, header):
+        array = np.array(values)
+        if shape == "one row":
+            array = array[None, :]
+        elif shape == "one column":
+            array = array[:, None]
+        elif shape == "2-D":
+            array = array[: array.size // columns * columns].reshape(-1, columns)
+        want = _savetxt_bytes(tmp / "want.csv", array, header)
+        assert _write_csv_bytes(tmp / "got.csv", array, header) == want
+
+    with tempfile.TemporaryDirectory() as name:
+        tmp = Path(name)
+        check()
+
+
+def test_write_csv_columns_and_blocks_equal_savetxt(tmp_path):
+    # Several blocks of whole rows, the last one short, with Python-formatted values in each.
+    rng = np.random.default_rng(5)
+    n = 2 * _CSV_BLOCK + 11
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 40, n)
+    values[rng.integers(0, n, 50)] = np.nan
+    values[rng.integers(0, n, 50)] = 123456789012.5
+    table = values[: n // 7 * 7].reshape(-1, 7)
+    assert _write_csv_bytes(tmp_path / "got.csv", table) == _savetxt_bytes(tmp_path / "want.csv", table)
+    # A list is the table's columns; an integer column is written as floats, as column_stack makes it.
+    columns = [values, np.tile(np.arange(11), n // 11 + 1)[:n], -values]
+    want = _savetxt_bytes(tmp_path / "want.csv", np.column_stack(columns), "a,b,c")
+    assert _write_csv_bytes(tmp_path / "got.csv", columns, "a,b,c") == want
 
 
 def test_doppler_row_blocks_equal_whole_frame_transform():
