@@ -22,8 +22,10 @@ import numpy as np
 from .channel import _CHANNEL_BLOCK, apply_shift_channel
 from .comms import ofdm_grid, ofdm_modulate, ofdm_pilot_mask
 from .framing import (
+    MimoConfig,
     RadComFrameSpec,
     WaveformParams,
+    build_mimo_pilot_frame,
     build_pilot_frame,
     build_radcom_frame,
     from_stream,
@@ -38,6 +40,7 @@ __all__ = [
     "SweepResult",
     "range_cut_metrics",
     "radar_image",
+    "mimo_leakage_db",
     "single_point_image",
     "doppler_tolerance_sweep",
     "oversampled_papr_db",
@@ -115,20 +118,22 @@ def range_cut_metrics(image: RangeVelocityImage, reference_peak_power: float) ->
 
 
 def radar_image(
-    stream: np.ndarray, params: WaveformParams, shifts, snr_db=None, rng_seed: int = 0, rows=slice(None)
-) -> RangeVelocityImage:
+    stream: np.ndarray, params: WaveformParams, shifts, snr_db=None, rng_seed: int = 0, rows=(slice(None),)
+) -> list[RangeVelocityImage]:
     """The radar chain after the transmitter, on one (reusable) transmit stream.
 
     apply_shift_channel with (n_delta, k_delta, amplitude) shifts and AWGN at
-    snr_db, receive_frame, then doppler_process on the Fresnel-domain ``rows``
-    that hold the CIR (a ``MimoConfig.slice_rows`` slice or
-    ``RadComFrameSpec.radar_rows``; every row by default).
+    snr_db, receive_frame, then doppler_process on each slice of Fresnel-domain
+    rows in the sequence ``rows``, one image per slice.  A slice holds a CIR:
+    every ``MimoConfig.slice_rows`` slice of a superposed MIMO frame,
+    ``RadComFrameSpec.radar_rows``, or every row (the default, one image).
 
     The rx stream's buffer becomes the Fresnel frame: receive_frame runs on
     _CHANNEL_BLOCK symbols at a time, and each fold-corrected block overwrites
     those symbols' samples.  Besides the caller's stream, only the rx stream and
-    the float image are frame-sized: with every row imaged, the three peak at
-    about (2 (N + N_CP) 16 + 8 N) M bytes.
+    the float images are frame-sized: each slice is Doppler-processed on its own
+    rows, so the images hold 8 M bytes per imaged row, and with every row imaged
+    the three peak at about (2 (N + N_CP) 16 + 8 N) M bytes.
     """
     rx = apply_shift_channel(stream, params, shifts, snr_db, rng_seed)
     fresnel = from_stream(rx, params)
@@ -136,7 +141,33 @@ def radar_image(
         stop = min(start + _CHANNEL_BLOCK, params.M)
         block = rx[start * params.symbol_len : stop * params.symbol_len]
         fresnel[:, start:stop] = receive_frame(block, replace(params, M=stop - start))
-    return doppler_process(fresnel[rows], params)
+    return [doppler_process(fresnel[r], params) for r in rows]
+
+
+def mimo_leakage_db(params: WaveformParams, mimo: MimoConfig, shifts) -> list[float | None]:
+    """Cross-slice leakage of each transmitter's slice, 10 log10(E_other / E_own), in dB.
+
+    On the noise-free symbol 0 of the pilot frames, E_own is the energy of
+    transmitter p's echo in its own slice rows and E_other the energy there of
+    the other transmitters' echoes, summed as they add in the superposed frame.
+    Each echo is one single-symbol chain, as in _pilot_imager.  The value is
+    None where E_other is nothing at float64 precision (E_own + E_other ==
+    E_own): integer n_delta + k_delta keep every echo on one row, and the
+    other rows hold only the transforms' rounding residue, about 1e-30 of E_own.
+    """
+    single = replace(params, M=1)
+    echoes = []
+    for p in range(mimo.num_tx):
+        pilot = modulate(build_mimo_pilot_frame(single, mimo, p), single)
+        echoes.append(receive_frame(apply_shift_channel(pilot, single, shifts), single)[:, 0])
+    total = np.sum(echoes, axis=0)
+    leakage = []
+    for p, own in enumerate(echoes):
+        rows = mimo.slice_rows(params.N, p)
+        e_own = np.sum(np.abs(own[rows]) ** 2)
+        e_other = np.sum(np.abs(total[rows] - own[rows]) ** 2)
+        leakage.append(None if e_own + e_other == e_own else float(10.0 * np.log10(e_other / e_own)))
+    return leakage
 
 
 def _pilot_imager(params: WaveformParams):

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import MISSING, asdict, fields, replace
@@ -32,6 +33,7 @@ from . import __version__
 from .analysis import (
     PAPR_THRESHOLDS_DB,
     doppler_tolerance_sweep,
+    mimo_leakage_db,
     ofdm_symbol_builder,
     papr_ccdf,
     pilot_symbol_builder,
@@ -57,9 +59,9 @@ from .framing import (
     MimoConfig,
     RadComFrameSpec,
     WaveformParams,
-    build_mimo_pilot_frame,
     build_pilot_frame,
     build_radcom_frame,
+    build_superposed_pilot_frame,
     modulate,
     qpsk_demap,
     qpsk_map,
@@ -372,7 +374,7 @@ def _cmd_params(config: dict, sc: Scenario) -> dict:
 
 def _cmd_radar(config: dict, sc: Scenario) -> dict:
     tx = modulate(build_pilot_frame(sc.params), sc.params)
-    image = radar_image(tx, sc.params, sc.shifts, config["snr_db"], config["seed"])
+    [image] = radar_image(tx, sc.params, sc.shifts, config["snr_db"], config["seed"])
     del tx  # free it before the peak report's image-sized temporaries
     return _radar_artifacts("radar", image)
 
@@ -381,12 +383,20 @@ def _cmd_mimo(config: dict, sc: Scenario) -> dict:
     params, mimo = sc.params, sc.mimo
     limit_m = compute_radar_params(params, num_tx=mimo.num_tx).mimo_max_unambiguous_range_m
     _require_targets_within(sc, mimo.slice_rows(params.N, 0).stop, limit_m, "MIMO slice")
+    # Every transmitter sends at once: one chain on the summed frame images each slice.
+    # snr_db is per transmitter; the noise is referenced to the summed echo, which
+    # carries num_tx transmitters' power.
+    snr_db = config["snr_db"]
+    if snr_db is not None:
+        snr_db += 10.0 * math.log10(mimo.num_tx)
+    tx = modulate(build_superposed_pilot_frame(params, mimo), params)
+    slices = [mimo.slice_rows(params.N, p) for p in range(mimo.num_tx)]
+    images = radar_image(tx, params, sc.shifts, snr_db, config["seed"], slices)
+    del tx  # free it before the peak reports' image-sized temporaries
     artifacts = {}
-    for p in range(mimo.num_tx):
-        tx = modulate(build_mimo_pilot_frame(params, mimo, p), params)
-        image = radar_image(tx, params, sc.shifts, config["snr_db"], config["seed"], mimo.slice_rows(params.N, p))
-        del tx  # free it before the next stream is built, so two are never alive at once
+    for p, (image, leakage_db) in enumerate(zip(images, mimo_leakage_db(params, mimo, sc.shifts))):
         artifacts.update(_radar_artifacts(f"mimo_p{p}", image))
+        artifacts[f"mimo_p{p}_peak.json"]["leakage_db"] = leakage_db
     return artifacts
 
 
@@ -399,7 +409,7 @@ def _cmd_radcom(config: dict, sc: Scenario) -> dict:
     bits = rng.integers(0, 2, size=2 * n_data * params.M)
     symbols = (np.sqrt(spec.symbol_energy) * qpsk_map(bits)).reshape(n_data, params.M)
     tx = modulate(build_radcom_frame(params, spec, symbols), params)
-    image = radar_image(tx, params, sc.shifts, config["snr_db"], config["seed"], spec.radar_rows)
+    [image] = radar_image(tx, params, sc.shifts, config["snr_db"], config["seed"], [spec.radar_rows])
     artifacts = _radar_artifacts("radcom", image)
 
     # Communication leg over the configured frequency-selective channel.

@@ -26,6 +26,7 @@ __all__ = [
     "RadComFrameSpec",
     "build_pilot_frame",
     "build_mimo_pilot_frame",
+    "build_superposed_pilot_frame",
     "build_radcom_frame",
     "qpsk_map",
     "qpsk_demap",
@@ -162,9 +163,18 @@ def build_pilot_frame(params: WaveformParams) -> np.ndarray:
 
 def build_mimo_pilot_frame(params: WaveformParams, mimo: MimoConfig, tx: int) -> np.ndarray:
     """Pilot frame of one transmitter: subchirp tx*N/num_tx active."""
-    row = mimo.slice_rows(params.N, tx).start
+    return _pilot_rows_frame(params, [mimo.slice_rows(params.N, tx).start])
+
+
+def build_superposed_pilot_frame(params: WaveformParams, mimo: MimoConfig) -> np.ndarray:
+    """The num_tx transmitters' pilot frames summed, as they add on air: subchirps p*N/num_tx active."""
+    return _pilot_rows_frame(params, [mimo.slice_rows(params.N, p).start for p in range(mimo.num_tx)])
+
+
+def _pilot_rows_frame(params: WaveformParams, rows: list[int]) -> np.ndarray:
+    # Only the pilot rows are written; np.zeros leaves the other pages untouched.
     frame = np.zeros((params.N, params.M), dtype=np.complex128)
-    frame[row, :] = 1.0
+    frame[rows, :] = 1.0
     return frame
 
 

@@ -1,5 +1,6 @@
 """Range-cut metrics, Doppler-tolerance sweep, PAPR statistics."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from ocdm_radar.analysis import (
     doppler_tolerance_sweep,
+    mimo_leakage_db,
     ofdm_symbol_builder,
     oversampled_papr_db,
     papr_ccdf,
@@ -18,10 +20,13 @@ from ocdm_radar.analysis import (
 )
 from ocdm_radar.channel import _CHANNEL_BLOCK, apply_shift_channel
 from ocdm_radar.framing import (
+    MimoConfig,
     RadComFrameSpec,
     WaveformParams,
+    build_mimo_pilot_frame,
     build_pilot_frame,
     build_radcom_frame,
+    build_superposed_pilot_frame,
     modulate,
     qpsk_map,
 )
@@ -29,9 +34,14 @@ from ocdm_radar.fresnel import idfnt_fast
 from ocdm_radar.rxproc import receive_frame
 
 SHIFTS = [(10.5, 0.2, 1.0), (60.25, -0.35, 0.3j), (130.0, 0.05, 0.2 - 0.1j)]
+FOUR_SLICES = [slice(0, 64), slice(64, 128), slice(128, 192), slice(192, 256)]  # of N = 256 rows
 
 
-@pytest.mark.parametrize("rows", [slice(None), slice(0, 24)], ids=["all rows", "radar rows"])
+@pytest.mark.parametrize(
+    "rows",
+    [[slice(None)], [slice(0, 24)], FOUR_SLICES],
+    ids=["all rows", "radar rows", "four slices"],
+)
 def test_radar_image_equals_whole_frame_chain(rows):
     # M leaves a partial receive block, the CP rows of the rx buffer are skipped, and
     # the chain matches receive_frame and an fftshift of the complex spectrum on whole frames.
@@ -42,28 +52,92 @@ def test_radar_image_equals_whole_frame_chain(rows):
     symbols = qpsk_map(bits).reshape(-1, params.M)
     stream = modulate(build_radcom_frame(params, spec, symbols), params)
     fresnel = receive_frame(apply_shift_channel(stream, params, SHIFTS, 9.0, 4), params)
-    want = np.abs(np.fft.fftshift(np.fft.fft(fresnel[rows], axis=1), axes=1))
-    image = radar_image(stream, params, SHIFTS, 9.0, 4, rows)
-    assert np.array_equal(image.magnitude, want)
+    images = radar_image(stream, params, SHIFTS, 9.0, 4, rows)
+    assert len(images) == len(rows)
+    for r, image in zip(rows, images):
+        assert np.array_equal(image.magnitude, np.abs(np.fft.fftshift(np.fft.fft(fresnel[r], axis=1), axes=1)))
 
 
 def test_radar_image_holds_no_third_frame():
-    # Above the caller's tx stream, only the rx stream, the float image and block
+    # Above the caller's tx stream, only the rx stream, the float images and block
     # temporaries: a stream-sized noise array, a second Fresnel frame or a complex
     # spectrum of the frame would each exceed the quarter-frame allowance.
+    # Four slices are imaged from their own rows, so their images add up to one.
     params = WaveformParams(N=256, M=1024, N_CP=64)
     stream = modulate(build_pilot_frame(params), params)
     radar_image(stream, params, SHIFTS[:1], 15.0, 3)  # lazy numpy imports, outside the count
-    tracemalloc.start()
-    try:
-        entry = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        image = radar_image(stream, params, SHIFTS, 15.0, 3)
-        peak = tracemalloc.get_traced_memory()[1] - entry
-    finally:
-        tracemalloc.stop()
     rx_bytes, frame_bytes = params.stream_len * 16, params.N * params.M * 16
-    assert peak <= rx_bytes + image.magnitude.nbytes + frame_bytes // 4
+    for rows in ([slice(None)], FOUR_SLICES):
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            images = radar_image(stream, params, SHIFTS, 15.0, 3, rows)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert peak <= rx_bytes + sum(image.magnitude.nbytes for image in images) + frame_bytes // 4
+        del images
+
+
+MIMO = MimoConfig(num_tx=4)
+
+
+def _mimo_images(params, shifts, snr_db=None):
+    """Slice images of the superposed frame, and of each transmitter's frame alone, at seed 5."""
+    slices = [MIMO.slice_rows(params.N, p) for p in range(MIMO.num_tx)]
+    tx = modulate(build_superposed_pilot_frame(params, MIMO), params)
+    offset = 10.0 * math.log10(MIMO.num_tx)  # snr_db is per transmitter
+    superposed = radar_image(tx, params, shifts, None if snr_db is None else snr_db + offset, 5, slices)
+    alone = [
+        radar_image(modulate(build_mimo_pilot_frame(params, MIMO, p), params), params, shifts, snr_db, 5, [rows])[0]
+        for p, rows in enumerate(slices)
+    ]
+    return superposed, alone
+
+
+@pytest.mark.parametrize("snr_db", [None, 10.0], ids=["noise-free", "10 dB"])
+def test_superposed_frame_images_each_slice_as_its_transmitter_alone(snr_db):
+    # Integer n_delta and k_delta keep each echo on one row of its own slice, and with
+    # N_CP = 0 the summed echo has exactly num_tx times one transmitter's power.
+    superposed, alone = _mimo_images(WaveformParams(N=256, M=16), [(10.0, 1.0, 0.5 - 0.2j)], snr_db)
+    for got, want in zip(superposed, alone):
+        assert np.max(np.abs(got.magnitude - want.magnitude)) <= 1e-12 * want.magnitude.max()
+
+
+def test_superposed_frame_carries_fractional_shift_leakage():
+    # A fractional shift spreads each echo over every row, so a slice also holds its
+    # neighbours' echoes, which the one-transmitter-at-a-time chain never saw.
+    params = WaveformParams(N=256, M=16)
+    shifts = [(10.4, 0.2, 1.0)]
+    superposed, alone = _mimo_images(params, shifts)
+    stream = modulate(build_mimo_pilot_frame(params, MIMO, 0), params)
+    [neighbour] = radar_image(stream, params, shifts, rows=[MIMO.slice_rows(params.N, 1)])
+    assert neighbour.magnitude.max() > 1e-2 * alone[0].magnitude.max()
+    for got, want in zip(superposed, alone):
+        assert np.max(np.abs(got.magnitude - want.magnitude)) > 1e-2 * want.magnitude.max()
+
+
+def test_mimo_leakage_is_none_without_cross_slice_energy():
+    params = WaveformParams(N=256, M=16, N_CP=16)
+    assert mimo_leakage_db(params, MIMO, [(10.0, 1.0, 0.5 - 0.2j), (40.0, -2.0, 0.1)]) == [None] * 4
+    assert mimo_leakage_db(params, MIMO, []) == [None] * 4
+
+
+def test_mimo_leakage_of_fractional_shifts_equals_the_frame_chain():
+    # E_other / E_own on symbol 0 of each transmitter's whole noise-free frame.
+    params = WaveformParams(N=256, M=8, N_CP=16)
+    shifts = [(10.4, 0.2, 1.0), (30.0, -0.3, 0.3j)]
+    echoes = [
+        receive_frame(apply_shift_channel(modulate(build_mimo_pilot_frame(params, MIMO, p), params), params, shifts), params)[:, 0]
+        for p in range(MIMO.num_tx)
+    ]
+    for p, got in enumerate(mimo_leakage_db(params, MIMO, shifts)):
+        rows = MIMO.slice_rows(params.N, p)
+        other = sum(e for q, e in enumerate(echoes) if q != p)[rows]
+        want = 10.0 * np.log10(np.sum(np.abs(other) ** 2) / np.sum(np.abs(echoes[p][rows]) ** 2))
+        assert abs(got - want) <= 1e-9
+        assert -40.0 < got < 0.0
 
 
 def test_zero_doppler_integer_target_metrics():
@@ -151,7 +225,7 @@ def test_sweep_equals_its_per_cell_chain():
 @pytest.mark.parametrize("n_delta, k_delta", [(0.0, 0.0), (7.0, 0.0), (10.4, 0.37), (20.5, -0.37), (31.0, 0.25)])
 def test_single_point_image_equals_the_radar_chain(params, n_delta, k_delta):
     # The rank-1 image d p^T equals the M-symbol chain on the whole pilot stream.
-    want = radar_image(modulate(build_pilot_frame(params), params), params, [(n_delta, k_delta, 1.0)])
+    [want] = radar_image(modulate(build_pilot_frame(params), params), params, [(n_delta, k_delta, 1.0)])
     got = single_point_image(params, n_delta, k_delta)
     assert got.magnitude.shape == want.magnitude.shape
     assert np.max(np.abs(got.magnitude - want.magnitude)) <= 1e-12 * want.magnitude.max()

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ocdm_radar import cli
-from ocdm_radar.analysis import radar_image
+from ocdm_radar.analysis import mimo_leakage_db, radar_image
 from ocdm_radar.channel import Target, normalize_target
 from ocdm_radar.cli import EXIT_OK, EXIT_PRECONDITION, EXIT_RUNTIME, EXIT_SCHEMA, main, resolve_config
 from ocdm_radar.cli import ConfigError
@@ -18,9 +18,9 @@ from ocdm_radar.framing import (
     MimoConfig,
     RadComFrameSpec,
     WaveformParams,
-    build_mimo_pilot_frame,
     build_pilot_frame,
     build_radcom_frame,
+    build_superposed_pilot_frame,
     modulate,
     qpsk_map,
 )
@@ -133,7 +133,33 @@ def test_mimo_run_per_channel_images(tmp_path):
     assert main(["mimo", "--config", cfg, "--out", str(out)]) == EXIT_OK
     for p in range(2):
         assert (out / f"mimo_p{p}_image.csv").exists()
-        assert (out / f"mimo_p{p}_peak.json").exists()
+        # 4.5 m is 30 range bins, an integer shift: no other transmitter's echo reaches the slice.
+        assert json.loads((out / f"mimo_p{p}_peak.json").read_text())["leakage_db"] is None
+
+
+def test_mimo_reports_fractional_shift_leakage(tmp_path):
+    raw = {"targets": [{"range_m": 4.56, "velocity_mps": 30.0}], "mimo": {"num_tx": 2}}
+    config = resolve_config(raw)
+    sc = cli.build_scenario(config)
+    artifacts = cli._cmd_mimo(config, sc)
+    want = mimo_leakage_db(sc.params, sc.mimo, sc.shifts)
+    for p in range(2):
+        leakage_db = artifacts[f"mimo_p{p}_peak.json"]["leakage_db"]
+        assert leakage_db == want[p] and -60.0 < leakage_db < 0.0
+
+
+def test_zero_target_mimo_slices_are_radar_rows():
+    # One noise realization for the superposed frame: each slice holds the rows of a
+    # zero-target radar run's image with the same seed, at the same per-transmitter SNR.
+    config = resolve_config({"snr_db": 10.0, "seed": 3})
+    sc = cli.build_scenario(config)
+    radar = cli._cmd_radar(config, sc)["radar"].magnitude
+    artifacts = cli._cmd_mimo(config, sc)
+    for p in range(sc.mimo.num_tx):
+        want = radar[sc.mimo.slice_rows(sc.params.N, p)]
+        got = artifacts[f"mimo_p{p}"].magnitude
+        assert np.max(np.abs(got - want)) <= 1e-12 * want.max()
+        assert artifacts[f"mimo_p{p}_peak.json"]["leakage_db"] is None
 
 
 def test_radcom_run_reports(tmp_path):
@@ -293,8 +319,8 @@ def _lone_peak_image(shape):
 @pytest.mark.parametrize(
     "image",
     [
-        lambda tx, p: radar_image(tx, p, [(10.4, -0.2, 1.0), (40.0, 0.1, 0.01)], 5.0, 3),
-        lambda tx, p: radar_image(tx, p, [(12.0, 0.0, 1.0)]),
+        lambda tx, p: radar_image(tx, p, [(10.4, -0.2, 1.0), (40.0, 0.1, 0.01)], 5.0, 3)[0],
+        lambda tx, p: radar_image(tx, p, [(12.0, 0.0, 1.0)])[0],
         lambda tx, p: _lone_peak_image((p.N, p.M)),
         lambda tx, p: _lone_peak_image((1, 1)),
     ],
@@ -357,20 +383,24 @@ def test_commands_image_through_the_library_chain():
     sc = cli.build_scenario(config)
     p = WaveformParams(N=256, M=32)
 
-    want = radar_image(modulate(build_pilot_frame(p), p), p, _library_shifts(p), 10.0, 7)
+    [want] = radar_image(modulate(build_pilot_frame(p), p), p, _library_shifts(p), 10.0, 7)
     assert np.array_equal(cli._cmd_radar(config, sc)["radar"].magnitude, want.magnitude)
 
+    # The four transmitters send at once; snr_db is per transmitter, so the summed echo's SNR is 6 dB higher.
     mimo = MimoConfig(4)
-    tx = modulate(build_mimo_pilot_frame(p, mimo, 1), p)
-    want = radar_image(tx, p, _library_shifts(p), 10.0, 7, mimo.slice_rows(p.N, 1))
-    assert np.array_equal(cli._cmd_mimo(config, sc)["mimo_p1"].magnitude, want.magnitude)
+    tx = modulate(build_superposed_pilot_frame(p, mimo), p)
+    slices = [mimo.slice_rows(p.N, tx_index) for tx_index in range(4)]
+    want = radar_image(tx, p, _library_shifts(p), 10.0 + 10.0 * math.log10(4), 7, slices)
+    artifacts = cli._cmd_mimo(config, sc)
+    for tx_index in range(4):
+        assert np.array_equal(artifacts[f"mimo_p{tx_index}"].magnitude, want[tx_index].magnitude)
 
     p, spec = WaveformParams(N=256, M=32, N_CP=40), RadComFrameSpec(N_CP=40)
     n_data = spec.num_data_subchirps(p.N)
     bits = np.random.default_rng(7).integers(0, 2, size=2 * n_data * p.M)
     symbols = (np.sqrt(spec.symbol_energy) * qpsk_map(bits)).reshape(n_data, p.M)
     tx = modulate(build_radcom_frame(p, spec, symbols), p)
-    want = radar_image(tx, p, _library_shifts(p), 10.0, 7, spec.radar_rows)
+    [want] = radar_image(tx, p, _library_shifts(p), 10.0, 7, [spec.radar_rows])
     assert np.array_equal(cli._cmd_radcom(config, sc)["radcom"].magnitude, want.magnitude)
 
 

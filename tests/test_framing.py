@@ -10,6 +10,7 @@ from ocdm_radar.framing import (
     build_mimo_pilot_frame,
     build_pilot_frame,
     build_radcom_frame,
+    build_superposed_pilot_frame,
     from_stream,
     qpsk_demap,
     qpsk_map,
@@ -88,6 +89,15 @@ def test_mimo_pilot_indivisible_rejected():
     params = WaveformParams(N=10, M=1)
     with pytest.raises(ValueError):
         build_mimo_pilot_frame(params, MimoConfig(num_tx=4), 0)
+    with pytest.raises(ValueError):
+        build_superposed_pilot_frame(params, MimoConfig(num_tx=4))
+
+
+@pytest.mark.parametrize("num_tx", [1, 2, 4, 8])
+def test_superposed_pilot_frame_is_the_sum_of_transmitter_frames(num_tx):
+    params, mimo = WaveformParams(N=16, M=3), MimoConfig(num_tx=num_tx)
+    frames = [build_mimo_pilot_frame(params, mimo, p) for p in range(num_tx)]
+    assert np.array_equal(build_superposed_pilot_frame(params, mimo), sum(frames))
 
 
 def test_radcom_frame_layout():
