@@ -19,9 +19,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import _CHANNEL_BLOCK, apply_shift_channel
+from .channel import apply_shift_channel
 from .comms import ofdm_grid, ofdm_modulate, ofdm_pilot_mask
 from .framing import (
+    _CHANNEL_BLOCK,
     MimoConfig,
     RadComFrameSpec,
     WaveformParams,
@@ -118,24 +119,27 @@ def range_cut_metrics(image: RangeVelocityImage, reference_peak_power: float) ->
 
 
 def radar_image(
-    stream: np.ndarray, params: WaveformParams, shifts, snr_db=None, rng_seed: int = 0, rows=(slice(None),)
+    frame: np.ndarray, params: WaveformParams, shifts, snr_db=None, rng_seed: int = 0, rows=(slice(None),)
 ) -> list[RangeVelocityImage]:
-    """The radar chain after the transmitter, on one (reusable) transmit stream.
+    """The radar chain on one Fresnel-domain (N x M) transmit frame, which it leaves as it is.
 
-    apply_shift_channel with (n_delta, k_delta, amplitude) shifts and AWGN at
-    snr_db, receive_frame, then doppler_process on each slice of Fresnel-domain
-    rows in the sequence ``rows``, one image per slice.  A slice holds a CIR:
-    every ``MimoConfig.slice_rows`` slice of a superposed MIMO frame,
-    ``RadComFrameSpec.radar_rows``, or every row (the default, one image).
+    modulate, apply_shift_channel with (n_delta, k_delta, amplitude) shifts and
+    AWGN at snr_db, receive_frame, then doppler_process on each slice of
+    Fresnel-domain rows in the sequence ``rows``, one image per slice.  A slice
+    holds a CIR: every ``MimoConfig.slice_rows`` slice of a superposed MIMO
+    frame, ``RadComFrameSpec.radar_rows``, or every row (the default, one image).
 
-    The rx stream's buffer becomes the Fresnel frame: receive_frame runs on
-    _CHANNEL_BLOCK symbols at a time, and each fold-corrected block overwrites
-    those symbols' samples.  Besides the caller's stream, only the rx stream and
-    the float images are frame-sized: each slice is Doppler-processed on its own
-    rows, so the images hold 8 M bytes per imaged row, and with every row imaged
-    the three peak at about (2 (N + N_CP) 16 + 8 N) M bytes.
+    One (N + N_CP) M complex buffer carries the chain: modulate writes the tx
+    stream into it, the channel overwrites it with the rx stream, and
+    receive_frame runs on _CHANNEL_BLOCK symbols at a time, each fold-corrected
+    block overwriting those symbols' samples, so it ends as the Fresnel frame.
+    Besides the caller's frame, only that buffer and the float images are
+    frame-sized: each slice is Doppler-processed on its own rows, so the images
+    hold 8 M bytes per imaged row, and with every row imaged the two peak at
+    about ((N + N_CP) 16 + 8 N) M bytes.
     """
-    rx = apply_shift_channel(stream, params, shifts, snr_db, rng_seed)
+    rx = modulate(frame, params)
+    apply_shift_channel(rx, params, shifts, snr_db, rng_seed, out=rx)
     fresnel = from_stream(rx, params)
     for start in range(0, params.M, _CHANNEL_BLOCK):
         stop = min(start + _CHANNEL_BLOCK, params.M)
@@ -173,7 +177,7 @@ def mimo_leakage_db(params: WaveformParams, mimo: MimoConfig, shifts) -> list[fl
 def _pilot_imager(params: WaveformParams):
     """The noise-free pilot-frame image of one unit scatterer, as a function of (n_delta, k_delta).
 
-    It equals radar_image on the pilot stream, with M - 1 of its M symbol
+    It equals radar_image on the pilot frame, with M - 1 of its M symbol
     chains left out.  The pilot frame's M columns are equal, and the channel
     gives symbol m the received symbol 0 times the per-symbol factor
     p[m] = e^{2 pi i k_delta m (N + N_CP) / N} of channel._echoes.  The receive

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fresnel import dirichlet_kernel
-from .framing import C0, WaveformParams, from_stream, to_stream
+from .framing import _CHANNEL_BLOCK, C0, WaveformParams, from_stream, to_stream
 
 __all__ = [
     "Target",
@@ -45,13 +45,6 @@ __all__ = [
 ]
 
 DOPPLER_SIGN = -1.0
-
-# Symbols per channel block; analysis.radar_image receives in blocks of the same
-# width and rxproc.doppler_process sizes its row blocks to as many elements.
-# Any width from 16 to 256 runs a full-scale frame (N=2048, M=5120, 3 targets)
-# in 0.8-0.9 s on 2 vCPUs, 1024 takes 1.2 s; at 64 each block temporary is
-# 2 MiB, a few MiB in all beside the frame-sized rx stream.
-_CHANNEL_BLOCK = 64
 
 # Samples per noise draw in _add_awgn: a 512 KiB float buffer.
 _NOISE_CHUNK = 1 << 16
@@ -116,8 +109,11 @@ def _mean_power(x: np.ndarray) -> float:
     return float(np.mean(power))
 
 
-def _add_awgn(signal: np.ndarray, snr_db: float, rng_seed: int, stream: np.ndarray) -> None:
+def _add_awgn(signal: np.ndarray, snr_db: float, rng_seed: int, tx_power: float) -> None:
     """Add complex AWGN at snr_db below the signal's mean power, in place.
+
+    A zero signal (a zero-target scene) is referenced to tx_power, the mean
+    power of the transmit stream, so a pure-noise stream is still produced.
 
     One generator draws every real part, then every imaginary part, in
     _NOISE_CHUNK pieces; each piece is scaled by sqrt(sigma2 / 2) and added
@@ -125,11 +121,7 @@ def _add_awgn(signal: np.ndarray, snr_db: float, rng_seed: int, stream: np.ndarr
     signal + sqrt(sigma2 / 2) * (re + 1j*im) with whole-stream re and im, so
     the noisy signal is equal to it, without a stream-sized noise array.
     """
-    power = _mean_power(signal)
-    if power == 0.0:
-        # Zero-target scenes: reference the transmit stream's power so a
-        # pure-noise stream is still produced.
-        power = _mean_power(stream)
+    power = _mean_power(signal) or tx_power
     try:
         sigma2 = power * 10.0 ** (-snr_db / 10.0)
     except OverflowError:
@@ -151,6 +143,7 @@ def apply_shift_channel(
     shifts: list[tuple[float, float, complex]],
     snr_db: float | None = None,
     rng_seed: int = 0,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Channel in normalized coordinates: list of (n_delta, k_delta, amplitude).
 
@@ -163,6 +156,12 @@ def apply_shift_channel(
     Doppler ramp is the in-symbol factor e^{2 pi i k_delta r / N} over every row
     r, CP rows included (so each keeps its phase e^{-2 pi i k_delta} relative to
     its tail), times the per-symbol factor A e^{2 pi i k_delta m (N + N_CP) / N}.
+
+    The received stream is written into ``out`` (a complex128 array of the
+    stream's length) when given, else into a new array, and returned.  ``out``
+    may be ``stream`` itself: a block's symbols are read before they are
+    overwritten, and the transmit power (the zero-target noise reference) is
+    measured before the first write, so the result is the same bit for bit.
     """
     stream = np.asarray(stream, dtype=np.complex128)
     for n_delta, _, _ in shifts:
@@ -170,14 +169,25 @@ def apply_shift_channel(
             raise ValueError(
                 f"n_delta={n_delta} violates the unambiguous range [0, N={params.N})"
             )
-    received = _echoes(from_stream(stream, params), params, shifts)
+    frame = from_stream(stream, params)
+    if out is None:
+        out = np.empty(params.stream_len, dtype=np.complex128)
+    elif out.shape != (params.stream_len,) or out.dtype != np.complex128 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a contiguous complex128 array of shape {(params.stream_len,)}")
+    tx_power = None if snr_db is None else _mean_power(stream)
+    _echoes(frame, params, shifts, out.reshape((params.symbol_len, params.M), order="F"))
     if snr_db is not None:
-        _add_awgn(received, snr_db, rng_seed, stream)
-    return received
+        _add_awgn(out, snr_db, rng_seed, tx_power)
+    return out
 
 
-def _echoes(frame: np.ndarray, params: WaveformParams, shifts) -> np.ndarray:
-    """The noise-free received stream; its block temporaries are gone before the noise is added."""
+def _echoes(frame: np.ndarray, params: WaveformParams, shifts, received: np.ndarray) -> None:
+    """The noise-free received symbols into ``received``, (N + N_CP, M), a block at a time.
+
+    Each block's spectrum is taken before the block's columns of ``received``
+    are written, so ``frame`` may be a view into the same buffer.  The block
+    temporaries are gone before the noise is added.
+    """
     n, rows = params.N, params.symbol_len
     r, m = np.arange(rows), np.arange(params.M)
     factors = [
@@ -186,18 +196,18 @@ def _echoes(frame: np.ndarray, params: WaveformParams, shifts) -> np.ndarray:
         for n_delta, k_delta, amplitude in shifts
     ]
 
-    received = np.zeros((rows, params.M), dtype=np.complex128, order="F")
     for start in range(0, params.M, _CHANNEL_BLOCK):
         stop = min(start + _CHANNEL_BLOCK, params.M)
         block_params = replace(params, M=stop - start)
         spectrum = np.fft.fft(frame[:, start:stop], axis=0)
+        block = received[:, start:stop]
+        block.fill(0.0)  # the echoes add onto zeros, as into a fresh np.zeros buffer
         for phase, in_symbol, per_symbol in factors:
             s = to_stream(np.fft.ifft(spectrum * phase, axis=0), block_params)
             s = s.reshape((rows, block_params.M), order="F")
             s *= in_symbol
             s *= per_symbol[start:stop]
-            received[:, start:stop] += s
-    return received.ravel(order="F")
+            block += s
 
 
 def _phi_m(params: WaveformParams, k_delta: float) -> np.ndarray:
@@ -314,5 +324,5 @@ def apply_comm_channel(stream: np.ndarray, cfg: CommChannelConfig, params: Wavef
     spectrum *= cfr[:, None]
     received = to_stream(np.fft.ifft(spectrum, axis=0), params)
     if cfg.snr_db is not None:
-        _add_awgn(received, cfg.snr_db, cfg.rng_seed, stream)
+        _add_awgn(received, cfg.snr_db, cfg.rng_seed, _mean_power(stream))
     return received

@@ -373,9 +373,7 @@ def _cmd_params(config: dict, sc: Scenario) -> dict:
 
 
 def _cmd_radar(config: dict, sc: Scenario) -> dict:
-    tx = modulate(build_pilot_frame(sc.params), sc.params)
-    [image] = radar_image(tx, sc.params, sc.shifts, config["snr_db"], config["seed"])
-    del tx  # free it before the peak report's image-sized temporaries
+    [image] = radar_image(build_pilot_frame(sc.params), sc.params, sc.shifts, config["snr_db"], config["seed"])
     return _radar_artifacts("radar", image)
 
 
@@ -389,10 +387,8 @@ def _cmd_mimo(config: dict, sc: Scenario) -> dict:
     snr_db = config["snr_db"]
     if snr_db is not None:
         snr_db += 10.0 * math.log10(mimo.num_tx)
-    tx = modulate(build_superposed_pilot_frame(params, mimo), params)
     slices = [mimo.slice_rows(params.N, p) for p in range(mimo.num_tx)]
-    images = radar_image(tx, params, sc.shifts, snr_db, config["seed"], slices)
-    del tx  # free it before the peak reports' image-sized temporaries
+    images = radar_image(build_superposed_pilot_frame(params, mimo), params, sc.shifts, snr_db, config["seed"], slices)
     artifacts = {}
     for p, (image, leakage_db) in enumerate(zip(images, mimo_leakage_db(params, mimo, sc.shifts))):
         artifacts.update(_radar_artifacts(f"mimo_p{p}", image))
@@ -408,11 +404,13 @@ def _cmd_radcom(config: dict, sc: Scenario) -> dict:
     rng = np.random.default_rng(config["seed"])
     bits = rng.integers(0, 2, size=2 * n_data * params.M)
     symbols = (np.sqrt(spec.symbol_energy) * qpsk_map(bits)).reshape(n_data, params.M)
-    tx = modulate(build_radcom_frame(params, spec, symbols), params)
-    [image] = radar_image(tx, params, sc.shifts, config["snr_db"], config["seed"], [spec.radar_rows])
+    frame = build_radcom_frame(params, spec, symbols)
+    [image] = radar_image(frame, params, sc.shifts, config["snr_db"], config["seed"], [spec.radar_rows])
     artifacts = _radar_artifacts("radcom", image)
 
     # Communication leg over the configured frequency-selective channel.
+    tx = modulate(frame, params)
+    del frame  # free it before the comm channel's frame-sized temporaries
     comm_frame = receive_frame(apply_comm_channel(tx, sc.comm_channel, params), params, correct_fold=False)
     spread = sc.comm_channel.delay_spread
     if spread >= spec.N_CP:  # apply_comm_channel allows N_CP, which wraps the last data row into the pilot row
@@ -587,7 +585,7 @@ def main(argv=None) -> int:
             return EXIT_PRECONDITION
         except MemoryError:
             p = scenario.radcom_params if args.command == "radcom" else scenario.params
-            peak = (2 * p.symbol_len * 16 + p.N * 8) * p.M  # tx and rx streams, float image
+            peak = (p.symbol_len * 16 + p.N * 8) * p.M  # the chain's one stream buffer, float image
             print(
                 f"error: precondition violated: out of memory at N={p.N}, M={p.M}, N_CP={p.N_CP}; "
                 f"the radar chain needs about {peak / 2**20:.1f} MiB",

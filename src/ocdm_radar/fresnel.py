@@ -102,7 +102,10 @@ def dfnt_fast(x: np.ndarray) -> np.ndarray:
     gamma = gamma_vector(n)
     if x.ndim == 2:
         gamma = gamma[:, None]
-    return np.sqrt(n) * np.fft.ifft(gamma * np.fft.fft(x, axis=0), axis=0)
+    out = np.fft.fft(x, axis=0)
+    np.multiply(gamma, out, out=out)
+    np.fft.ifft(out, axis=0, out=out)
+    return np.multiply(np.sqrt(n), out, out=out)
 
 
 def idfnt_fast(x: np.ndarray) -> np.ndarray:
@@ -112,7 +115,11 @@ def idfnt_fast(x: np.ndarray) -> np.ndarray:
     gamma = np.conj(gamma_vector(n))
     if x.ndim == 2:
         gamma = gamma[:, None]
-    return np.fft.ifft(gamma * np.fft.fft(x, axis=0), axis=0) / np.sqrt(n)
+    out = np.fft.fft(x, axis=0)
+    np.multiply(gamma, out, out=out)
+    np.fft.ifft(out, axis=0, out=out)
+    out /= np.sqrt(n)
+    return out
 
 
 def phase_fold_correct(y: np.ndarray) -> np.ndarray:

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _CHANNEL_BLOCK
 from .fresnel import dfnt_fast, phase_fold_correct
-from .framing import C0, MimoConfig, WaveformParams, from_stream
+from .framing import _CHANNEL_BLOCK, C0, MimoConfig, WaveformParams, from_stream
 
 __all__ = [
     "RangeVelocityImage",

@@ -18,8 +18,9 @@ from ocdm_radar.analysis import (
     range_cut_metrics,
     single_point_image,
 )
-from ocdm_radar.channel import _CHANNEL_BLOCK, apply_shift_channel
+from ocdm_radar.channel import apply_shift_channel
 from ocdm_radar.framing import (
+    _CHANNEL_BLOCK,
     MimoConfig,
     RadComFrameSpec,
     WaveformParams,
@@ -50,29 +51,30 @@ def test_radar_image_equals_whole_frame_chain(rows):
     rng = np.random.default_rng(17)
     bits = rng.integers(0, 2, size=2 * spec.num_data_subchirps(params.N) * params.M)
     symbols = qpsk_map(bits).reshape(-1, params.M)
-    stream = modulate(build_radcom_frame(params, spec, symbols), params)
-    fresnel = receive_frame(apply_shift_channel(stream, params, SHIFTS, 9.0, 4), params)
-    images = radar_image(stream, params, SHIFTS, 9.0, 4, rows)
+    frame = build_radcom_frame(params, spec, symbols)
+    fresnel = receive_frame(apply_shift_channel(modulate(frame, params), params, SHIFTS, 9.0, 4), params)
+    images = radar_image(frame, params, SHIFTS, 9.0, 4, rows)
     assert len(images) == len(rows)
     for r, image in zip(rows, images):
         assert np.array_equal(image.magnitude, np.abs(np.fft.fftshift(np.fft.fft(fresnel[r], axis=1), axes=1)))
 
 
 def test_radar_image_holds_no_third_frame():
-    # Above the caller's tx stream, only the rx stream, the float images and block
-    # temporaries: a stream-sized noise array, a second Fresnel frame or a complex
-    # spectrum of the frame would each exceed the quarter-frame allowance.
+    # Above the caller's tx frame, only the one stream buffer (tx, then rx, then the
+    # Fresnel frame), the float images and block temporaries: a second stream, a
+    # whole-frame IDFnT, a stream-sized noise array or a complex spectrum of the
+    # frame would each exceed the quarter-frame allowance.
     # Four slices are imaged from their own rows, so their images add up to one.
     params = WaveformParams(N=256, M=1024, N_CP=64)
-    stream = modulate(build_pilot_frame(params), params)
-    radar_image(stream, params, SHIFTS[:1], 15.0, 3)  # lazy numpy imports, outside the count
+    frame = build_pilot_frame(params)
+    radar_image(frame, params, SHIFTS[:1], 15.0, 3)  # lazy numpy imports, outside the count
     rx_bytes, frame_bytes = params.stream_len * 16, params.N * params.M * 16
     for rows in ([slice(None)], FOUR_SLICES):
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            images = radar_image(stream, params, SHIFTS, 15.0, 3, rows)
+            images = radar_image(frame, params, SHIFTS, 15.0, 3, rows)
             peak = tracemalloc.get_traced_memory()[1] - entry
         finally:
             tracemalloc.stop()
@@ -86,11 +88,11 @@ MIMO = MimoConfig(num_tx=4)
 def _mimo_images(params, shifts, snr_db=None):
     """Slice images of the superposed frame, and of each transmitter's frame alone, at seed 5."""
     slices = [MIMO.slice_rows(params.N, p) for p in range(MIMO.num_tx)]
-    tx = modulate(build_superposed_pilot_frame(params, MIMO), params)
+    frame = build_superposed_pilot_frame(params, MIMO)
     offset = 10.0 * math.log10(MIMO.num_tx)  # snr_db is per transmitter
-    superposed = radar_image(tx, params, shifts, None if snr_db is None else snr_db + offset, 5, slices)
+    superposed = radar_image(frame, params, shifts, None if snr_db is None else snr_db + offset, 5, slices)
     alone = [
-        radar_image(modulate(build_mimo_pilot_frame(params, MIMO, p), params), params, shifts, snr_db, 5, [rows])[0]
+        radar_image(build_mimo_pilot_frame(params, MIMO, p), params, shifts, snr_db, 5, [rows])[0]
         for p, rows in enumerate(slices)
     ]
     return superposed, alone
@@ -111,8 +113,8 @@ def test_superposed_frame_carries_fractional_shift_leakage():
     params = WaveformParams(N=256, M=16)
     shifts = [(10.4, 0.2, 1.0)]
     superposed, alone = _mimo_images(params, shifts)
-    stream = modulate(build_mimo_pilot_frame(params, MIMO, 0), params)
-    [neighbour] = radar_image(stream, params, shifts, rows=[MIMO.slice_rows(params.N, 1)])
+    frame = build_mimo_pilot_frame(params, MIMO, 0)
+    [neighbour] = radar_image(frame, params, shifts, rows=[MIMO.slice_rows(params.N, 1)])
     assert neighbour.magnitude.max() > 1e-2 * alone[0].magnitude.max()
     for got, want in zip(superposed, alone):
         assert np.max(np.abs(got.magnitude - want.magnitude)) > 1e-2 * want.magnitude.max()
@@ -225,7 +227,7 @@ def test_sweep_equals_its_per_cell_chain():
 @pytest.mark.parametrize("n_delta, k_delta", [(0.0, 0.0), (7.0, 0.0), (10.4, 0.37), (20.5, -0.37), (31.0, 0.25)])
 def test_single_point_image_equals_the_radar_chain(params, n_delta, k_delta):
     # The rank-1 image d p^T equals the M-symbol chain on the whole pilot stream.
-    [want] = radar_image(modulate(build_pilot_frame(params), params), params, [(n_delta, k_delta, 1.0)])
+    [want] = radar_image(build_pilot_frame(params), params, [(n_delta, k_delta, 1.0)])
     got = single_point_image(params, n_delta, k_delta)
     assert got.magnitude.shape == want.magnitude.shape
     assert np.max(np.abs(got.magnitude - want.magnitude)) <= 1e-12 * want.magnitude.max()

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from ocdm_radar.channel import (
-    _CHANNEL_BLOCK,
     _NOISE_CHUNK,
     CommChannelConfig,
     _add_awgn,
@@ -20,7 +19,7 @@ from ocdm_radar.channel import (
     normalize_target,
     two_tap_tilt_cir,
 )
-from ocdm_radar.framing import WaveformParams, build_pilot_frame, from_stream, to_stream
+from ocdm_radar.framing import _CHANNEL_BLOCK, WaveformParams, build_pilot_frame, from_stream, to_stream
 from ocdm_radar.fresnel import dfnt_fast, dirichlet_kernel, idfnt_fast
 from ocdm_radar.rxproc import receive_frame
 
@@ -199,8 +198,40 @@ def test_chunked_awgn_equals_whole_stream_noise(zero_signal):
     stream = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     signal = np.zeros(size, dtype=complex) if zero_signal else 0.3j * stream[::-1].copy()
     want = _whole_stream_awgn(signal, 7.5, 11, stream)
-    _add_awgn(signal, 7.5, 11, stream)
+    _add_awgn(signal, 7.5, 11, float(np.mean(np.abs(stream) ** 2)))
     assert np.array_equal(signal, want)
+
+
+@pytest.mark.parametrize(
+    "shifts, snr_db",
+    [
+        ([(3.3, 0.27, 0.8 - 0.3j), (40.25, -1.5, 0.2j)], 9.0),
+        ([(3.3, 0.27, 0.8 - 0.3j), (40.25, -1.5, 0.2j)], None),
+        ([], 9.0),
+        ([(12.0, 0.5, 0.0)], 9.0),
+    ],
+    ids=["noisy", "noise-free", "no target", "zero amplitude"],
+)
+def test_in_place_channel_equals_out_of_place(shifts, snr_db):
+    # out=stream: every block is read before it is overwritten, and the zero-target
+    # noise is referenced to the transmit power measured before the first write.
+    params = WaveformParams(N=64, M=2 * _CHANNEL_BLOCK + 5, N_CP=16)
+    stream = pilot_stream(params) + 0.1 * to_stream(np.eye(params.N, params.M), params)
+    want = apply_shift_channel(stream, params, shifts, snr_db, rng_seed=5)
+    buffer = stream.copy()
+    got = apply_shift_channel(buffer, params, shifts, snr_db, rng_seed=5, out=buffer)
+    assert got is buffer
+    assert got.tobytes() == want.tobytes()
+
+
+def test_shift_channel_out_must_fit_the_stream():
+    params = WaveformParams(N=16, M=3, N_CP=4)
+    stream = pilot_stream(params)
+    short, real = np.empty(params.stream_len - 1, complex), np.empty(params.stream_len)
+    strided = np.empty(2 * params.stream_len, complex)[::2]
+    for out in (short, real, strided):
+        with pytest.raises(ValueError, match="out must be"):
+            apply_shift_channel(stream, params, [(1.0, 0.0, 1.0)], out=out)
 
 
 def test_comm_channel_equals_out_of_place_product():

@@ -21,7 +21,6 @@ from ocdm_radar.framing import (
     build_pilot_frame,
     build_radcom_frame,
     build_superposed_pilot_frame,
-    modulate,
     qpsk_map,
 )
 from ocdm_radar.rxproc import RangeVelocityImage
@@ -319,16 +318,16 @@ def _lone_peak_image(shape):
 @pytest.mark.parametrize(
     "image",
     [
-        lambda tx, p: radar_image(tx, p, [(10.4, -0.2, 1.0), (40.0, 0.1, 0.01)], 5.0, 3)[0],
-        lambda tx, p: radar_image(tx, p, [(12.0, 0.0, 1.0)])[0],
-        lambda tx, p: _lone_peak_image((p.N, p.M)),
-        lambda tx, p: _lone_peak_image((1, 1)),
+        lambda frame, p: radar_image(frame, p, [(10.4, -0.2, 1.0), (40.0, 0.1, 0.01)], 5.0, 3)[0],
+        lambda frame, p: radar_image(frame, p, [(12.0, 0.0, 1.0)])[0],
+        lambda frame, p: _lone_peak_image((p.N, p.M)),
+        lambda frame, p: _lone_peak_image((1, 1)),
     ],
     ids=["noisy", "noise-free", "lone peak", "one cell"],
 )
 def test_peak_payload_floor_equals_the_masked_mean(image):
     params = WaveformParams(N=64, M=16)
-    image = image(modulate(build_pilot_frame(params), params), params)
+    image = image(build_pilot_frame(params), params)
     want_margin, want_detected = _masked_mean_margin(image.magnitude)
     payload = cli._peak_payload(image)
     assert payload["detected"] is want_detected
@@ -364,6 +363,28 @@ def test_repeated_commands_leave_no_traced_memory(tmp_path):
         tracemalloc.stop()
 
 
+def test_radar_command_holds_one_stream():
+    # Above the pilot frame (traced at its full np.zeros size, though its untouched
+    # pages take no resident memory), _cmd_radar holds one stream buffer, the image
+    # and block temporaries: a second stream would exceed the quarter-frame allowance.
+    config = resolve_config(
+        {"waveform": {"N": 256, "M": 1024}, "targets": [{"range_m": 5.03, "velocity_mps": 10.0}], "snr_db": 15.0}
+    )
+    sc = cli.build_scenario(config)
+    p = sc.params
+    cli._cmd_radar(config, sc)  # lazy numpy imports, outside the count
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        image = cli._cmd_radar(config, sc)["radar"]
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    frame_bytes = p.N * p.M * 16
+    assert peak <= frame_bytes + p.stream_len * 16 + image.magnitude.nbytes + frame_bytes // 4
+
+
 WIRING_TARGETS = [
     {"range_m": 5.03, "velocity_mps": 10.0, "amplitude": [1.0, 0.5]},
     {"range_m": 2.2, "velocity_mps": -20.0, "amplitude": [0.0, 0.2]},
@@ -383,14 +404,14 @@ def test_commands_image_through_the_library_chain():
     sc = cli.build_scenario(config)
     p = WaveformParams(N=256, M=32)
 
-    [want] = radar_image(modulate(build_pilot_frame(p), p), p, _library_shifts(p), 10.0, 7)
+    [want] = radar_image(build_pilot_frame(p), p, _library_shifts(p), 10.0, 7)
     assert np.array_equal(cli._cmd_radar(config, sc)["radar"].magnitude, want.magnitude)
 
     # The four transmitters send at once; snr_db is per transmitter, so the summed echo's SNR is 6 dB higher.
     mimo = MimoConfig(4)
-    tx = modulate(build_superposed_pilot_frame(p, mimo), p)
+    frame = build_superposed_pilot_frame(p, mimo)
     slices = [mimo.slice_rows(p.N, tx_index) for tx_index in range(4)]
-    want = radar_image(tx, p, _library_shifts(p), 10.0 + 10.0 * math.log10(4), 7, slices)
+    want = radar_image(frame, p, _library_shifts(p), 10.0 + 10.0 * math.log10(4), 7, slices)
     artifacts = cli._cmd_mimo(config, sc)
     for tx_index in range(4):
         assert np.array_equal(artifacts[f"mimo_p{tx_index}"].magnitude, want[tx_index].magnitude)
@@ -399,8 +420,8 @@ def test_commands_image_through_the_library_chain():
     n_data = spec.num_data_subchirps(p.N)
     bits = np.random.default_rng(7).integers(0, 2, size=2 * n_data * p.M)
     symbols = (np.sqrt(spec.symbol_energy) * qpsk_map(bits)).reshape(n_data, p.M)
-    tx = modulate(build_radcom_frame(p, spec, symbols), p)
-    [want] = radar_image(tx, p, _library_shifts(p), 10.0, 7, [spec.radar_rows])
+    frame = build_radcom_frame(p, spec, symbols)
+    [want] = radar_image(frame, p, _library_shifts(p), 10.0, 7, [spec.radar_rows])
     assert np.array_equal(cli._cmd_radcom(config, sc)["radcom"].magnitude, want.magnitude)
 
 
@@ -568,7 +589,7 @@ def test_memory_error_exits_3_naming_numerology(tmp_path, capsys, monkeypatch, c
     assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_PRECONDITION
     err = capsys.readouterr().err
     n_cp = 64 if command == "radcom" else 0
-    peak_mib = (2 * (256 + n_cp) * 16 + 256 * 8) * 32 / 2**20
+    peak_mib = ((256 + n_cp) * 16 + 256 * 8) * 32 / 2**20
     assert f"out of memory at {numerology}" in err and f"about {peak_mib:.1f} MiB" in err, err
     assert not out.exists()
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ocdm_radar.framing import (
+    _CHANNEL_BLOCK,
     MimoConfig,
     RadComFrameSpec,
     WaveformParams,
@@ -12,6 +13,7 @@ from ocdm_radar.framing import (
     build_radcom_frame,
     build_superposed_pilot_frame,
     from_stream,
+    modulate,
     qpsk_demap,
     qpsk_map,
     to_stream,
@@ -249,3 +251,16 @@ def test_stream_shape_and_length_checks():
     for stream in (np.zeros(29), np.zeros(31), np.zeros((10, 3))):
         with pytest.raises(ValueError):
             from_stream(stream, params)
+    with pytest.raises(ValueError, match="frame must be"):
+        modulate(np.zeros((8, 2)), params)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("n_cp", [0, 24])
+def test_modulate_equals_the_whole_frame_stream(order, n_cp):
+    # Block by block into the stream buffer, a partial last block included, bit for bit.
+    params = WaveformParams(N=256, M=2 * _CHANNEL_BLOCK + 5, N_CP=n_cp)
+    rng = np.random.default_rng(n_cp)
+    frame = rng.standard_normal((params.N, params.M)) + 1j * rng.standard_normal((params.N, params.M))
+    frame = np.asarray(frame, order=order)
+    assert modulate(frame, params).tobytes() == to_stream(idfnt_fast(frame), params).tobytes()

@@ -181,3 +181,17 @@ def test_frequency_shift_theorem_integer():
             1j * np.pi / n * (2 * idx * k_delta - k_delta**2)
         )
         assert np.max(np.abs(got - want)) < 1e-9
+
+
+@pytest.mark.parametrize("shape", [(64,), (256, 7), (2048, 133)], ids=["vector", "frame", "wide frame"])
+def test_fast_transforms_equal_their_out_of_place_expressions(shape):
+    # One output array goes through fft, the Gamma multiply, ifft and the scaling;
+    # the result must be the expression's bit for bit (Gamma stays the left operand).
+    rng = np.random.default_rng(shape[0])
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    n = shape[0]
+    gamma = gamma_vector(n) if x.ndim == 1 else gamma_vector(n)[:, None]
+    forward = np.sqrt(n) * np.fft.ifft(gamma * np.fft.fft(x, axis=0), axis=0)
+    inverse = np.fft.ifft(np.conj(gamma) * np.fft.fft(x, axis=0), axis=0) / np.sqrt(n)
+    assert dfnt_fast(x).tobytes() == forward.tobytes()
+    assert idfnt_fast(x).tobytes() == inverse.tobytes()

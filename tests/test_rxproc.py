@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ocdm_radar.channel import _CHANNEL_BLOCK, apply_shift_channel, biased_cir_from_shifts
+from ocdm_radar.channel import apply_shift_channel, biased_cir_from_shifts
 from ocdm_radar.framing import (
+    _CHANNEL_BLOCK,
     MimoConfig,
     RadComFrameSpec,
     WaveformParams,
