@@ -276,17 +276,26 @@ def papr_ccdf(symbol_builder, trials: int, oversample: int = 20, rng_seed: int =
     """Empirical PAPR CCDF over random payload realizations.
 
     ``symbol_builder(rng)`` must return one discrete-time symbol (no CP); every
-    symbol has the first one's length and goes through one PAPR meter.
+    symbol has the first one's length and goes through one PAPR meter.  A
+    symbol equal bit for bit to the trial before's (the fixed pilot) reuses that
+    trial's PAPR instead of being metered again.  It is compared, as 64-bit
+    words, against a copy of the last metered symbol, so a builder that refills
+    one buffer is still metered every trial.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.default_rng(rng_seed)
-    first = symbol_builder(rng)
-    meter = _papr_meter(np.size(first), oversample)
     samples = np.empty(trials)
-    samples[0] = meter(first)
-    for t in range(1, trials):
-        samples[t] = meter(symbol_builder(rng))
+    meter = previous = None
+    for t in range(trials):
+        symbol = np.asarray(symbol_builder(rng), dtype=np.complex128).ravel()
+        if meter is None:
+            meter = _papr_meter(symbol.size, oversample)
+        if previous is not None and np.array_equal(symbol.view(np.uint64), previous.view(np.uint64)):
+            samples[t] = samples[t - 1]
+        else:
+            samples[t] = meter(symbol)
+            previous = symbol.copy()  # the builder may refill one buffer
     exceedance = np.array([(samples > t).mean() for t in PAPR_THRESHOLDS_DB])
     return PaprCcdf(exceedance, samples)
 

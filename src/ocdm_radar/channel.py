@@ -24,7 +24,7 @@ matching the reference range-velocity maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,11 +109,12 @@ def _mean_power(x: np.ndarray) -> float:
     return float(np.mean(power))
 
 
-def _add_awgn(signal: np.ndarray, snr_db: float, rng_seed: int, tx_power: float) -> None:
+def _add_awgn(signal: np.ndarray, snr_db: float, rng_seed: int, tx_power: float | None) -> None:
     """Add complex AWGN at snr_db below the signal's mean power, in place.
 
     A zero signal (a zero-target scene) is referenced to tx_power, the mean
-    power of the transmit stream, so a pure-noise stream is still produced.
+    power of the transmit stream, so a pure-noise stream is still produced;
+    with tx_power None it is rejected.
 
     One generator draws every real part, then every imaginary part, in
     _NOISE_CHUNK pieces; each piece is scaled by sqrt(sigma2 / 2) and added
@@ -122,6 +123,8 @@ def _add_awgn(signal: np.ndarray, snr_db: float, rng_seed: int, tx_power: float)
     the noisy signal is equal to it, without a stream-sized noise array.
     """
     power = _mean_power(signal) or tx_power
+    if power is None:
+        raise ValueError("the echo is silent, and no transmit power was measured to reference its noise to")
     try:
         sigma2 = power * 10.0 ** (-snr_db / 10.0)
     except OverflowError:
@@ -160,8 +163,12 @@ def apply_shift_channel(
     The received stream is written into ``out`` (a complex128 array of the
     stream's length) when given, else into a new array, and returned.  ``out``
     may be ``stream`` itself: a block's symbols are read before they are
-    overwritten, and the transmit power (the zero-target noise reference) is
-    measured before the first write, so the result is the same bit for bit.
+    overwritten, so the result is the same bit for bit.
+
+    The transmit power is the noise reference of a silent echo only.  It is
+    measured, before the first write, where the shifts can silence the echo
+    (see _can_be_silent); a noisy echo silenced otherwise (a zero stream,
+    amplitudes that underflow) raises ValueError.
     """
     stream = np.asarray(stream, dtype=np.complex128)
     for n_delta, _, _ in shifts:
@@ -174,40 +181,59 @@ def apply_shift_channel(
         out = np.empty(params.stream_len, dtype=np.complex128)
     elif out.shape != (params.stream_len,) or out.dtype != np.complex128 or not out.flags.c_contiguous:
         raise ValueError(f"out must be a contiguous complex128 array of shape {(params.stream_len,)}")
-    tx_power = None if snr_db is None else _mean_power(stream)
+    tx_power = _mean_power(stream) if snr_db is not None and _can_be_silent(shifts) else None
     _echoes(frame, params, shifts, out.reshape((params.symbol_len, params.M), order="F"))
     if snr_db is not None:
         _add_awgn(out, snr_db, rng_seed, tx_power)
     return out
 
 
+def _can_be_silent(shifts) -> bool:
+    """Whether the shifts alone can give a zero echo: no nonzero amplitude, or two
+    at one (n_delta, k_delta), whose echoes differ only by the amplitude and can cancel."""
+    live = [(n_delta, k_delta) for n_delta, k_delta, amplitude in shifts if amplitude != 0]
+    return not live or len(set(live)) < len(live)
+
+
 def _echoes(frame: np.ndarray, params: WaveformParams, shifts, received: np.ndarray) -> None:
     """The noise-free received symbols into ``received``, (N + N_CP, M), a block at a time.
 
     Each block's spectrum is taken before the block's columns of ``received``
-    are written, so ``frame`` may be a view into the same buffer.  The block
-    temporaries are gone before the noise is added.
+    are written, so ``frame`` may be a view into the same buffer.  Per target,
+    the delayed symbols go into one F-ordered N x _CHANNEL_BLOCK body buffer
+    (phase multiply, then the IDFT in place) and their CP rows, copied from its
+    tail, into one N_CP x _CHANNEL_BLOCK buffer; both take the in-symbol and
+    per-symbol factors, then add onto the block.  The three block buffers are
+    built once per call and are gone before the noise is added.
     """
-    n, rows = params.N, params.symbol_len
+    n, n_cp, rows = params.N, params.N_CP, params.symbol_len
     r, m = np.arange(rows), np.arange(params.M)
     factors = [
         (_delay_phase(n, n_delta)[:, None], np.exp(2j * np.pi * k_delta * r / n)[:, None],
          complex(amplitude) * np.exp(2j * np.pi * k_delta * m * rows / n))
         for n_delta, k_delta, amplitude in shifts
     ]
+    spectrum_buffer = np.empty((n, min(_CHANNEL_BLOCK, params.M)), dtype=np.complex128, order="F")
+    body_buffer = np.empty_like(spectrum_buffer)
+    cp_buffer = np.empty((n_cp, spectrum_buffer.shape[1]), dtype=np.complex128, order="F")
 
     for start in range(0, params.M, _CHANNEL_BLOCK):
         stop = min(start + _CHANNEL_BLOCK, params.M)
-        block_params = replace(params, M=stop - start)
-        spectrum = np.fft.fft(frame[:, start:stop], axis=0)
+        width = stop - start
+        spectrum, body, cp = spectrum_buffer[:, :width], body_buffer[:, :width], cp_buffer[:, :width]
+        np.fft.fft(frame[:, start:stop], axis=0, out=spectrum)
         block = received[:, start:stop]
         block.fill(0.0)  # the echoes add onto zeros, as into a fresh np.zeros buffer
         for phase, in_symbol, per_symbol in factors:
-            s = to_stream(np.fft.ifft(spectrum * phase, axis=0), block_params)
-            s = s.reshape((rows, block_params.M), order="F")
-            s *= in_symbol
-            s *= per_symbol[start:stop]
-            block += s
+            np.multiply(spectrum, phase, out=body)
+            np.fft.ifft(body, axis=0, out=body)
+            cp[...] = body[n - n_cp :]
+            cp *= in_symbol[:n_cp]
+            cp *= per_symbol[start:stop]
+            body *= in_symbol[n_cp:]
+            body *= per_symbol[start:stop]
+            block[:n_cp] += cp
+            block[n_cp:] += body
 
 
 def _phi_m(params: WaveformParams, k_delta: float) -> np.ndarray:

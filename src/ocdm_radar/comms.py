@@ -15,6 +15,7 @@ the reference payload data rate for the full-scale numerology.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -122,15 +123,19 @@ def ofdm_pilot_mask(n: int) -> np.ndarray:
     return mask
 
 
+@lru_cache(maxsize=8)
 def _ofdm_pilot_values(n: int) -> np.ndarray:
     """Deterministic pseudo-random QPSK comb values known to both link ends.
 
     A constant-valued comb would collapse to a periodic impulse train in time
-    and wreck the PAPR statistics, so the comb carries scrambled phases.
+    and wreck the PAPR statistics, so the comb carries scrambled phases.  The
+    values are built once per N and are read-only, shared by every caller.
     """
     count = int(ofdm_pilot_mask(n).sum())
     rng = np.random.default_rng(0x0FD)
-    return qpsk_map(rng.integers(0, 2, size=2 * count))
+    values = qpsk_map(rng.integers(0, 2, size=2 * count))
+    values.flags.writeable = False
+    return values
 
 
 def ofdm_grid(data_symbols: np.ndarray, params: WaveformParams) -> np.ndarray:

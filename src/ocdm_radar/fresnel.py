@@ -19,6 +19,8 @@ N-periodic, true only for even N.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = [
@@ -51,13 +53,24 @@ def gamma_vector(n: int) -> np.ndarray:
     """Quadratic-phase vector with k-th entry exp(-i pi k^2 / N), even N only.
 
     This is the element-wise factor that turns a DFT/IDFT pair into the
-    Fresnel transform. Entries have unit magnitude and the first is 1.
+    Fresnel transform. Entries have unit magnitude and the first is 1.  The
+    vector is built once per N and is read-only: every transform of length N
+    shares it.
     """
+    return _gammas(n)[0]
+
+
+@lru_cache(maxsize=8)
+def _gammas(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gamma of length n and its conjugate, built on the first call for n, read-only."""
     _check_even_length(n)
     k = np.arange(n, dtype=np.int64)
     # k^2 mod 2N keeps the phase argument small; exact for even N.
     q = (k * k) % (2 * n)
-    return np.exp(-1j * np.pi * q / n)
+    gamma = np.exp(-1j * np.pi * q / n)
+    conj = np.conj(gamma)
+    gamma.flags.writeable = conj.flags.writeable = False
+    return gamma, conj
 
 
 def _chirp_kernel(n: int, sign: float) -> np.ndarray:
@@ -97,40 +110,45 @@ def dfnt_fast(x: np.ndarray) -> np.ndarray:
     ``sqrt(N) e^{i pi/4} Gamma`` by the quadratic Gauss sum, which gives the
     receiver structure: DFT, element-wise Gamma multiply, IDFT.
     """
-    x = np.asarray(x, dtype=np.complex128)
-    n = _length(x)
-    gamma = gamma_vector(n)
-    if x.ndim == 2:
-        gamma = gamma[:, None]
-    out = np.fft.fft(x, axis=0)
-    np.multiply(gamma, out, out=out)
-    np.fft.ifft(out, axis=0, out=out)
-    return np.multiply(np.sqrt(n), out, out=out)
+    out = _chirp_filter(x, conjugate=False)
+    return np.multiply(np.sqrt(out.shape[0]), out, out=out)
 
 
 def idfnt_fast(x: np.ndarray) -> np.ndarray:
     """Inverse Fresnel transform in O(N log N); exact inverse of dfnt_fast."""
-    x = np.asarray(x, dtype=np.complex128)
-    n = _length(x)
-    gamma = np.conj(gamma_vector(n))
-    if x.ndim == 2:
-        gamma = gamma[:, None]
-    out = np.fft.fft(x, axis=0)
-    np.multiply(gamma, out, out=out)
-    np.fft.ifft(out, axis=0, out=out)
-    out /= np.sqrt(n)
+    out = _chirp_filter(x, conjugate=True)
+    out /= np.sqrt(out.shape[0])
     return out
 
 
-def phase_fold_correct(y: np.ndarray) -> np.ndarray:
-    """Undo the N/2 discrete-frequency fold of a received Fresnel frame.
+def _chirp_filter(x: np.ndarray, conjugate: bool) -> np.ndarray:
+    """IDFT(g * DFT(x)) along axis 0, g = Gamma or its conjugate, in one new F-ordered array.
 
-    Multiplies element (k, m) by e^{i pi k}, i.e. flips the sign of odd rows.
-    The operation is its own inverse. It converts the baseband-folded channel
-    estimate into the plain interpolation-kernel form, so fractional-delay
-    peaks reconstruct at their true position.
+    The DFT writes its output column-contiguous whatever the layout of x, so
+    the multiply and the IDFT run in place on contiguous columns: on a
+    C-ordered frame block they would run strided, about twice as slow at
+    N = 2048.
     """
-    y = np.array(y, dtype=np.complex128)
+    x = np.asarray(x, dtype=np.complex128)
+    gamma = _gammas(_length(x))[conjugate]
+    if x.ndim == 2:
+        gamma = gamma[:, None]
+    out = np.fft.fft(x, axis=0, out=np.empty(x.shape, dtype=np.complex128, order="F"))
+    np.multiply(gamma, out, out=out)
+    return np.fft.ifft(out, axis=0, out=out)
+
+
+def phase_fold_correct(y: np.ndarray) -> np.ndarray:
+    """Undo the N/2 discrete-frequency fold of a received Fresnel frame, in place.
+
+    Multiplies element (k, m) of the complex128 array y by e^{i pi k}, i.e.
+    flips the sign of odd rows, and returns y.  The operation is its own
+    inverse. It converts the baseband-folded channel estimate into the plain
+    interpolation-kernel form, so fractional-delay peaks reconstruct at their
+    true position.
+    """
+    if not isinstance(y, np.ndarray) or y.dtype != np.complex128:
+        raise TypeError("the fold is undone in place on a complex128 array")
     y[1::2] *= -1.0
     return y
 

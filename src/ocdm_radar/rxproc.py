@@ -69,7 +69,9 @@ def receive_frame(stream: np.ndarray, params: WaveformParams, correct_fold: bool
 
     With a pilot transmission the corrected output holds the radar CIR
     estimates.  Communication receivers pass correct_fold=False: their
-    channel carries no fold to undo.
+    channel carries no fold to undo.  The fold runs in place on the
+    transform's new output array, so no second frame-sized array is built;
+    the stream is left as it is.
     """
     fresnel = dfnt_fast(from_stream(stream, params))
     return phase_fold_correct(fresnel) if correct_fold else fresnel

@@ -6,7 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ocdm_radar import analysis
 from ocdm_radar.analysis import (
+    PAPR_THRESHOLDS_DB,
     doppler_tolerance_sweep,
     mimo_leakage_db,
     ofdm_symbol_builder,
@@ -326,6 +328,47 @@ def test_papr_ccdf_memory_does_not_grow_with_trials():
     finally:
         tracemalloc.stop()
     assert peaks[1] - peaks[0] <= 64 * 1024
+
+
+def _refilling_builder(build, n):
+    # Returns one buffer every trial, refilled with the wrapped builder's new symbol.
+    buffer = np.empty(n, dtype=np.complex128)
+
+    def refill(rng):
+        buffer[...] = build(rng)
+        return buffer
+
+    return refill
+
+
+@pytest.mark.parametrize("waveform", ["pilot", "refilled radcom"])
+def test_papr_ccdf_meters_a_repeated_symbol_once(monkeypatch, waveform):
+    params = WaveformParams(N=128, M=1, N_CP=32)
+    if waveform == "pilot":
+        build, meterings = pilot_symbol_builder(params), 1
+    else:
+        build, meterings = _refilling_builder(radcom_symbol_builder(params, RadComFrameSpec(N_CP=32)), 128), 25
+    rng = np.random.default_rng(8)
+    samples = np.array([oversampled_papr_db(build(rng), 4) for _ in range(25)])
+    exceedance = np.array([(samples > t).mean() for t in PAPR_THRESHOLDS_DB])
+
+    calls = []
+    papr_meter = analysis._papr_meter
+
+    def counted_meter(n, oversample):
+        meter = papr_meter(n, oversample)
+
+        def count(x):
+            calls.append(n)
+            return meter(x)
+
+        return count
+
+    monkeypatch.setattr(analysis, "_papr_meter", counted_meter)
+    ccdf = papr_ccdf(build, trials=25, oversample=4, rng_seed=8)
+    assert len(calls) == meterings
+    assert ccdf.papr_samples_db.tobytes() == samples.tobytes()
+    assert ccdf.exceedance.tobytes() == exceedance.tobytes()
 
 
 def test_papr_ccdf_monotone_and_bounded():

@@ -1,6 +1,7 @@
 """Radar/comm channel models against brute-force and closed-form oracles."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -222,6 +223,62 @@ def test_in_place_channel_equals_out_of_place(shifts, snr_db):
     got = apply_shift_channel(buffer, params, shifts, snr_db, rng_seed=5, out=buffer)
     assert got is buffer
     assert got.tobytes() == want.tobytes()
+
+
+def _per_target_echoes(stream, params, shifts):
+    # The block channel's per-target formula, kept as its byte reference: per block of
+    # _CHANNEL_BLOCK symbols and per target, to_stream(ifft(spectrum * phase)), times the
+    # in-symbol factor, times the per-symbol factor, added onto zeros.
+    n, rows = params.N, params.symbol_len
+    frame = from_stream(stream, params)
+    bins = np.fft.fftfreq(n, d=1.0 / n)
+    r, m = np.arange(rows), np.arange(params.M)
+    received = np.zeros((rows, params.M), dtype=np.complex128, order="F")
+    for start in range(0, params.M, _CHANNEL_BLOCK):
+        stop = min(start + _CHANNEL_BLOCK, params.M)
+        spectrum = np.fft.fft(frame[:, start:stop], axis=0)
+        for n_delta, k_delta, amplitude in shifts:
+            phase = np.exp(-2j * np.pi * bins * n_delta / n)[:, None]
+            s = to_stream(np.fft.ifft(spectrum * phase, axis=0), replace(params, M=stop - start))
+            s = s.reshape((rows, stop - start), order="F")
+            s *= np.exp(2j * np.pi * k_delta * r / n)[:, None]
+            s *= (complex(amplitude) * np.exp(2j * np.pi * k_delta * m * rows / n))[start:stop]
+            received[:, start:stop] += s
+    return received.ravel(order="F")
+
+
+@pytest.mark.parametrize("n_cp", [0, 24])
+@pytest.mark.parametrize("snr_db", [None, 8.0], ids=["noise-free", "noisy"])
+def test_shift_channel_equals_the_per_target_formula(n_cp, snr_db):
+    params = WaveformParams(N=64, M=2 * _CHANNEL_BLOCK + 5, N_CP=n_cp)
+    rng = np.random.default_rng(n_cp)
+    frame = rng.standard_normal((params.N, params.M)) + 1j * rng.standard_normal((params.N, params.M))
+    stream = to_stream(frame, params)
+    shifts = [(3.3, 0.27, 0.8 - 0.3j), (17.6, -0.41, 0.2 + 0.1j), (40.25, 1.5, -0.5j)]
+    want = _per_target_echoes(stream, params, shifts)
+    if snr_db is not None:
+        want = _whole_stream_awgn(want, snr_db, 13, stream)
+    assert apply_shift_channel(stream, params, shifts, snr_db, rng_seed=13).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("in_place", [False, True], ids=["out of place", "in place"])
+def test_cancelling_targets_leave_the_zero_target_noise(in_place):
+    # Opposite amplitudes at one (n_delta, k_delta) cancel exactly: the noise is then
+    # referenced to the transmit power, measured before the stream is overwritten.
+    params = WaveformParams(N=64, M=_CHANNEL_BLOCK + 5, N_CP=16)
+    stream = pilot_stream(params)
+    want = apply_shift_channel(stream, params, [], snr_db=9.0, rng_seed=5)
+    shifts = [(12.5, 0.3, 0.7 - 0.2j), (12.5, 0.3, -0.7 + 0.2j)]
+    buffer = stream.copy()
+    got = apply_shift_channel(buffer, params, shifts, 9.0, rng_seed=5, out=buffer if in_place else None)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_noisy_echo_silenced_by_a_zero_stream_is_rejected():
+    # Distinct shifts cannot cancel, so no transmit power is measured to reference the noise to.
+    params = WaveformParams(N=16, M=3, N_CP=4)
+    with pytest.raises(ValueError, match="echo is silent"):
+        apply_shift_channel(np.zeros(params.stream_len, complex), params, [(1.0, 0.0, 1.0)], snr_db=10.0)
 
 
 def test_shift_channel_out_must_fit_the_stream():

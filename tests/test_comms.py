@@ -11,6 +11,7 @@ from ocdm_radar.channel import (
     two_tap_tilt_cir,
 )
 from ocdm_radar.comms import (
+    _ofdm_pilot_values,
     data_rate_comb_pilot,
     data_rate_radcom,
     equalize_and_extract,
@@ -319,3 +320,13 @@ def test_ofdm_evm_spread_exceeds_ocdm_over_selective_channel():
     ofdm_report = evm_and_snr(data, grid[~mask])
 
     assert ofdm_report.evm_std_db > ocdm_report.evm_std_db
+
+
+@pytest.mark.parametrize("n", [64, 2048])
+def test_ofdm_pilot_values_are_built_once_per_length_and_read_only(n):
+    count = int(ofdm_pilot_mask(n).sum())
+    fresh = qpsk_map(np.random.default_rng(0x0FD).integers(0, 2, size=2 * count))
+    assert _ofdm_pilot_values(n) is _ofdm_pilot_values(n)
+    assert _ofdm_pilot_values(n).tobytes() == fresh.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        _ofdm_pilot_values(n)[0] = 0.0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ocdm_radar.fresnel import (
+    _gammas,
     dfnt_direct,
     dfnt_fast,
     dirichlet_kernel,
@@ -92,6 +93,18 @@ def test_gamma_vector_properties():
     assert np.max(np.abs(np.abs(g) - 1.0)) < 1e-15
 
 
+@pytest.mark.parametrize("n", [8, 2048])
+def test_gamma_is_built_once_per_length_and_read_only(n):
+    k = np.arange(n, dtype=np.int64)
+    fresh = np.exp(-1j * np.pi * ((k * k) % (2 * n)) / n)
+    assert gamma_vector(n) is gamma_vector(n) is _gammas(n)[0]
+    assert gamma_vector(n).tobytes() == fresh.tobytes()
+    assert _gammas(n)[1].tobytes() == np.conj(fresh).tobytes()
+    for constant in _gammas(n):
+        with pytest.raises(ValueError, match="read-only"):
+            constant[0] = 0.0
+
+
 def test_energy_scaling():
     rng = np.random.default_rng(11)
     x = random_complex(rng, 128)
@@ -122,6 +135,17 @@ def test_phase_fold_rows():
     out = phase_fold_correct(frame)
     assert np.all(out[0] == 1) and np.all(out[2] == 1)
     assert np.all(out[1] == -1) and np.all(out[3] == -1)
+
+
+def test_phase_fold_is_in_place_on_complex128_only():
+    rng = np.random.default_rng(6)
+    frame = random_complex(rng, (9, 4))
+    want = np.where((np.arange(9) % 2 == 1)[:, None], -frame, frame)
+    assert phase_fold_correct(frame) is frame
+    assert frame.tobytes() == want.tobytes()
+    for other in (np.ones((4, 3)), np.ones((4, 3), dtype=np.complex64), [[1j], [1j]]):
+        with pytest.raises(TypeError, match="complex128"):
+            phase_fold_correct(other)
 
 
 def test_phase_fold_involution():

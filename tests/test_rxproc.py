@@ -15,10 +15,11 @@ from ocdm_radar.framing import (
     build_mimo_pilot_frame,
     build_pilot_frame,
     build_radcom_frame,
+    from_stream,
     qpsk_map,
     to_stream,
 )
-from ocdm_radar.fresnel import idfnt_fast
+from ocdm_radar.fresnel import dfnt_fast, idfnt_fast, phase_fold_correct
 from ocdm_radar.rxproc import (
     RangeVelocityImage,
     compute_radar_params,
@@ -52,6 +53,19 @@ def test_single_integer_target_delta():
     want = np.zeros((256, 4), dtype=complex)
     want[50, :] = 1.0
     assert np.max(np.abs(frame - want)) < 1e-9
+
+
+@pytest.mark.parametrize("n_cp", [0, 16])
+def test_receive_frame_folds_the_fresh_transform(n_cp):
+    # The fold runs in place on dfnt_fast's output; the stream is left as it is.
+    params = WaveformParams(N=64, M=9, N_CP=n_cp)
+    rng = np.random.default_rng(n_cp)
+    stream = rng.standard_normal(params.stream_len) + 1j * rng.standard_normal(params.stream_len)
+    kept = stream.copy()
+    want = dfnt_fast(from_stream(stream, params))
+    assert receive_frame(stream, params, correct_fold=False).tobytes() == want.tobytes()
+    assert receive_frame(stream, params).tobytes() == phase_fold_correct(want).tobytes()
+    assert stream.tobytes() == kept.tobytes()
 
 
 def test_receive_frame_length_check():
