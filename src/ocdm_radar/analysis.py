@@ -22,7 +22,6 @@ import numpy as np
 from .channel import apply_shift_channel
 from .comms import ofdm_grid, ofdm_modulate, ofdm_pilot_mask
 from .framing import (
-    _CHANNEL_BLOCK,
     MimoConfig,
     RadComFrameSpec,
     WaveformParams,
@@ -131,7 +130,7 @@ def radar_image(
 
     One (N + N_CP) M complex buffer carries the chain: modulate writes the tx
     stream into it, the channel overwrites it with the rx stream, and
-    receive_frame runs on _CHANNEL_BLOCK symbols at a time, each fold-corrected
+    receive_frame runs a block of symbols at a time, each fold-corrected
     block overwriting those symbols' samples, so it ends as the Fresnel frame.
     Besides the caller's frame, only that buffer and the float images are
     frame-sized: each slice is Doppler-processed on its own rows, so the images
@@ -140,11 +139,7 @@ def radar_image(
     """
     rx = modulate(frame, params)
     apply_shift_channel(rx, params, shifts, snr_db, rng_seed, out=rx)
-    fresnel = from_stream(rx, params)
-    for start in range(0, params.M, _CHANNEL_BLOCK):
-        stop = min(start + _CHANNEL_BLOCK, params.M)
-        block = rx[start * params.symbol_len : stop * params.symbol_len]
-        fresnel[:, start:stop] = receive_frame(block, replace(params, M=stop - start))
+    fresnel = receive_frame(rx, params, out=from_stream(rx, params))
     return [doppler_process(fresnel[r], params) for r in rows]
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fresnel import dirichlet_kernel
-from .framing import _CHANNEL_BLOCK, C0, WaveformParams, from_stream, to_stream
+from .framing import _CHANNEL_BLOCK, C0, WaveformParams, from_stream
 
 __all__ = [
     "Target",
@@ -177,14 +177,20 @@ def apply_shift_channel(
                 f"n_delta={n_delta} violates the unambiguous range [0, N={params.N})"
             )
     frame = from_stream(stream, params)
-    if out is None:
-        out = np.empty(params.stream_len, dtype=np.complex128)
-    elif out.shape != (params.stream_len,) or out.dtype != np.complex128 or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a contiguous complex128 array of shape {(params.stream_len,)}")
+    out = _stream_out(out, params)
     tx_power = _mean_power(stream) if snr_db is not None and _can_be_silent(shifts) else None
     _echoes(frame, params, shifts, out.reshape((params.symbol_len, params.M), order="F"))
     if snr_db is not None:
         _add_awgn(out, snr_db, rng_seed, tx_power)
+    return out
+
+
+def _stream_out(out: np.ndarray | None, params: WaveformParams) -> np.ndarray:
+    """``out`` checked as a channel's received stream, or a new one when it is None."""
+    if out is None:
+        return np.empty(params.stream_len, dtype=np.complex128)
+    if out.shape != (params.stream_len,) or out.dtype != np.complex128 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a contiguous complex128 array of shape {(params.stream_len,)}")
     return out
 
 
@@ -335,20 +341,44 @@ def load_cfr_csv(path, n: int) -> np.ndarray:
     return cfr
 
 
-def apply_comm_channel(stream: np.ndarray, cfg: CommChannelConfig, params: WaveformParams) -> np.ndarray:
+def apply_comm_channel(
+    stream: np.ndarray, cfg: CommChannelConfig, params: WaveformParams, out: np.ndarray | None = None
+) -> np.ndarray:
     """Per-symbol circular convolution with the configured CIR, plus AWGN.
 
     A valid channel model only while the delay spread fits the CP: a longer
     spread is rejected.
+
+    Works on blocks of _CHANNEL_BLOCK symbols, as apply_shift_channel does:
+    each block's spectrum goes into one reused F-ordered N x _CHANNEL_BLOCK
+    buffer, is multiplied by the CFR and transformed back in place, and the
+    result and its CP rows, copied from its tail, go into the block's symbols
+    of ``out``.  ``out`` takes the same arrays as in apply_shift_channel and
+    may be ``stream`` itself.
+
+    A silent echo has its noise referenced to the transmit power.  Where the
+    CFR has a zero bin that power is measured before the first write; where
+    it has none, only a zero stream, of power 0.0, gives a silent echo.
     """
     stream = np.asarray(stream, dtype=np.complex128)
     cfr = cfr_from_cir(cfg.cir, params.N)
     spread = cfg.delay_spread
     if spread > params.N_CP:
         raise ValueError(f"channel delay spread {spread} exceeds the CP length {params.N_CP}")
-    spectrum = np.fft.fft(from_stream(stream, params), axis=0)
-    spectrum *= cfr[:, None]
-    received = to_stream(np.fft.ifft(spectrum, axis=0), params)
+    frame = from_stream(stream, params)
+    out = _stream_out(out, params)
+    tx_power = _mean_power(stream) if cfg.snr_db is not None and not cfr.all() else 0.0
+    n, n_cp = params.N, params.N_CP
+    received = out.reshape((params.symbol_len, params.M), order="F")
+    spectrum_buffer = np.empty((n, min(_CHANNEL_BLOCK, params.M)), dtype=np.complex128, order="F")
+    for start in range(0, params.M, _CHANNEL_BLOCK):
+        stop = min(start + _CHANNEL_BLOCK, params.M)
+        spectrum = spectrum_buffer[:, : stop - start]
+        np.fft.fft(frame[:, start:stop], axis=0, out=spectrum)
+        spectrum *= cfr[:, None]
+        np.fft.ifft(spectrum, axis=0, out=spectrum)
+        received[:n_cp, start:stop] = spectrum[n - n_cp :]
+        received[n_cp:, start:stop] = spectrum
     if cfg.snr_db is not None:
-        _add_awgn(received, cfg.snr_db, cfg.rng_seed, _mean_power(stream))
-    return received
+        _add_awgn(out, cfg.snr_db, cfg.rng_seed, tx_power)
+    return out

@@ -62,6 +62,7 @@ from .framing import (
     build_pilot_frame,
     build_radcom_frame,
     build_superposed_pilot_frame,
+    from_stream,
     modulate,
     qpsk_demap,
     qpsk_map,
@@ -402,25 +403,27 @@ def _cmd_radcom(config: dict, sc: Scenario) -> dict:
     n_data = spec.num_data_subchirps(params.N)
 
     rng = np.random.default_rng(config["seed"])
-    bits = rng.integers(0, 2, size=2 * n_data * params.M)
-    symbols = (np.sqrt(spec.symbol_energy) * qpsk_map(bits)).reshape(n_data, params.M)
-    frame = build_radcom_frame(params, spec, symbols)
+    bits = rng.integers(0, 2, size=2 * n_data * params.M).astype(np.uint8)
+    frame = build_radcom_frame(params, spec, (np.sqrt(spec.symbol_energy) * qpsk_map(bits)).reshape(n_data, params.M))
     [image] = radar_image(frame, params, sc.shifts, config["snr_db"], config["seed"], [spec.radar_rows])
     artifacts = _radar_artifacts("radcom", image)
 
-    # Communication leg over the configured frequency-selective channel.
-    tx = modulate(frame, params)
-    del frame  # free it before the comm channel's frame-sized temporaries
-    comm_frame = receive_frame(apply_comm_channel(tx, sc.comm_channel, params), params, correct_fold=False)
+    # Communication leg over the configured frequency-selective channel, in one
+    # stream buffer as the radar leg: channel, then receive, each in place.
+    rx = modulate(frame, params)
+    apply_comm_channel(rx, sc.comm_channel, params, out=rx)
+    comm_frame = receive_frame(rx, params, correct_fold=False, out=from_stream(rx, params))
     spread = sc.comm_channel.delay_spread
     if spread >= spec.N_CP:  # apply_comm_channel allows N_CP, which wraps the last data row into the pilot row
         raise ValueError(f"channel delay spread {spread} must be below the RadCom N_CP {spec.N_CP} (N_CP-1 guard nulls)")
     avg = config["radcom"]["avg_symbols"] or params.M
-    cfr_est = estimate_comm_cfr(comm_frame, spec, avg)
-    recovered = equalize_and_extract(comm_frame, cfr_est, spec)
+    recovered = equalize_and_extract(comm_frame, estimate_comm_cfr(comm_frame, spec, avg), spec)
+    del rx, comm_frame  # the stream goes before the EVM's temporaries, the frame after the EVM
+    report = evm_and_snr(recovered, frame[spec.data_rows(params.N)])  # the frame's data rows are the symbols sent
+    del frame
     rx_bits = qpsk_demap(recovered)
     artifacts["comm_report.json"] = {
-        **asdict(evm_and_snr(recovered, symbols)),
+        **asdict(report),
         "bit_errors": int(np.count_nonzero(rx_bits != bits)),
         "data_rate_bps": data_rate_radcom(params),
         "total_bits": int(bits.size),

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .framing import RadComFrameSpec, WaveformParams, from_stream, qpsk_map, to_stream
+from .framing import _CHANNEL_BLOCK, RadComFrameSpec, WaveformParams, from_stream, qpsk_map, to_stream
 from .rxproc import RangeVelocityImage, doppler_process
 
 __all__ = [
@@ -74,15 +74,32 @@ def equalize_and_extract(
     Per symbol: DFT of the Fresnel coefficients, divide by the CFR, inverse
     DFT, keep ``spec.data_rows``.  By the convolution theorem this equals
     going to time (IDFnT), equalizing there and coming back (DFnT).
+
+    Works on blocks of _CHANNEL_BLOCK symbols in one reused F-ordered
+    N x _CHANNEL_BLOCK buffer; only the data rows of each block go into the
+    returned (n_data, M) array, so no frame-sized temporary is built.  That
+    array takes the frame's memory order, as the whole-frame quotient did (a
+    receive frame's columns are contiguous), so reductions over it sum in the
+    same order.
     """
     frame = np.asarray(fresnel_frame, dtype=np.complex128)
     cfr = np.asarray(cfr, dtype=np.complex128)
-    n = frame.shape[0]
+    n, m = frame.shape
     if cfr.shape != (n,):
         raise ValueError(f"CFR must have {n} bins, got {cfr.shape}")
     if np.any(cfr == 0):
         raise ValueError("zero CFR bin: zero-forcing equalizer is singular")
-    return np.fft.ifft(np.fft.fft(frame, axis=0) / cfr[:, None], axis=0)[spec.data_rows(n)]
+    rows = spec.data_rows(n)
+    out = np.empty_like(frame, shape=(rows.stop - rows.start, m))
+    spectrum_buffer = np.empty((n, min(_CHANNEL_BLOCK, m)), dtype=np.complex128, order="F")
+    for start in range(0, m, _CHANNEL_BLOCK):
+        stop = min(start + _CHANNEL_BLOCK, m)
+        spectrum = spectrum_buffer[:, : stop - start]
+        np.fft.fft(frame[:, start:stop], axis=0, out=spectrum)
+        spectrum /= cfr[:, None]
+        np.fft.ifft(spectrum, axis=0, out=spectrum)
+        out[:, start:stop] = spectrum[rows]
+    return out
 
 
 def evm_and_snr(rx_symbols: np.ndarray, ref_symbols: np.ndarray) -> CommReport:

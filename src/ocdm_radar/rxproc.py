@@ -64,17 +64,33 @@ class RadarParams:
     mimo_max_unambiguous_range_m: float | None = None
 
 
-def receive_frame(stream: np.ndarray, params: WaveformParams, correct_fold: bool = True) -> np.ndarray:
+def receive_frame(
+    stream: np.ndarray, params: WaveformParams, correct_fold: bool = True, out: np.ndarray | None = None
+) -> np.ndarray:
     """CP removal, column-wise fast Fresnel transform, phase-fold correction.
 
     With a pilot transmission the corrected output holds the radar CIR
     estimates.  Communication receivers pass correct_fold=False: their
-    channel carries no fold to undo.  The fold runs in place on the
-    transform's new output array, so no second frame-sized array is built;
-    the stream is left as it is.
+    channel carries no fold to undo.
+
+    Works on blocks of _CHANNEL_BLOCK symbols: the DFnT acts column by
+    column, so each block is transformed on its own, fold-corrected in place
+    on the transform's output and written into its columns of ``out`` (an
+    N x M complex128 array) when given, else of a new F-ordered one, which
+    is returned.  ``out`` may be ``from_stream(stream, params)``: a block's
+    symbols are transformed before they are overwritten, so the stream's own
+    buffer ends as the Fresnel frame and no second frame-sized array is built.
     """
-    fresnel = dfnt_fast(from_stream(stream, params))
-    return phase_fold_correct(fresnel) if correct_fold else fresnel
+    time_frame = from_stream(stream, params)
+    if out is None:
+        out = np.empty((params.N, params.M), dtype=np.complex128, order="F")
+    elif out.shape != (params.N, params.M) or out.dtype != np.complex128:
+        raise ValueError(f"out must be a complex128 array of shape {(params.N, params.M)}")
+    for start in range(0, params.M, _CHANNEL_BLOCK):
+        block = slice(start, start + _CHANNEL_BLOCK)
+        fresnel = dfnt_fast(time_frame[:, block])
+        out[:, block] = phase_fold_correct(fresnel) if correct_fold else fresnel
+    return out
 
 
 def doppler_process(cir: np.ndarray, params: WaveformParams) -> RangeVelocityImage:

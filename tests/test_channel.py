@@ -302,6 +302,73 @@ def test_comm_channel_equals_out_of_place_product():
     assert np.array_equal(apply_comm_channel(stream, cfg, params), want)
 
 
+@pytest.mark.parametrize("snr_db", [None, 12.0], ids=["noise-free", "noisy"])
+def test_block_comm_channel_in_place_equals_the_whole_frame_product(snr_db):
+    # M = 130 leaves a partial last block; out=stream overwrites each block after reading it.
+    params = WaveformParams(N=64, M=2 * _CHANNEL_BLOCK + 2, N_CP=8)
+    rng = np.random.default_rng(31)
+    stream = rng.standard_normal(params.stream_len) + 1j * rng.standard_normal(params.stream_len)
+    cfg = CommChannelConfig(cir=np.array([0.9 + 0.1j, 0.0, -0.4j, 0.05]), snr_db=snr_db, rng_seed=5)
+    spectrum = np.fft.fft(from_stream(stream, params), axis=0) * cfr_from_cir(cfg.cir, params.N)[:, None]
+    want = to_stream(np.fft.ifft(spectrum, axis=0), params)
+    if snr_db is not None:
+        want = _whole_stream_awgn(want, snr_db, cfg.rng_seed, stream)
+    got = apply_comm_channel(stream, cfg, params, out=stream)
+    assert got is stream
+    assert got.tobytes() == want.tobytes()
+
+
+def test_comm_channel_out_must_fit_the_stream():
+    params = WaveformParams(N=16, M=3, N_CP=4)
+    stream = pilot_stream(params)
+    short, real = np.empty(params.stream_len - 1, complex), np.empty(params.stream_len)
+    strided = np.empty(2 * params.stream_len, complex)[::2]
+    for out in (short, real, strided):
+        with pytest.raises(ValueError, match="out must be"):
+            apply_comm_channel(stream, CommChannelConfig(cir=np.ones(1)), params, out=out)
+
+
+@pytest.mark.parametrize("in_place", [False, True], ids=["out of place", "in place"])
+def test_comm_echo_silenced_by_a_zero_cfr_bin_gets_the_tx_power_noise(in_place):
+    # CIR [1, -1] nulls bin 0, the only bin of a constant symbol: the echo is exactly
+    # zero, and its noise is referenced to the transmit power, measured before any write.
+    params = WaveformParams(N=64, M=_CHANNEL_BLOCK + 3, N_CP=8)
+    stream = np.full(params.stream_len, 0.6 - 0.8j)
+    cfg = CommChannelConfig(cir=np.array([1.0, -1.0]), snr_db=9.0, rng_seed=4)
+    assert not apply_comm_channel(stream, replace(cfg, snr_db=None), params).any()
+    want = _whole_stream_awgn(np.zeros(params.stream_len, complex), cfg.snr_db, cfg.rng_seed, stream)
+    buffer = stream.copy()
+    got = apply_comm_channel(buffer, cfg, params, out=buffer if in_place else None)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_noisy_comm_channel_leaves_a_zero_stream_zero():
+    # No CFR bin is zero, so only a zero stream is silent, and its power 0.0 sets no noise.
+    params = WaveformParams(N=16, M=3, N_CP=4)
+    cfg = CommChannelConfig(cir=np.array([0.9 + 0.1j, -0.4j]), snr_db=10.0)
+    got = apply_comm_channel(np.zeros(params.stream_len, complex), cfg, params)
+    assert np.array_equal(got, np.zeros(params.stream_len, complex))
+
+
+def test_comm_channel_memory_is_bounded():
+    # In place, beside the stream: one N x _CHANNEL_BLOCK spectrum block, the noise
+    # chunk and the float power array of the noise level, measured 0.56x the stream
+    # bytes (2.9x when the whole frame was transformed at once); a frame-sized
+    # spectrum or a second stream would exceed the bound.
+    params = WaveformParams(N=256, M=1024, N_CP=16)
+    stream = pilot_stream(params)
+    cfg = CommChannelConfig(cir=two_tap_tilt_cir(10.0), snr_db=20.0, rng_seed=3)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        apply_comm_channel(stream, cfg, params, out=stream)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.8 * stream.nbytes
+
+
 @pytest.mark.parametrize("n_cp", [0, 16])
 def test_shift_channel_memory_is_bounded(n_cp):
     # The received buffer and the float power array of the noise level: measured

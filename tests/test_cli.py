@@ -385,6 +385,32 @@ def test_radar_command_holds_one_stream():
     assert peak <= frame_bytes + p.stream_len * 16 + image.magnitude.nbytes + frame_bytes // 4
 
 
+def test_radcom_command_holds_one_stream():
+    # Both legs run in one stream buffer beside the frame, and the comm leg keeps
+    # only the (n_data, M) equalized symbols besides.  The allowance is half a
+    # stream, the float power array of each channel's noise level, which sets
+    # the peak (measured 12.5 MiB against a 13.6 MiB bound, 22.5 MiB when the
+    # comm leg ran on whole frames): a frame-sized spectrum or quotient, or a
+    # second stream, would exceed it.
+    config = resolve_config(
+        {"waveform": {"N": 256, "M": 1024}, "targets": [{"range_m": 5.03, "velocity_mps": 10.0}], "snr_db": 15.0}
+    )
+    sc = cli.build_scenario(config)
+    p = sc.radcom_params
+    cli._cmd_radcom(config, sc)  # lazy numpy imports, outside the count
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        cli._cmd_radcom(config, sc)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    frame_bytes = p.N * p.M * 16
+    data_bytes = sc.spec.num_data_subchirps(p.N) * p.M * 16
+    assert peak <= frame_bytes + p.stream_len * 16 + data_bytes + p.stream_len * 8
+
+
 WIRING_TARGETS = [
     {"range_m": 5.03, "velocity_mps": 10.0, "amplitude": [1.0, 0.5]},
     {"range_m": 2.2, "velocity_mps": -20.0, "amplitude": [0.0, 0.2]},

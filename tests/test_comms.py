@@ -26,6 +26,7 @@ from ocdm_radar.comms import (
     ofdm_radar_process,
 )
 from ocdm_radar.framing import (
+    _CHANNEL_BLOCK,
     RadComFrameSpec,
     WaveformParams,
     build_pilot_frame,
@@ -136,6 +137,22 @@ def test_equalize_matches_the_time_domain_chain():
         want = dfnt_fast(np.fft.ifft(spectrum, axis=0))[spec.data_rows(n)]
         got = equalize_and_extract(frame, cfr, spec)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("order", ["F", "C"])
+def test_block_equalizer_equals_the_whole_frame_quotient(order):
+    # M = 130 leaves a partial last block.  The data rows keep the whole-frame
+    # result's memory order, so evm_and_snr sums them in the same order.
+    params = WaveformParams(N=64, M=2 * _CHANNEL_BLOCK + 2, N_CP=8)
+    spec = RadComFrameSpec(N_CP=params.N_CP)
+    rng = np.random.default_rng(17)
+    frame = rng.standard_normal((params.N, params.M)) + 1j * rng.standard_normal((params.N, params.M))
+    frame = np.asarray(frame, order=order)
+    cfr = (0.2 + rng.random(params.N)) * np.exp(2j * np.pi * rng.random(params.N))
+    want = np.fft.ifft(np.fft.fft(frame, axis=0) / cfr[:, None], axis=0)[spec.data_rows(params.N)]
+    got = equalize_and_extract(frame, cfr, spec)
+    assert got.tobytes() == want.tobytes()
+    assert np.argsort(got.strides).tolist() == np.argsort(want.strides).tolist()
 
 
 def test_equalize_rejects_zero_bin():

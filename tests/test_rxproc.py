@@ -68,6 +68,29 @@ def test_receive_frame_folds_the_fresh_transform(n_cp):
     assert stream.tobytes() == kept.tobytes()
 
 
+@pytest.mark.parametrize("correct_fold", [True, False], ids=["folded", "unfolded"])
+def test_receive_into_the_stream_buffer_equals_the_whole_frame_transform(correct_fold):
+    # M = 130 leaves a partial last block; each block is transformed before its
+    # symbols are overwritten, so the buffer ends as the whole frame's DFnT.
+    params = WaveformParams(N=64, M=2 * _CHANNEL_BLOCK + 2, N_CP=8)
+    rng = np.random.default_rng(8)
+    stream = rng.standard_normal(params.stream_len) + 1j * rng.standard_normal(params.stream_len)
+    want = dfnt_fast(from_stream(stream, params))
+    if correct_fold:
+        phase_fold_correct(want)
+    out = from_stream(stream, params)
+    assert receive_frame(stream, params, correct_fold, out=out) is out
+    assert out.tobytes() == want.tobytes()
+
+
+def test_receive_frame_out_must_fit_the_frame():
+    params = WaveformParams(N=16, M=3, N_CP=4)
+    stream = pilot_stream(params)
+    for out in (np.empty((16, 2), complex), np.empty((16, 3))):
+        with pytest.raises(ValueError, match="out must be"):
+            receive_frame(stream, params, out=out)
+
+
 def test_receive_frame_length_check():
     params = WaveformParams(N=16, M=2)
     with pytest.raises(ValueError):
