@@ -1,5 +1,11 @@
 """Point-target radar channel, frequency-selective comm channel, CIR oracles.
 
+Both channels are sums of paths acting per OCDM symbol.  By the DFnT
+convolution theorem a path is a response over the N DFT bins of the useful
+part (CP rebuilt afterwards), then a Doppler ramp and a complex gain: target
+(n_delta, k_delta, A) is the path (delay phase, k_delta, A) and the comm
+channel the one path (CFR, 0, 1).  One block pass, _echoes, runs both.
+
 Conventions
 -----------
 Delay is applied at complex baseband as a linear phase over discrete-frequency
@@ -83,6 +89,13 @@ class CommChannelConfig:
         """Delay of the last tap above 1e-12 of the strongest one (what counts as a tap)."""
         mag = np.abs(np.asarray(self.cir, dtype=np.complex128))
         return int(np.max(np.nonzero(mag > 1e-12 * np.max(mag))[0]))
+
+    def _spread_within_cp(self, n_cp: int) -> int:
+        """The delay spread; past a CP of n_cp samples the channel is rejected."""
+        spread = self.delay_spread
+        if spread > n_cp:
+            raise ValueError(f"channel delay spread {spread} exceeds the CP length {n_cp}")
+        return spread
 
 
 def normalize_target(target: Target, params: WaveformParams):
@@ -176,21 +189,22 @@ def apply_shift_channel(
             raise ValueError(
                 f"n_delta={n_delta} violates the unambiguous range [0, N={params.N})"
             )
-    frame = from_stream(stream, params)
-    out = _stream_out(out, params)
     tx_power = _mean_power(stream) if snr_db is not None and _can_be_silent(shifts) else None
-    _echoes(frame, params, shifts, out.reshape((params.symbol_len, params.M), order="F"))
+    paths = [(_delay_phase(params.N, n_delta), k_delta, amplitude) for n_delta, k_delta, amplitude in shifts]
+    return _multipath(stream, params, paths, snr_db, rng_seed, tx_power, out)
+
+
+def _multipath(stream, params: WaveformParams, paths, snr_db, rng_seed, tx_power, out) -> np.ndarray:
+    """The echoes of ``paths`` into ``out`` (a new stream when None), then AWGN at snr_db
+    with ``tx_power`` as a silent echo's reference, measured before ``out`` is written."""
+    frame = from_stream(stream, params)
+    if out is None:
+        out = np.empty(params.stream_len, dtype=np.complex128)
+    elif out.shape != (params.stream_len,) or out.dtype != np.complex128 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a contiguous complex128 array of shape {(params.stream_len,)}")
+    _echoes(frame, params, paths, out.reshape((params.symbol_len, params.M), order="F"))
     if snr_db is not None:
         _add_awgn(out, snr_db, rng_seed, tx_power)
-    return out
-
-
-def _stream_out(out: np.ndarray | None, params: WaveformParams) -> np.ndarray:
-    """``out`` checked as a channel's received stream, or a new one when it is None."""
-    if out is None:
-        return np.empty(params.stream_len, dtype=np.complex128)
-    if out.shape != (params.stream_len,) or out.dtype != np.complex128 or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a contiguous complex128 array of shape {(params.stream_len,)}")
     return out
 
 
@@ -201,23 +215,26 @@ def _can_be_silent(shifts) -> bool:
     return not live or len(set(live)) < len(live)
 
 
-def _echoes(frame: np.ndarray, params: WaveformParams, shifts, received: np.ndarray) -> None:
-    """The noise-free received symbols into ``received``, (N + N_CP, M), a block at a time.
+def _echoes(frame: np.ndarray, params: WaveformParams, paths, received: np.ndarray) -> None:
+    """The noise-free received symbols of ``paths`` into ``received``, (N + N_CP, M), a block at a time.
 
+    A path is (response, k_delta, amplitude): each symbol's spectrum times the
+    response over the N DFT bins, back to time with its CP rows, then the
+    Doppler ramp of k_delta and the gain, as apply_shift_channel describes.
     Each block's spectrum is taken before the block's columns of ``received``
-    are written, so ``frame`` may be a view into the same buffer.  Per target,
-    the delayed symbols go into one F-ordered N x _CHANNEL_BLOCK body buffer
-    (phase multiply, then the IDFT in place) and their CP rows, copied from its
-    tail, into one N_CP x _CHANNEL_BLOCK buffer; both take the in-symbol and
+    are written, so ``frame`` may be a view into the same buffer.  Per path,
+    the symbols go into one F-ordered N x _CHANNEL_BLOCK body buffer (response
+    multiply, then the IDFT in place) and their CP rows, copied from its tail,
+    into one N_CP x _CHANNEL_BLOCK buffer; both take the in-symbol and
     per-symbol factors, then add onto the block.  The three block buffers are
     built once per call and are gone before the noise is added.
     """
     n, n_cp, rows = params.N, params.N_CP, params.symbol_len
     r, m = np.arange(rows), np.arange(params.M)
     factors = [
-        (_delay_phase(n, n_delta)[:, None], np.exp(2j * np.pi * k_delta * r / n)[:, None],
+        (response[:, None], np.exp(2j * np.pi * k_delta * r / n)[:, None],
          complex(amplitude) * np.exp(2j * np.pi * k_delta * m * rows / n))
-        for n_delta, k_delta, amplitude in shifts
+        for response, k_delta, amplitude in paths
     ]
     spectrum_buffer = np.empty((n, min(_CHANNEL_BLOCK, params.M)), dtype=np.complex128, order="F")
     body_buffer = np.empty_like(spectrum_buffer)
@@ -230,8 +247,8 @@ def _echoes(frame: np.ndarray, params: WaveformParams, shifts, received: np.ndar
         np.fft.fft(frame[:, start:stop], axis=0, out=spectrum)
         block = received[:, start:stop]
         block.fill(0.0)  # the echoes add onto zeros, as into a fresh np.zeros buffer
-        for phase, in_symbol, per_symbol in factors:
-            np.multiply(spectrum, phase, out=body)
+        for response, in_symbol, per_symbol in factors:
+            np.multiply(spectrum, response, out=body)
             np.fft.ifft(body, axis=0, out=body)
             cp[...] = body[n - n_cp :]
             cp *= in_symbol[:n_cp]
@@ -349,11 +366,8 @@ def apply_comm_channel(
     A valid channel model only while the delay spread fits the CP: a longer
     spread is rejected.
 
-    Works on blocks of _CHANNEL_BLOCK symbols, as apply_shift_channel does:
-    each block's spectrum goes into one reused F-ordered N x _CHANNEL_BLOCK
-    buffer, is multiplied by the CFR and transformed back in place, and the
-    result and its CP rows, copied from its tail, go into the block's symbols
-    of ``out``.  ``out`` takes the same arrays as in apply_shift_channel and
+    The channel is the one path (CFR, 0.0, 1.0) through the shift channel's
+    block pass, so ``out`` takes the same arrays as in apply_shift_channel and
     may be ``stream`` itself.
 
     A silent echo has its noise referenced to the transmit power.  Where the
@@ -362,23 +376,6 @@ def apply_comm_channel(
     """
     stream = np.asarray(stream, dtype=np.complex128)
     cfr = cfr_from_cir(cfg.cir, params.N)
-    spread = cfg.delay_spread
-    if spread > params.N_CP:
-        raise ValueError(f"channel delay spread {spread} exceeds the CP length {params.N_CP}")
-    frame = from_stream(stream, params)
-    out = _stream_out(out, params)
+    cfg._spread_within_cp(params.N_CP)
     tx_power = _mean_power(stream) if cfg.snr_db is not None and not cfr.all() else 0.0
-    n, n_cp = params.N, params.N_CP
-    received = out.reshape((params.symbol_len, params.M), order="F")
-    spectrum_buffer = np.empty((n, min(_CHANNEL_BLOCK, params.M)), dtype=np.complex128, order="F")
-    for start in range(0, params.M, _CHANNEL_BLOCK):
-        stop = min(start + _CHANNEL_BLOCK, params.M)
-        spectrum = spectrum_buffer[:, : stop - start]
-        np.fft.fft(frame[:, start:stop], axis=0, out=spectrum)
-        spectrum *= cfr[:, None]
-        np.fft.ifft(spectrum, axis=0, out=spectrum)
-        received[:n_cp, start:stop] = spectrum[n - n_cp :]
-        received[n_cp:, start:stop] = spectrum
-    if cfg.snr_db is not None:
-        _add_awgn(out, cfg.snr_db, cfg.rng_seed, tx_power)
-    return out
+    return _multipath(stream, params, [(cfr, 0.0, 1.0)], cfg.snr_db, cfg.rng_seed, tx_power, out)

@@ -401,6 +401,10 @@ def _cmd_radcom(config: dict, sc: Scenario) -> dict:
     params, spec = sc.radcom_params, sc.spec
     _require_targets_within(sc, spec.N_CP, compute_radar_params(params).max_cp_range_m, "RadCom radar sector")
     n_data = spec.num_data_subchirps(params.N)
+    # The comm channel's CP rule, then the sector layout's stricter one, before either leg runs.
+    spread = sc.comm_channel._spread_within_cp(params.N_CP)
+    if spread >= spec.N_CP:  # the CP allows N_CP, which wraps the last data row into the pilot row
+        raise ValueError(f"channel delay spread {spread} must be below the RadCom N_CP {spec.N_CP} (N_CP-1 guard nulls)")
 
     rng = np.random.default_rng(config["seed"])
     bits = rng.integers(0, 2, size=2 * n_data * params.M).astype(np.uint8)
@@ -413,9 +417,6 @@ def _cmd_radcom(config: dict, sc: Scenario) -> dict:
     rx = modulate(frame, params)
     apply_comm_channel(rx, sc.comm_channel, params, out=rx)
     comm_frame = receive_frame(rx, params, correct_fold=False, out=from_stream(rx, params))
-    spread = sc.comm_channel.delay_spread
-    if spread >= spec.N_CP:  # apply_comm_channel allows N_CP, which wraps the last data row into the pilot row
-        raise ValueError(f"channel delay spread {spread} must be below the RadCom N_CP {spec.N_CP} (N_CP-1 guard nulls)")
     avg = config["radcom"]["avg_symbols"] or params.M
     recovered = equalize_and_extract(comm_frame, estimate_comm_cfr(comm_frame, spec, avg), spec)
     del rx, comm_frame  # the stream goes before the EVM's temporaries, the frame after the EVM

@@ -318,6 +318,20 @@ def test_block_comm_channel_in_place_equals_the_whole_frame_product(snr_db):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("d", [0, 3, 8])
+@pytest.mark.parametrize("snr_db", [None, 11.0], ids=["noise-free", "noisy"])
+def test_comm_channel_with_a_delta_cir_is_the_shift_channel(d, snr_db):
+    # The CIR delta[n - d] is the one zero-Doppler, unit-gain path of a target at n_delta = d.
+    params = WaveformParams(N=64, M=_CHANNEL_BLOCK + 3, N_CP=8)
+    rng = np.random.default_rng(d)
+    stream = rng.standard_normal(params.stream_len) + 1j * rng.standard_normal(params.stream_len)
+    cir = np.zeros(d + 1, dtype=complex)
+    cir[d] = 1.0
+    got = apply_comm_channel(stream, CommChannelConfig(cir=cir, snr_db=snr_db, rng_seed=6), params)
+    want = apply_shift_channel(stream, params, [(d, 0.0, 1.0)], snr_db, rng_seed=6)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_comm_channel_out_must_fit_the_stream():
     params = WaveformParams(N=16, M=3, N_CP=4)
     stream = pilot_stream(params)
@@ -351,9 +365,9 @@ def test_noisy_comm_channel_leaves_a_zero_stream_zero():
 
 
 def test_comm_channel_memory_is_bounded():
-    # In place, beside the stream: one N x _CHANNEL_BLOCK spectrum block, the noise
-    # chunk and the float power array of the noise level, measured 0.56x the stream
-    # bytes (2.9x when the whole frame was transformed at once); a frame-sized
+    # In place, beside the stream: the echo pass's three block buffers (N x _CHANNEL_BLOCK
+    # spectrum and body, N_CP x _CHANNEL_BLOCK CP), then the noise chunk and the float
+    # power array of the noise level, measured 0.50x the stream bytes; a frame-sized
     # spectrum or a second stream would exceed the bound.
     params = WaveformParams(N=256, M=1024, N_CP=16)
     stream = pilot_stream(params)

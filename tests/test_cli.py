@@ -568,8 +568,7 @@ def test_failing_image_leaves_no_file(tmp_path, capsys):
 
 def test_comm_leg_failure_writes_nothing(tmp_path, capsys):
     # A CFR whose CIR has a tap at delay 100 passes the config checks but
-    # exceeds the desk-scale RadCom CP (64) only once the comm leg runs,
-    # after the radar-leg image is computed.
+    # exceeds the desk-scale RadCom CP (64), which the radcom command rejects.
     k = np.arange(256)
     cfr = 1.0 + 0.5 * np.exp(-2j * np.pi * k * 100 / 256)
     csv = tmp_path / "cfr.csv"
@@ -599,6 +598,30 @@ def test_comm_leg_spread_must_stay_below_radcom_n_cp(tmp_path, capsys):
         else:
             report = json.loads((out / "comm_report.json").read_text())
             assert report["bit_errors"] == 0 and report["est_snr_db"] > 50.0
+
+
+@pytest.mark.parametrize(
+    "delay, reason",
+    [
+        (100, "channel delay spread 100 exceeds the CP length 64"),
+        (64, "channel delay spread 64 must be below the RadCom N_CP 64"),
+    ],
+)
+def test_comm_spread_fails_before_the_radar_leg(tmp_path, capsys, monkeypatch, delay, reason):
+    # Both spread rules depend on the config alone: radcom exits 3 before computing either leg.
+    def radar_leg(*args, **kwargs):
+        raise AssertionError("the radar leg ran")
+
+    monkeypatch.setattr(cli, "radar_image", radar_leg)
+    k = np.arange(256)
+    cfr = 1.0 + 0.5 * np.exp(-2j * np.pi * k * delay / 256)
+    csv = tmp_path / "cfr.csv"
+    csv.write_text("".join(f"{i},{c.real!r},{c.imag!r}\n" for i, c in enumerate(cfr.tolist())))
+    cfg = write_config(tmp_path, {"targets": [{"range_m": 7.5}], "comm": {"cfr_csv": str(csv)}})
+    out = tmp_path / "out"
+    assert main(["radcom", "--config", cfg, "--out", str(out)]) == EXIT_PRECONDITION
+    assert reason in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -52,6 +52,15 @@ def test_fresnel_transforms_run_in_one_place_each():
     assert found == [], found
 
 
+def test_channels_share_one_echo_pass():
+    # The shift and comm channels are paths through channel._echoes: one IDFT call and
+    # one loop over blocks of _CHANNEL_BLOCK symbols in the module.
+    tree = ast.parse((PACKAGE / "channel.py").read_text())
+    idfts = [node for node in ast.walk(tree) if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.fft.ifft"]
+    loops = [node for node in ast.walk(tree) if isinstance(node, ast.For) and "_CHANNEL_BLOCK" in ast.unparse(node.iter)]
+    assert (len(idfts), len(loops)) == (1, 1)
+
+
 def test_csv_is_written_in_one_place():
     # rxproc.write_csv writes every CSV; it produces the bytes np.savetxt would.
     found = [path.stem for path in sorted(PACKAGE.glob("*.py")) if "savetxt" in path.read_text()]
