@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from .rxproc import _RowWindow
+
 # write_table formats a block of values at a time.  A finite nonzero |x| scales
 # to s = |x| * 10**(11 - e), e = floor(log10|x|) corrected once, with one
 # correctly rounded multiply or divide by an exact power of ten.  D = rint(s)
@@ -139,7 +141,7 @@ def write_table(path, array, header: str = "") -> None:
         if table.ndim not in (1, 2):
             raise ValueError(f"expected a 1-D or 2-D array, got {table.ndim}-D")
         n_rows, n_cols = len(table), table.shape[1] if table.ndim == 2 else 1
-        flat = table.reshape(-1)
+        table = table.reshape(n_rows, n_cols)  # a view, whatever the strides
     else:
         n_rows, n_cols = len(columns[0]), len(columns)
     with open(path, "wb") as fh:
@@ -152,10 +154,11 @@ def write_table(path, array, header: str = "") -> None:
         span = rows_per_block * n_cols
         slots = np.frombuffer(_CSV_SLOT * span, dtype=np.uint8).reshape(span, len(_CSV_SLOT)).copy()
         slots[n_cols - 1 :: n_cols, _END] = ord("\n")
+        rows = None if columns is not None else _RowWindow(table, rows_per_block)
         for start in range(0, n_rows, rows_per_block):
             stop = min(start + rows_per_block, n_rows)
             if columns is None:
-                block = flat[start * n_cols : stop * n_cols]
+                block = rows[start:stop].reshape(-1)
             else:
                 block = np.column_stack([c[start:stop] for c in columns]).astype(np.float64, copy=False).ravel()
             fh.write(_format_block(block, slots))

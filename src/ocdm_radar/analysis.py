@@ -132,15 +132,22 @@ def radar_image(
     stream into it, the channel overwrites it with the rx stream, and
     receive_frame runs a block of symbols at a time, each fold-corrected
     block overwriting those symbols' samples, so it ends as the Fresnel frame.
-    Besides the caller's frame, only that buffer and the float images are
-    frame-sized: each slice is Doppler-processed on its own rows, so the images
-    hold 8 M bytes per imaged row, and with every row imaged the two peak at
-    about ((N + N_CP) 16 + 8 N) M bytes.
+    doppler_process then writes each slice's magnitudes into the real parts of
+    the slice's rows, so every image is a float view into that buffer and
+    keeps it alive.  Besides the caller's frame, the buffer is the only
+    frame-sized array: the chain peaks at about (N + N_CP) 16 M bytes, with
+    block temporaries of a few MiB.  Overlapping slices are rejected: one
+    slice's image would overwrite rows of another before they are transformed.
     """
+    imaged = np.zeros(params.N, dtype=bool)
+    for r in rows:
+        if imaged[r].any():
+            raise ValueError(f"image row slice {r} overlaps an earlier slice")
+        imaged[r] = True
     rx = modulate(frame, params)
     apply_shift_channel(rx, params, shifts, snr_db, rng_seed, out=rx)
     fresnel = receive_frame(rx, params, out=from_stream(rx, params))
-    return [doppler_process(fresnel[r], params) for r in rows]
+    return [doppler_process(fresnel[r], params, out=fresnel[r].real) for r in rows]
 
 
 def mimo_leakage_db(params: WaveformParams, mimo: MimoConfig, shifts) -> list[float | None]:

@@ -54,6 +54,8 @@ DOPPLER_SIGN = -1.0
 
 # Samples per noise draw in _add_awgn: a 512 KiB float buffer.
 _NOISE_CHUNK = 1 << 16
+# Values per np.add.reduce call of _pairwise_sum: a 512 KiB float buffer.
+_SUM_LEAF = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -116,10 +118,32 @@ def _delay_phase(n: int, n_delta: float) -> np.ndarray:
     return np.exp(-2j * np.pi * k_signed * n_delta / n)
 
 
+def _pairwise_sum(leaf_sum, start: int, n: int) -> float:
+    """The np.add.reduce sum of n float64 values from index ``start``, without holding them all.
+
+    numpy sums a contiguous run pairwise: a run of more than 128 values splits
+    at half its length, rounded down to a multiple of 8, and the two halves'
+    sums add.  Split the same way down to runs of at most _SUM_LEAF values,
+    each summed by ``leaf_sum(start, stop)`` with np.add.reduce, the sum is
+    numpy's bit for bit.  A module-level function, so the recursion holds no
+    closure cycle that would keep leaf_sum's arrays alive past the call.
+    """
+    if n <= _SUM_LEAF:
+        return leaf_sum(start, start + n)
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(leaf_sum, start, half) + _pairwise_sum(leaf_sum, start + half, n - half)
+
+
 def _mean_power(x: np.ndarray) -> float:
-    power = np.abs(x)
-    power *= power  # the values of np.abs(x) ** 2, without a second float array
-    return float(np.mean(power))
+    """np.mean(np.abs(x) ** 2) bit for bit, a leaf of at most _SUM_LEAF values at a time."""
+    power = np.empty(min(_SUM_LEAF, x.size))
+
+    def leaf_sum(start: int, stop: int) -> float:
+        leaf = np.abs(x[start:stop], out=power[: stop - start])
+        leaf *= leaf
+        return np.add.reduce(leaf)
+
+    return float(_pairwise_sum(leaf_sum, 0, x.size) / x.size)
 
 
 def _add_awgn(signal: np.ndarray, snr_db: float, rng_seed: int, tx_power: float | None) -> None:
@@ -133,7 +157,10 @@ def _add_awgn(signal: np.ndarray, snr_db: float, rng_seed: int, tx_power: float 
     _NOISE_CHUNK pieces; each piece is scaled by sqrt(sigma2 / 2) and added
     straight into the signal.  That is the draw order and the arithmetic of
     signal + sqrt(sigma2 / 2) * (re + 1j*im) with whole-stream re and im, so
-    the noisy signal is equal to it, without a stream-sized noise array.
+    the noisy signal is equal to it, without a stream-sized noise array.  The
+    signal's mean power is np.mean's, summed a leaf at a time by _mean_power,
+    so no stream-length power array is built either: beside the signal the
+    noise takes two 512 KiB float buffers, one after the other.
     """
     power = _mean_power(signal) or tx_power
     if power is None:

@@ -41,11 +41,13 @@ from .analysis import (
     radcom_symbol_builder,
 )
 from .channel import (
+    _SUM_LEAF,
     CommChannelConfig,
     Target,
     apply_comm_channel,
     load_cfr_csv,
     normalize_target,
+    _pairwise_sum,
     two_tap_tilt_cir,
 )
 from .comms import (
@@ -69,6 +71,7 @@ from .framing import (
 )
 from .rxproc import (
     RangeVelocityImage,
+    _RowWindow,
     compute_radar_params,
     estimate_peak,
     image_to_csv,
@@ -327,15 +330,43 @@ def _render_json(name: str, payload: dict) -> str:
     return _canonical_json(payload) + "\n"
 
 
+def _squared_cells(rows: _RowWindow, m: int, start: int, stop: int, out: np.ndarray) -> np.ndarray:
+    """The squares of cells [start, stop) of an m-column image in C order, written into ``out``."""
+    first = start // m
+    cells = rows[first : -(-stop // m)].reshape(-1)[start - first * m : stop - first * m]
+    return np.square(cells, out=out[: stop - start])
+
+
 def _peak_payload(image) -> dict:
     peak = estimate_peak(image)
-    # One squared copy; the floor is the mean of every other cell, summed with the peak
-    # cell zeroed (sum minus peak would cancel to 0 on a noise-free image).
-    power = image.magnitude**2
-    pr, pc = np.unravel_index(int(np.argmax(power)), power.shape)
-    peak_power = power[pr, pc]
-    power[pr, pc] = 0.0
-    floor = float(power.sum()) / (power.size - 1) if power.size > 1 else 0.0
+    # The floor is the mean power of every other cell, summed with the peak cell zeroed
+    # (sum minus peak would cancel to 0 on a noise-free image).  The squared image is
+    # summed in np.sum's pairwise order a leaf at a time, each leaf's sum and first
+    # maximum kept; only the peak's leaf is summed again, with the peak zeroed.
+    magnitude = image.magnitude
+    m = magnitude.shape[1]
+    rows = _RowWindow(magnitude, _SUM_LEAF // m + 2)
+    power = np.empty(min(_SUM_LEAF, magnitude.size))
+    leaves = {}  # leaf start: (stop, power sum, offset of the first maximum, that maximum)
+
+    def leaf_sum(start: int, stop: int) -> float:
+        squares = _squared_cells(rows, m, start, stop, power)
+        top = int(np.argmax(squares))
+        leaves[start] = (stop, np.add.reduce(squares), top, squares[top])
+        return leaves[start][1]
+
+    _pairwise_sum(leaf_sum, 0, magnitude.size)  # the sum with the peak in; it visits every leaf in order
+    peak_start = next(iter(leaves))
+    for start, leaf in leaves.items():  # the first leaf holding the maximum, as np.argmax finds it
+        if leaf[3] > leaves[peak_start][3]:
+            peak_start = start
+    stop, _, top, peak_power = leaves[peak_start]
+    squares = _squared_cells(rows, m, peak_start, stop, power)
+    squares[top] = 0.0
+    sums = {start: leaf[1] for start, leaf in leaves.items()}
+    sums[peak_start] = np.add.reduce(squares)
+    total = _pairwise_sum(lambda start, stop: sums[start], 0, magnitude.size)
+    floor = float(total) / (magnitude.size - 1) if magnitude.size > 1 else 0.0
     margin = 10.0 * np.log10(peak_power / floor) if floor > 0 else np.inf
     return {
         **asdict(peak),
@@ -410,7 +441,9 @@ def _cmd_radcom(config: dict, sc: Scenario) -> dict:
     bits = rng.integers(0, 2, size=2 * n_data * params.M).astype(np.uint8)
     frame = build_radcom_frame(params, spec, (np.sqrt(spec.symbol_energy) * qpsk_map(bits)).reshape(n_data, params.M))
     [image] = radar_image(frame, params, sc.shifts, config["snr_db"], config["seed"], [spec.radar_rows])
-    artifacts = _radar_artifacts("radcom", image)
+    # The sector image is a view into the radar leg's stream buffer: a copy lets that buffer go.
+    artifacts = _radar_artifacts("radcom", replace(image, magnitude=image.magnitude.copy()))
+    del image
 
     # Communication leg over the configured frequency-selective channel, in one
     # stream buffer as the radar leg: channel, then receive, each in place.
@@ -589,7 +622,7 @@ def main(argv=None) -> int:
             return EXIT_PRECONDITION
         except MemoryError:
             p = scenario.radcom_params if args.command == "radcom" else scenario.params
-            peak = (p.symbol_len * 16 + p.N * 8) * p.M  # the chain's one stream buffer, float image
+            peak = p.stream_len * 16  # the chain's one stream buffer, which holds the images too
             print(
                 f"error: precondition violated: out of memory at N={p.N}, M={p.M}, N_CP={p.N_CP}; "
                 f"the radar chain needs about {peak / 2**20:.1f} MiB",

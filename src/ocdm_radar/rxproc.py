@@ -22,6 +22,9 @@ import numpy as np
 from .fresnel import dfnt_fast, phase_fold_correct
 from .framing import _CHANNEL_BLOCK, C0, MimoConfig, WaveformParams, from_stream
 
+# Values per staged window of _RowWindow: two 1 MiB float buffers.
+_WINDOW_VALUES = 1 << 17
+
 __all__ = [
     "RangeVelocityImage",
     "PeakReport",
@@ -93,29 +96,35 @@ def receive_frame(
     return out
 
 
-def doppler_process(cir: np.ndarray, params: WaveformParams) -> RangeVelocityImage:
+def doppler_process(cir: np.ndarray, params: WaveformParams, out: np.ndarray | None = None) -> RangeVelocityImage:
     """Row-wise DFT across symbols (no taper), centered, converted to physical axes.
 
     Works in blocks of rows holding about _CHANNEL_BLOCK * N elements: the
     magnitudes of each block's spectrum go straight into their fftshift
-    columns of one float image.  abs is elementwise and fftshift a
-    permutation, so this is abs(fftshift(fft)) bit for bit, and no complex
-    spectrum of the whole frame is built.  A frame of at most _CHANNEL_BLOCK
-    symbols is one block.
+    columns of the image, ``out`` (a float64 array of the CIR's shape) when
+    given, else a new one.  abs is elementwise and fftshift a permutation, so
+    this is abs(fftshift(fft)) bit for bit, and no complex spectrum of the
+    whole frame is built.  ``out`` may be ``cir.real``: a block's rows are
+    transformed before their real parts are overwritten, so the image is a
+    float view into the CIR's own buffer and no image-sized array is built.
+    A frame of at most _CHANNEL_BLOCK symbols is one block.
     """
     cir = np.asarray(cir, dtype=np.complex128)
     if cir.ndim != 2 or cir.shape[1] < 2:
         raise ValueError("need a (range bins x M>=2) CIR matrix")
     n_rows, m = cir.shape
-    image = np.empty((n_rows, m))
+    if out is None:
+        out = np.empty((n_rows, m))
+    elif out.shape != cir.shape or out.dtype != np.float64:
+        raise ValueError(f"out must be a float64 array of shape {cir.shape}")
     step, shift = max(1, _CHANNEL_BLOCK * params.N // m), m // 2
     for start in range(0, n_rows, step):
         block = slice(start, start + step)
         spectrum = np.fft.fft(cir[block], axis=1)
         # fftshift: bin j lands in column (j + m // 2) % m.
-        np.abs(spectrum[:, : m - shift], out=image[block, shift:])
-        np.abs(spectrum[:, m - shift :], out=image[block, :shift])
-    return _with_axes(image, params)
+        np.abs(spectrum[:, : m - shift], out=out[block, shift:])
+        np.abs(spectrum[:, m - shift :], out=out[block, :shift])
+    return _with_axes(out, params)
 
 
 def _with_axes(image: np.ndarray, params: WaveformParams) -> RangeVelocityImage:
@@ -159,7 +168,14 @@ def estimate_peak(image: RangeVelocityImage) -> PeakReport:
         raise ValueError("image magnitudes are not finite")
     if peak == 0.0:
         raise ValueError("all-zero image has no peak")
-    rows, cols = np.nonzero(mag == peak)
+    hits = mag == peak  # laid out as the image is
+    if hits.flags.f_contiguous and not hits.flags.c_contiguous:
+        # An image viewed in a column-major buffer: scanned by columns, then put in row order.
+        cols, rows = np.divmod(np.flatnonzero(hits.T), mag.shape[0])
+        cells = np.sort(rows * mag.shape[1] + cols)
+    else:
+        cells = np.flatnonzero(hits)
+    rows, cols = np.divmod(cells, mag.shape[1])
     best = min(
         range(rows.size),
         key=lambda i: (
@@ -183,6 +199,37 @@ def image_to_csv(image: RangeVelocityImage, prefix) -> list[str]:
     for name, values in zip(names, (image.magnitude, image.range_axis_m, image.velocity_axis_mps)):
         write_csv(name, values)
     return names
+
+
+class _RowWindow:
+    """A 2-D float table's rows as C-ordered arrays, for reads that mostly move forward.
+
+    A C-contiguous table's rows are views into it.  Any other table (an image
+    viewed in a column-major stream buffer) is staged a window of rows at a
+    time, at least _WINDOW_VALUES values and ``max_rows`` rows: first copied
+    into a column-major buffer, which reads such a table in its memory order,
+    then into a C-ordered one.  A read of up to ``max_rows`` rows that leaves
+    the window restages it from the read's first row, so no copy of the whole
+    table is built.
+    """
+
+    def __init__(self, table: np.ndarray, max_rows: int):
+        self.table, self.first, self.last = table, 0, 0
+        if not table.flags.c_contiguous:
+            rows = min(len(table), max(max_rows, _WINDOW_VALUES // table.shape[1]))
+            self.staged = np.empty((rows, table.shape[1]), order="F")
+            self.rows = np.empty(self.staged.shape)
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        """Rows ``rows.start`` to ``rows.stop`` (a slice with both set, no step), C-ordered."""
+        if self.table.flags.c_contiguous:
+            return self.table[rows]
+        if rows.start < self.first or rows.stop > self.last:
+            self.first, self.last = rows.start, min(rows.start + len(self.rows), len(self.table))
+            count = self.last - self.first
+            self.staged[:count] = self.table[self.first : self.last]
+            self.rows[:count] = self.staged[:count]
+        return self.rows[rows.start - self.first : rows.stop - self.first]
 
 
 def write_csv(path, array, header: str = "") -> None:

@@ -61,6 +61,14 @@ def test_radar_image_equals_whole_frame_chain(rows):
         assert np.array_equal(image.magnitude, np.abs(np.fft.fftshift(np.fft.fft(fresnel[r], axis=1), axes=1)))
 
 
+def test_radar_image_rejects_overlapping_slices():
+    # Each slice is imaged into its own rows' real parts, so an overlap would read rows
+    # another slice's image had already overwritten.
+    params = WaveformParams(N=64, M=8)
+    with pytest.raises(ValueError, match="overlaps"):
+        radar_image(build_pilot_frame(params), params, SHIFTS[:1], rows=[slice(0, 16), slice(8, 24)])
+
+
 def test_radar_image_holds_no_third_frame():
     # Above the caller's tx frame, only the one stream buffer (tx, then rx, then the
     # Fresnel frame), the float images and block temporaries: a second stream, a

@@ -8,8 +8,11 @@ import pytest
 
 from ocdm_radar.channel import (
     _NOISE_CHUNK,
+    _SUM_LEAF,
     CommChannelConfig,
     _add_awgn,
+    _mean_power,
+    _pairwise_sum,
     Target,
     apply_comm_channel,
     apply_shift_channel,
@@ -204,6 +207,28 @@ def test_chunked_awgn_equals_whole_stream_noise(zero_signal):
 
 
 @pytest.mark.parametrize(
+    "size",
+    [1, 7, 8, 127, 128, 129, _SUM_LEAF - 1, _SUM_LEAF, _SUM_LEAF + 1, 2 * _SUM_LEAF + 1001, 2560 * 512],
+)
+def test_pairwise_sum_is_numpys_bit_for_bit(size):
+    # If numpy ever changes its reduction order, this is the alarm: the noise level
+    # and the peak reports' floor are summed leaf by leaf in the order pinned here.
+    rng = np.random.default_rng(size)
+    x = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) * 10.0 ** rng.uniform(-4, 4, size)
+    assert _mean_power(x) == np.mean(np.abs(x) ** 2)
+    values = np.abs(x)
+    assert _pairwise_sum(lambda start, stop: np.add.reduce(values[start:stop]), 0, size) == values.sum()
+
+
+def test_pairwise_sum_of_an_image_with_a_zeroed_cell():
+    rng = np.random.default_rng(8)
+    image = rng.standard_normal((517, 389)) ** 2 * 10.0 ** rng.uniform(-4, 4, (517, 389))
+    image[301, 77] = 0.0
+    cells = image.reshape(-1)
+    assert _pairwise_sum(lambda start, stop: np.add.reduce(cells[start:stop]), 0, cells.size) == image.sum()
+
+
+@pytest.mark.parametrize(
     "shifts, snr_db",
     [
         ([(3.3, 0.27, 0.8 - 0.3j), (40.25, -1.5, 0.2j)], 9.0),
@@ -385,9 +410,9 @@ def test_comm_channel_memory_is_bounded():
 
 @pytest.mark.parametrize("n_cp", [0, 16])
 def test_shift_channel_memory_is_bounded(n_cp):
-    # The received buffer and the float power array of the noise level: measured
-    # 1.6x the stream bytes, against 2.6-2.8x with a stream-sized noise buffer
-    # and 6.4-6.5x when each target built a stream-length Doppler ramp.
+    # The received buffer and block buffers: measured 1.1x the stream bytes, against
+    # 1.6x with a float power array for the noise level, 2.6-2.8x with a stream-sized
+    # noise buffer and 6.4-6.5x when each target built a stream-length Doppler ramp.
     params = WaveformParams(N=256, M=1024, N_CP=n_cp)
     stream = pilot_stream(params)
     shifts = [(10.5, 0.2, 1.0), (60.25, -0.35, 0.3j), (130.0, 0.05, 0.2 - 0.1j)]
@@ -400,6 +425,25 @@ def test_shift_channel_memory_is_bounded(n_cp):
     finally:
         tracemalloc.stop()
     assert peak <= 2.0 * stream.nbytes
+
+
+@pytest.mark.parametrize("n_cp", [0, 16])
+def test_noisy_shift_channel_builds_no_power_array(n_cp):
+    # The noise level is summed a leaf at a time: beside the received buffer only block
+    # buffers; a half-stream float power array would exceed the quarter-stream allowance.
+    params = WaveformParams(N=256, M=1024, N_CP=n_cp)
+    stream = pilot_stream(params)
+    shifts = [(10.5, 0.2, 1.0), (60.25, -0.35, 0.3j)]
+    apply_shift_channel(stream, params, shifts, snr_db=15.0, rng_seed=3)  # FFT caches, outside the count
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        apply_shift_channel(stream, params, shifts, snr_db=15.0, rng_seed=3)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * stream.nbytes
 
 
 def test_ideal_oracle_integer_delta():

@@ -4,12 +4,13 @@ import json
 import math
 import tempfile
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ocdm_radar import cli
+from ocdm_radar import analysis, cli
 from ocdm_radar.analysis import mimo_leakage_db, radar_image
 from ocdm_radar.channel import Target, normalize_target
 from ocdm_radar.cli import EXIT_OK, EXIT_PRECONDITION, EXIT_RUNTIME, EXIT_SCHEMA, main, resolve_config
@@ -21,6 +22,7 @@ from ocdm_radar.framing import (
     build_pilot_frame,
     build_radcom_frame,
     build_superposed_pilot_frame,
+    modulate,
     qpsk_map,
 )
 from ocdm_radar.rxproc import RangeVelocityImage
@@ -385,6 +387,50 @@ def test_radar_command_holds_one_stream():
     assert peak <= frame_bytes + p.stream_len * 16 + image.magnitude.nbytes + frame_bytes // 4
 
 
+def test_radar_command_images_into_the_stream():
+    # Every row imaged: the image is a view into the stream buffer, and the peak payload
+    # sums its power a leaf at a time.  A float image or power array of the frame's
+    # N x M cells (half a frame each) would exceed the quarter-frame allowance.
+    config = resolve_config(
+        {"waveform": {"N": 256, "M": 1024}, "targets": [{"range_m": 5.03, "velocity_mps": 10.0}], "snr_db": 15.0}
+    )
+    sc = cli.build_scenario(config)
+    p = sc.params
+    cli._cmd_radar(config, sc)  # lazy numpy imports, outside the count
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        cli._cmd_radar(config, sc)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    frame_bytes = p.N * p.M * 16
+    assert peak <= frame_bytes + p.stream_len * 16 + frame_bytes // 4
+
+
+def test_radcom_radar_leg_stream_is_freed_before_the_comm_leg(monkeypatch):
+    # The sector image is copied out of the radar leg's stream buffer, so the comm leg
+    # runs without it: the buffer must be gone, not kept by the image or a reference cycle.
+    config = resolve_config({"waveform": {"N": 64, "M": 16}, "targets": [{"range_m": 1.5}], "snr_db": 15.0})
+    sc = cli.build_scenario(config)
+    radar_streams, alive_at_comm_leg = [], []
+
+    def radar_modulate(*args):
+        stream = modulate(*args)
+        radar_streams.append(weakref.ref(stream))
+        return stream
+
+    def comm_modulate(*args):
+        alive_at_comm_leg.extend(ref() is not None for ref in radar_streams)
+        return modulate(*args)
+
+    monkeypatch.setattr(analysis, "modulate", radar_modulate)
+    monkeypatch.setattr(cli, "modulate", comm_modulate)
+    cli._cmd_radcom(config, sc)
+    assert alive_at_comm_leg == [False]
+
+
 def test_radcom_command_holds_one_stream():
     # Both legs run in one stream buffer beside the frame, and the comm leg keeps
     # only the (n_data, M) equalized symbols besides.  The allowance is half a
@@ -638,7 +684,7 @@ def test_memory_error_exits_3_naming_numerology(tmp_path, capsys, monkeypatch, c
     assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_PRECONDITION
     err = capsys.readouterr().err
     n_cp = 64 if command == "radcom" else 0
-    peak_mib = ((256 + n_cp) * 16 + 256 * 8) * 32 / 2**20
+    peak_mib = (256 + n_cp) * 16 * 32 / 2**20  # the stream buffer, which holds the images too
     assert f"out of memory at {numerology}" in err and f"about {peak_mib:.1f} MiB" in err, err
     assert not out.exists()
 

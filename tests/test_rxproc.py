@@ -1,6 +1,7 @@
 """Receiver chain, radar parameter table, imaging, peak estimation and CSV export."""
 
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from ocdm_radar.rxproc import (
     write_csv,
 )
 from ocdm_radar._csvwrite import _CSV_BLOCK
+from ocdm_radar.rxproc import _WINDOW_VALUES
 
 FULL = WaveformParams(N=2048, M=5120, N_CP=0, B=1e9, fc=79e9)
 
@@ -462,6 +464,43 @@ def test_write_csv_columns_and_blocks_equal_savetxt(tmp_path):
     columns = [values, np.tile(np.arange(11), n // 11 + 1)[:n], -values]
     want = _savetxt_bytes(tmp_path / "want.csv", np.column_stack(columns), "a,b,c")
     assert _write_csv_bytes(tmp_path / "got.csv", columns, "a,b,c") == want
+
+
+def test_write_csv_reads_a_strided_table_a_window_at_a_time(tmp_path):
+    # A table whose rows are not contiguous (an image viewed in the column-major stream
+    # buffer) gives savetxt's bytes, and is staged a window of rows at a time: beside the
+    # writer's own block buffers no copy of the table is built.
+    rng = np.random.default_rng(9)
+    values = rng.standard_normal((1001, 700)) * 10.0 ** rng.integers(-5, 5, (1001, 700))
+    want = _savetxt_bytes(tmp_path / "want.csv", values)
+    tables = [np.asfortranarray(values), np.asfortranarray(values + 1j * rng.standard_normal(values.shape)).real]
+    peaks = []
+    for table in [values] + tables:
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            write_csv(tmp_path / "got.csv", table)
+            peaks.append(tracemalloc.get_traced_memory()[1] - entry)
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "got.csv").read_bytes() == want
+    for table, peak in zip(tables, peaks[1:]):
+        assert not table.flags.c_contiguous
+        assert peak - peaks[0] <= 2 * _WINDOW_VALUES * 8 + 64 * 1024 < table.size * 8 // 2
+
+
+def test_doppler_process_into_the_cir_real_parts():
+    # out=cir.real: each row block is transformed before its real parts are overwritten,
+    # so the image is the new-array one bit for bit, held in the CIR's own buffer.
+    params = WaveformParams(N=64, M=1000)
+    rng = np.random.default_rng(14)
+    cir = np.asfortranarray(rng.standard_normal((61, params.M)) + 1j * rng.standard_normal((61, params.M)))
+    want = doppler_process(cir, params).magnitude
+    image = doppler_process(cir, params, out=cir.real)
+    assert np.array_equal(image.magnitude, want) and np.shares_memory(image.magnitude, cir)
+    with pytest.raises(ValueError, match="out must be"):
+        doppler_process(cir, params, out=np.empty((61, params.M), dtype=np.float32))
 
 
 def test_doppler_row_blocks_equal_whole_frame_transform():
