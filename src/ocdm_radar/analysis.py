@@ -28,6 +28,7 @@ from .framing import (
     build_mimo_pilot_frame,
     build_pilot_frame,
     build_radcom_frame,
+    draw_payload_bits,
     from_stream,
     modulate,
     qpsk_map,
@@ -316,13 +317,9 @@ def pilot_symbol_builder(params: WaveformParams):
 def radcom_symbol_builder(params: WaveformParams, spec: RadComFrameSpec):
     """Sector-modulated symbol with a fresh random QPSK payload per trial."""
     single = replace(params, M=1, N_CP=0)
-    n_data = spec.num_data_subchirps(params.N)
-    scale = np.sqrt(spec.symbol_energy)
 
     def build(rng):
-        bits = rng.integers(0, 2, size=2 * n_data)
-        symbols = (scale * qpsk_map(bits)).reshape(n_data, 1)
-        return modulate(build_radcom_frame(single, spec, symbols), single)
+        return modulate(build_radcom_frame(single, spec, draw_payload_bits(rng, single, spec)), single)
 
     return build
 

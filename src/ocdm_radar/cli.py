@@ -64,10 +64,10 @@ from .framing import (
     build_pilot_frame,
     build_radcom_frame,
     build_superposed_pilot_frame,
+    draw_payload_bits,
     from_stream,
     modulate,
     qpsk_demap,
-    qpsk_map,
 )
 from .rxproc import (
     RangeVelocityImage,
@@ -437,24 +437,25 @@ def _cmd_radcom(config: dict, sc: Scenario) -> dict:
     if spread >= spec.N_CP:  # the CP allows N_CP, which wraps the last data row into the pilot row
         raise ValueError(f"channel delay spread {spread} must be below the RadCom N_CP {spec.N_CP} (N_CP-1 guard nulls)")
 
-    rng = np.random.default_rng(config["seed"])
-    bits = rng.integers(0, 2, size=2 * n_data * params.M).astype(np.uint8)
-    frame = build_radcom_frame(params, spec, (np.sqrt(spec.symbol_energy) * qpsk_map(bits)).reshape(n_data, params.M))
+    bits = draw_payload_bits(np.random.default_rng(config["seed"]), params, spec)
+    frame = build_radcom_frame(params, spec, bits)
     [image] = radar_image(frame, params, sc.shifts, config["snr_db"], config["seed"], [spec.radar_rows])
     # The sector image is a view into the radar leg's stream buffer: a copy lets that buffer go.
     artifacts = _radar_artifacts("radcom", replace(image, magnitude=image.magnitude.copy()))
     del image
 
     # Communication leg over the configured frequency-selective channel, in one
-    # stream buffer as the radar leg: channel, then receive, each in place.
+    # stream buffer as the radar leg: channel, then receive, each in place.  The
+    # frame goes once it is modulated; the payload is kept as its bits.
     rx = modulate(frame, params)
+    del frame
     apply_comm_channel(rx, sc.comm_channel, params, out=rx)
     comm_frame = receive_frame(rx, params, correct_fold=False, out=from_stream(rx, params))
     avg = config["radcom"]["avg_symbols"] or params.M
     recovered = equalize_and_extract(comm_frame, estimate_comm_cfr(comm_frame, spec, avg), spec)
-    del rx, comm_frame  # the stream goes before the EVM's temporaries, the frame after the EVM
-    report = evm_and_snr(recovered, frame[spec.data_rows(params.N)])  # the frame's data rows are the symbols sent
-    del frame
+    del rx, comm_frame  # the stream goes before the reference frame is rebuilt
+    # The symbols sent, as the frame's C-contiguous data rows.
+    report = evm_and_snr(recovered, build_radcom_frame(params, spec, bits)[spec.data_rows(params.N)])
     rx_bits = qpsk_demap(recovered)
     artifacts["comm_report.json"] = {
         **asdict(report),
@@ -622,7 +623,9 @@ def main(argv=None) -> int:
             return EXIT_PRECONDITION
         except MemoryError:
             p = scenario.radcom_params if args.command == "radcom" else scenario.params
-            peak = p.stream_len * 16  # the chain's one stream buffer, which holds the images too
+            # The chain's one stream buffer, which holds the images too, and beside it radcom's
+            # Fresnel frame; the pilot frames are np.zeros pages that are never written.
+            peak = (p.stream_len + (p.N * p.M if args.command == "radcom" else 0)) * 16
             print(
                 f"error: precondition violated: out of memory at N={p.N}, M={p.M}, N_CP={p.N_CP}; "
                 f"the radar chain needs about {peak / 2**20:.1f} MiB",

@@ -28,6 +28,7 @@ __all__ = [
     "build_mimo_pilot_frame",
     "build_superposed_pilot_frame",
     "build_radcom_frame",
+    "draw_payload_bits",
     "qpsk_map",
     "qpsk_demap",
     "to_stream",
@@ -46,6 +47,11 @@ C0 = 3.0e8
 # 0.8-0.9 s on 2 vCPUs, 1024 takes 1.2 s; at 64 each block temporary is 2 MiB,
 # a few MiB in all beside the frame-sized stream buffer.
 _CHANNEL_BLOCK = 64
+
+# Data symbols per band of a RadCom payload: draw_payload_bits draws, and
+# build_radcom_frame maps, whole data rows of at most this many symbols at a time
+# (at least one row), so a band's int64 draw or complex symbols take 1 MiB.
+_PAYLOAD_BAND = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -186,21 +192,41 @@ def _pilot_rows_frame(params: WaveformParams, rows: list[int]) -> np.ndarray:
     return frame
 
 
-def build_radcom_frame(params: WaveformParams, spec: RadComFrameSpec, symbols: np.ndarray) -> np.ndarray:
-    """Sector-modulated frame: sqrt(E_rad) pilot, data on ``spec.data_rows``, null guard.
+def build_radcom_frame(params: WaveformParams, spec: RadComFrameSpec, bits: np.ndarray) -> np.ndarray:
+    """Sector-modulated frame: sqrt(E_rad) pilot, QPSK data on ``spec.data_rows``, null guard.
 
-    ``symbols`` carries the constellation points as transmitted.
+    ``bits`` is the payload, two bits per data symbol with the data rows one
+    after another (as ``draw_payload_bits`` draws it).  The data rows get
+    sqrt(E_s) * qpsk_map(bits), mapped a band of rows at a time, so no
+    payload-sized symbol matrix is built.
     """
-    n_data = spec.num_data_subchirps(params.N)
-    symbols = np.asarray(symbols, dtype=np.complex128)
-    if symbols.shape != (n_data, params.M):
-        raise ValueError(
-            f"symbol matrix must be {(n_data, params.M)}, got {symbols.shape}"
-        )
-    frame = np.zeros((params.N, params.M), dtype=np.complex128)
+    n_data, m = spec.num_data_subchirps(params.N), params.M
+    bits = np.asarray(bits)
+    if bits.shape != (2 * n_data * m,):
+        raise ValueError(f"payload must be {2 * n_data * m} bits, got shape {bits.shape}")
+    frame = np.zeros((params.N, m), dtype=np.complex128)
     frame[0, :] = np.sqrt(spec.pilot_energy)
-    frame[spec.data_rows(params.N), :] = symbols
+    data, row_bits = frame[spec.data_rows(params.N)], bits.reshape(n_data, 2 * m)
+    scale, band = np.sqrt(spec.symbol_energy), max(1, _PAYLOAD_BAND // m)
+    for start in range(0, n_data, band):
+        rows = slice(start, start + band)
+        data[rows] = (scale * qpsk_map(row_bits[rows])).reshape(-1, m)
     return frame
+
+
+def draw_payload_bits(rng: np.random.Generator, params: WaveformParams, spec: RadComFrameSpec) -> np.ndarray:
+    """Random payload of a RadCom frame: ``build_radcom_frame``'s bits, as uint8.
+
+    Bit for bit ``rng.integers(0, 2, size=2 * n_data * M)``, leaving ``rng`` in
+    the same state: each call continues the bit generator's stream, so the draw
+    is made a band of rows at a time and no payload-sized int64 array is built.
+    """
+    count = 2 * spec.num_data_subchirps(params.N) * params.M
+    bits = np.empty(count, dtype=np.uint8)
+    band = 2 * params.M * max(1, _PAYLOAD_BAND // params.M)
+    for start in range(0, count, band):
+        bits[start : start + band] = rng.integers(0, 2, size=min(band, count - start))
+    return bits
 
 
 _QPSK_SCALE = 1.0 / np.sqrt(2.0)

@@ -271,9 +271,10 @@ def test_criterion_09_radcom_guard_interval():
     spec = RadComFrameSpec(N_CP=64)
     n_data = spec.num_data_subchirps(params.N)
     rng = np.random.default_rng(9)
-    symbols = qpsk_map(rng.integers(0, 2, 2 * n_data * params.M)).reshape(n_data, params.M)
-    with_data = to_stream(idfnt_fast(build_radcom_frame(params, spec, symbols)), params)
-    without = to_stream(idfnt_fast(build_radcom_frame(params, spec, np.zeros_like(symbols))), params)
+    frame = build_radcom_frame(params, spec, rng.integers(0, 2, 2 * n_data * params.M))
+    with_data = to_stream(idfnt_fast(frame), params)
+    frame[spec.data_rows(params.N)] = 0  # the pilot alone
+    without = to_stream(idfnt_fast(frame), params)
 
     worst = 0.0
     for delay in range(spec.N_CP):
@@ -306,8 +307,9 @@ def test_criterion_10_communication_loopback():
     snr_db = 30.0
     rng = np.random.default_rng(10)
     bits = rng.integers(0, 2, size=2 * n_data * params.M)
-    symbols = qpsk_map(bits).reshape(n_data, params.M)
-    tx = to_stream(idfnt_fast(build_radcom_frame(params, spec, symbols)), params)
+    frame = build_radcom_frame(params, spec, bits)
+    symbols = frame[spec.data_rows(params.N)]
+    tx = to_stream(idfnt_fast(frame), params)
 
     clean = apply_comm_channel(tx, CommChannelConfig(cir=cir), params)
     rx = apply_comm_channel(

@@ -43,8 +43,8 @@ def radcom_link(params, spec, rng, channel_cfg):
     """One sector-modulated frame through the comm channel; returns pieces."""
     n_data = spec.num_data_subchirps(params.N)
     bits = rng.integers(0, 2, size=2 * n_data * params.M)
-    symbols = qpsk_map(bits).reshape(n_data, params.M)
-    frame = build_radcom_frame(params, spec, symbols)
+    frame = build_radcom_frame(params, spec, bits)
+    symbols = frame[spec.data_rows(params.N)]
     tx = to_stream(idfnt_fast(frame), params)
     rx = apply_comm_channel(tx, channel_cfg, params)
     fresnel = receive_frame(rx, params, correct_fold=False)

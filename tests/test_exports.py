@@ -65,3 +65,16 @@ def test_csv_is_written_in_one_place():
     # rxproc.write_csv writes every CSV; it produces the bytes np.savetxt would.
     found = [path.stem for path in sorted(PACKAGE.glob("*.py")) if "savetxt" in path.read_text()]
     assert found == [], found
+
+
+def test_payload_is_mapped_in_one_place():
+    # framing.build_radcom_frame scales the QPSK payload by sqrt(symbol_energy); every other
+    # module passes bits.  The CLI's config key rc["symbol_energy"] is a subscript, not a read.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "framing":
+            continue
+        tree = ast.parse(path.read_text())
+        if any(isinstance(node, ast.Attribute) and node.attr == "symbol_energy" for node in ast.walk(tree)):
+            found.append(path.stem)
+    assert found == [], found

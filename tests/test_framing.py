@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ocdm_radar import framing
 from ocdm_radar.framing import (
     _CHANNEL_BLOCK,
     MimoConfig,
@@ -12,6 +13,7 @@ from ocdm_radar.framing import (
     build_pilot_frame,
     build_radcom_frame,
     build_superposed_pilot_frame,
+    draw_payload_bits,
     from_stream,
     modulate,
     qpsk_demap,
@@ -105,16 +107,16 @@ def test_superposed_pilot_frame_is_the_sum_of_transmitter_frames(num_tx):
 def test_radcom_frame_layout():
     params = WaveformParams(N=8, M=1)
     spec = RadComFrameSpec(N_CP=2)
-    symbols = np.ones((5, 1), dtype=complex)
-    frame = build_radcom_frame(params, spec, symbols)
-    assert np.array_equal(frame[:, 0], [1, 0, 1, 1, 1, 1, 1, 0])
+    frame = build_radcom_frame(params, spec, np.zeros(10, dtype=np.uint8))
+    s = qpsk_map([0, 0])[0]
+    assert np.array_equal(frame[:, 0], [1, 0, s, s, s, s, s, 0])
 
 
 def test_radcom_sector_partition():
     params = WaveformParams(N=32, M=1)
     spec = RadComFrameSpec(N_CP=8)
     n_data = spec.num_data_subchirps(params.N)
-    frame = build_radcom_frame(params, spec, np.ones((n_data, 1), dtype=complex))
+    frame = build_radcom_frame(params, spec, np.zeros(2 * n_data, dtype=np.uint8))
     support = set(np.nonzero(frame[:, 0])[0].tolist())
     pilot = {0}
     data = set(range(8, 32 - 8 + 1))
@@ -138,10 +140,9 @@ def test_radcom_rows_partition_the_frame(n_cp):
     assert len(radar) == n_cp and len(guard) == n_cp - 1
     assert radar + data + guard == list(range(params.N))
 
-    rng = np.random.default_rng(n_cp)
-    symbols = qpsk_map(rng.integers(0, 2, size=2 * len(data) * params.M)).reshape(len(data), params.M)
-    frame = build_radcom_frame(params, spec, symbols)
-    assert np.array_equal(frame[spec.data_rows(params.N)], symbols)
+    bits = np.random.default_rng(n_cp).integers(0, 2, size=2 * len(data) * params.M)
+    frame = build_radcom_frame(params, spec, bits)
+    assert np.array_equal(frame[spec.data_rows(params.N)], qpsk_map(bits).reshape(len(data), params.M))
     assert not frame[guard].any()
     assert np.array_equal(frame[spec.radar_rows][0], np.full(params.M, np.sqrt(2.0)))
     assert not frame[spec.radar_rows][1:].any()
@@ -158,20 +159,51 @@ def test_radcom_total_energy():
     spec = RadComFrameSpec(N_CP=8, pilot_energy=2.0)
     n_data = spec.num_data_subchirps(params.N)
     rng = np.random.default_rng(0)
-    symbols = qpsk_map(rng.integers(0, 2, size=2 * n_data * params.M)).reshape(
-        n_data, params.M
-    )
-    frame = build_radcom_frame(params, spec, symbols)
+    frame = build_radcom_frame(params, spec, rng.integers(0, 2, size=2 * n_data * params.M))
     energy = np.sum(np.abs(frame) ** 2, axis=0)
     assert np.allclose(energy, spec.pilot_energy + n_data * 1.0)
 
 
 def test_radcom_constraint_violations():
     params = WaveformParams(N=8, M=1)
-    with pytest.raises(ValueError):
-        build_radcom_frame(params, RadComFrameSpec(N_CP=5), np.ones((1, 1)))
-    with pytest.raises(ValueError):
-        build_radcom_frame(params, RadComFrameSpec(N_CP=2), np.ones((4, 1)))
+    with pytest.raises(ValueError, match="sector layout"):
+        build_radcom_frame(params, RadComFrameSpec(N_CP=5), np.zeros(2, dtype=np.uint8))
+    with pytest.raises(ValueError, match="payload must be 10 bits"):
+        build_radcom_frame(params, RadComFrameSpec(N_CP=2), np.zeros(8, dtype=np.uint8))
+    with pytest.raises(ValueError, match="payload must be 10 bits"):
+        build_radcom_frame(params, RadComFrameSpec(N_CP=2), np.zeros((5, 2), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("band, m", [(framing._PAYLOAD_BAND, 1000), (7, 3), (1, 3)])
+def test_payload_bits_are_one_draw_band_by_band(monkeypatch, band, m):
+    # Each rng.integers call continues the bit generator's stream, so the draw a band of
+    # rows at a time is the single int64 draw bit for bit, and leaves the generator where
+    # that draw does.  225 data rows are no multiple of the 65, 2 or 1 rows of a band.
+    monkeypatch.setattr(framing, "_PAYLOAD_BAND", band)
+    params, spec = WaveformParams(N=256, M=m), RadComFrameSpec(N_CP=16)
+    count = 2 * spec.num_data_subchirps(params.N) * m
+    for seed in range(3):
+        one_draw, banded = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = one_draw.integers(0, 2, size=count)
+        got = draw_payload_bits(banded, params, spec)
+        assert got.dtype == np.uint8 and np.array_equal(got, want)
+        assert np.array_equal(banded.integers(0, 2**62, size=3), one_draw.integers(0, 2**62, size=3))
+
+
+def test_radcom_frame_maps_its_payload_bit_for_bit():
+    # Banded mapping equals scaling the whole symbol matrix: 225 data rows in bands of
+    # 65, with sector energies other than 1.
+    params = WaveformParams(N=256, M=1000)
+    spec = RadComFrameSpec(N_CP=16, pilot_energy=2.0, symbol_energy=0.5)
+    n_data = spec.num_data_subchirps(params.N)
+    assert n_data % (framing._PAYLOAD_BAND // params.M)
+    bits = draw_payload_bits(np.random.default_rng(11), params, spec)
+    want = np.zeros((params.N, params.M), dtype=np.complex128)
+    want[0, :] = np.sqrt(spec.pilot_energy)
+    want[spec.data_rows(params.N), :] = (np.sqrt(spec.symbol_energy) * qpsk_map(bits)).reshape(n_data, params.M)
+    frame = build_radcom_frame(params, spec, bits)
+    assert frame.flags.c_contiguous
+    assert np.array_equal(frame.view(np.uint64), want.view(np.uint64))
 
 
 def test_radcom_data_rate_example():

@@ -17,7 +17,6 @@ from ocdm_radar.framing import (
     build_pilot_frame,
     build_radcom_frame,
     from_stream,
-    qpsk_map,
     to_stream,
 )
 from ocdm_radar.fresnel import dfnt_fast, idfnt_fast, phase_fold_correct
@@ -211,7 +210,8 @@ def test_radcom_pilot_only_matches_siso_rows():
     params = WaveformParams(N=64, M=4, N_CP=16)
     spec = RadComFrameSpec(N_CP=16)
     n_data = spec.num_data_subchirps(params.N)
-    frame = build_radcom_frame(params, spec, np.zeros((n_data, params.M)))
+    frame = build_radcom_frame(params, spec, np.zeros(2 * n_data * params.M, dtype=np.uint8))
+    frame[spec.data_rows(params.N)] = 0  # the pilot alone
     stream = to_stream(idfnt_fast(frame), params)
     rx = apply_shift_channel(stream, params, [(5.0, 0.0, 1.0)])
     cir = receive_frame(rx, params)[spec.radar_rows]
@@ -227,9 +227,9 @@ def test_radcom_guard_interval_isolates_radar_sector():
     spec = RadComFrameSpec(N_CP=32)
     n_data = spec.num_data_subchirps(params.N)
     rng = np.random.default_rng(8)
-    symbols = qpsk_map(rng.integers(0, 2, 2 * n_data * params.M)).reshape(n_data, params.M)
-    with_data = build_radcom_frame(params, spec, symbols)
-    without = build_radcom_frame(params, spec, np.zeros_like(symbols))
+    with_data = build_radcom_frame(params, spec, rng.integers(0, 2, 2 * n_data * params.M))
+    without = with_data.copy()
+    without[spec.data_rows(params.N)] = 0  # the pilot alone
     shifts = [(7.0, 0.0, 1.0), (31.0, 0.0, 0.5)]
     cirs = []
     for frame in (with_data, without):
@@ -244,13 +244,12 @@ def test_radcom_excess_delay_contaminates_cir():
     spec = RadComFrameSpec(N_CP=32)
     n_data = spec.num_data_subchirps(params.N)
     rng = np.random.default_rng(9)
-    symbols = qpsk_map(rng.integers(0, 2, 2 * n_data * params.M)).reshape(n_data, params.M)
+    with_data = build_radcom_frame(params, spec, rng.integers(0, 2, 2 * n_data * params.M))
+    without = with_data.copy()
+    without[spec.data_rows(params.N)] = 0  # the pilot alone
     shifts = [(40.0, 0.0, 1.0)]  # beyond N_CP: data wraps into the radar rows
     cirs = []
-    for frame in (
-        build_radcom_frame(params, spec, symbols),
-        build_radcom_frame(params, spec, np.zeros_like(symbols)),
-    ):
+    for frame in (with_data, without):
         stream = to_stream(idfnt_fast(frame), params)
         rx = apply_shift_channel(stream, params, shifts)
         cirs.append(receive_frame(rx, params)[spec.radar_rows])
