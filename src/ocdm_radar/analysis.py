@@ -33,7 +33,7 @@ from .framing import (
     modulate,
     qpsk_map,
 )
-from .rxproc import RangeVelocityImage, _with_axes, doppler_process, receive_frame
+from .rxproc import RangeVelocityImage, doppler_process, receive_frame, with_axes
 
 __all__ = [
     "RangeCutMetrics",
@@ -197,7 +197,7 @@ def _pilot_imager(params: WaveformParams):
     def image(n_delta: float, k_delta: float) -> RangeVelocityImage:
         d = receive_frame(apply_shift_channel(pilot, single, [(n_delta, k_delta, 1.0)]), single)[:, 0]
         p = np.exp(2j * np.pi * k_delta * m * params.symbol_len / params.N)
-        return _with_axes(np.outer(np.abs(d), np.abs(np.fft.fftshift(np.fft.fft(p)))), params)
+        return with_axes(np.outer(np.abs(d), np.abs(np.fft.fftshift(np.fft.fft(p)))), params)
 
     return image
 

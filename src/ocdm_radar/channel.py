@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fresnel import dirichlet_kernel
-from .framing import _CHANNEL_BLOCK, C0, WaveformParams, from_stream
+from .framing import C0, CHANNEL_BLOCK, WaveformParams, from_stream
 
 __all__ = [
     "Target",
@@ -54,8 +54,8 @@ DOPPLER_SIGN = -1.0
 
 # Samples per noise draw in _add_awgn: a 512 KiB float buffer.
 _NOISE_CHUNK = 1 << 16
-# Values per np.add.reduce call of _pairwise_sum: a 512 KiB float buffer.
-_SUM_LEAF = 1 << 16
+# Values per np.add.reduce call of pairwise_sum: a 512 KiB float buffer.
+SUM_LEAF = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ class CommChannelConfig:
         mag = np.abs(np.asarray(self.cir, dtype=np.complex128))
         return int(np.max(np.nonzero(mag > 1e-12 * np.max(mag))[0]))
 
-    def _spread_within_cp(self, n_cp: int) -> int:
+    def spread_within_cp(self, n_cp: int) -> int:
         """The delay spread; past a CP of n_cp samples the channel is rejected."""
         spread = self.delay_spread
         if spread > n_cp:
@@ -118,32 +118,32 @@ def _delay_phase(n: int, n_delta: float) -> np.ndarray:
     return np.exp(-2j * np.pi * k_signed * n_delta / n)
 
 
-def _pairwise_sum(leaf_sum, start: int, n: int) -> float:
+def pairwise_sum(leaf_sum, start: int, n: int) -> float:
     """The np.add.reduce sum of n float64 values from index ``start``, without holding them all.
 
     numpy sums a contiguous run pairwise: a run of more than 128 values splits
     at half its length, rounded down to a multiple of 8, and the two halves'
-    sums add.  Split the same way down to runs of at most _SUM_LEAF values,
+    sums add.  Split the same way down to runs of at most SUM_LEAF values,
     each summed by ``leaf_sum(start, stop)`` with np.add.reduce, the sum is
     numpy's bit for bit.  A module-level function, so the recursion holds no
     closure cycle that would keep leaf_sum's arrays alive past the call.
     """
-    if n <= _SUM_LEAF:
+    if n <= SUM_LEAF:
         return leaf_sum(start, start + n)
     half = n // 2 - n // 2 % 8
-    return _pairwise_sum(leaf_sum, start, half) + _pairwise_sum(leaf_sum, start + half, n - half)
+    return pairwise_sum(leaf_sum, start, half) + pairwise_sum(leaf_sum, start + half, n - half)
 
 
 def _mean_power(x: np.ndarray) -> float:
-    """np.mean(np.abs(x) ** 2) bit for bit, a leaf of at most _SUM_LEAF values at a time."""
-    power = np.empty(min(_SUM_LEAF, x.size))
+    """np.mean(np.abs(x) ** 2) bit for bit, a leaf of at most SUM_LEAF values at a time."""
+    power = np.empty(min(SUM_LEAF, x.size))
 
     def leaf_sum(start: int, stop: int) -> float:
         leaf = np.abs(x[start:stop], out=power[: stop - start])
         leaf *= leaf
         return np.add.reduce(leaf)
 
-    return float(_pairwise_sum(leaf_sum, 0, x.size) / x.size)
+    return float(pairwise_sum(leaf_sum, 0, x.size) / x.size)
 
 
 def _add_awgn(signal: np.ndarray, snr_db: float, rng_seed: int, tx_power: float | None) -> None:
@@ -195,7 +195,7 @@ def apply_shift_channel(
     serialized stream, then the complex gain.  Scatterer contributions add;
     AWGN at snr_db relative to the noise-free received power comes last.
 
-    Works on blocks of _CHANNEL_BLOCK symbols in (N + N_CP, width) form: the
+    Works on blocks of CHANNEL_BLOCK symbols in (N + N_CP, width) form: the
     Doppler ramp is the in-symbol factor e^{2 pi i k_delta r / N} over every row
     r, CP rows included (so each keeps its phase e^{-2 pi i k_delta} relative to
     its tail), times the per-symbol factor A e^{2 pi i k_delta m (N + N_CP) / N}.
@@ -250,9 +250,9 @@ def _echoes(frame: np.ndarray, params: WaveformParams, paths, received: np.ndarr
     Doppler ramp of k_delta and the gain, as apply_shift_channel describes.
     Each block's spectrum is taken before the block's columns of ``received``
     are written, so ``frame`` may be a view into the same buffer.  Per path,
-    the symbols go into one F-ordered N x _CHANNEL_BLOCK body buffer (response
+    the symbols go into one F-ordered N x CHANNEL_BLOCK body buffer (response
     multiply, then the IDFT in place) and their CP rows, copied from its tail,
-    into one N_CP x _CHANNEL_BLOCK buffer; both take the in-symbol and
+    into one N_CP x CHANNEL_BLOCK buffer; both take the in-symbol and
     per-symbol factors, then add onto the block.  The three block buffers are
     built once per call and are gone before the noise is added.
     """
@@ -263,12 +263,12 @@ def _echoes(frame: np.ndarray, params: WaveformParams, paths, received: np.ndarr
          complex(amplitude) * np.exp(2j * np.pi * k_delta * m * rows / n))
         for response, k_delta, amplitude in paths
     ]
-    spectrum_buffer = np.empty((n, min(_CHANNEL_BLOCK, params.M)), dtype=np.complex128, order="F")
+    spectrum_buffer = np.empty((n, min(CHANNEL_BLOCK, params.M)), dtype=np.complex128, order="F")
     body_buffer = np.empty_like(spectrum_buffer)
     cp_buffer = np.empty((n_cp, spectrum_buffer.shape[1]), dtype=np.complex128, order="F")
 
-    for start in range(0, params.M, _CHANNEL_BLOCK):
-        stop = min(start + _CHANNEL_BLOCK, params.M)
+    for start in range(0, params.M, CHANNEL_BLOCK):
+        stop = min(start + CHANNEL_BLOCK, params.M)
         width = stop - start
         spectrum, body, cp = spectrum_buffer[:, :width], body_buffer[:, :width], cp_buffer[:, :width]
         np.fft.fft(frame[:, start:stop], axis=0, out=spectrum)
@@ -403,6 +403,6 @@ def apply_comm_channel(
     """
     stream = np.asarray(stream, dtype=np.complex128)
     cfr = cfr_from_cir(cfg.cir, params.N)
-    cfg._spread_within_cp(params.N_CP)
+    cfg.spread_within_cp(params.N_CP)
     tx_power = _mean_power(stream) if cfg.snr_db is not None and not cfr.all() else 0.0
     return _multipath(stream, params, [(cfr, 0.0, 1.0)], cfg.snr_db, cfg.rng_seed, tx_power, out)

@@ -41,13 +41,11 @@ from .analysis import (
     radcom_symbol_builder,
 )
 from .channel import (
-    _SUM_LEAF,
     CommChannelConfig,
     Target,
     apply_comm_channel,
     load_cfr_csv,
     normalize_target,
-    _pairwise_sum,
     two_tap_tilt_cir,
 )
 from .comms import (
@@ -71,7 +69,6 @@ from .framing import (
 )
 from .rxproc import (
     RangeVelocityImage,
-    _RowWindow,
     compute_radar_params,
     estimate_peak,
     image_to_csv,
@@ -330,48 +327,12 @@ def _render_json(name: str, payload: dict) -> str:
     return _canonical_json(payload) + "\n"
 
 
-def _squared_cells(rows: _RowWindow, m: int, start: int, stop: int, out: np.ndarray) -> np.ndarray:
-    """The squares of cells [start, stop) of an m-column image in C order, written into ``out``."""
-    first = start // m
-    cells = rows[first : -(-stop // m)].reshape(-1)[start - first * m : stop - first * m]
-    return np.square(cells, out=out[: stop - start])
-
-
 def _peak_payload(image) -> dict:
     peak = estimate_peak(image)
-    # The floor is the mean power of every other cell, summed with the peak cell zeroed
-    # (sum minus peak would cancel to 0 on a noise-free image).  The squared image is
-    # summed in np.sum's pairwise order a leaf at a time, each leaf's sum and first
-    # maximum kept; only the peak's leaf is summed again, with the peak zeroed.
-    magnitude = image.magnitude
-    m = magnitude.shape[1]
-    rows = _RowWindow(magnitude, _SUM_LEAF // m + 2)
-    power = np.empty(min(_SUM_LEAF, magnitude.size))
-    leaves = {}  # leaf start: (stop, power sum, offset of the first maximum, that maximum)
-
-    def leaf_sum(start: int, stop: int) -> float:
-        squares = _squared_cells(rows, m, start, stop, power)
-        top = int(np.argmax(squares))
-        leaves[start] = (stop, np.add.reduce(squares), top, squares[top])
-        return leaves[start][1]
-
-    _pairwise_sum(leaf_sum, 0, magnitude.size)  # the sum with the peak in; it visits every leaf in order
-    peak_start = next(iter(leaves))
-    for start, leaf in leaves.items():  # the first leaf holding the maximum, as np.argmax finds it
-        if leaf[3] > leaves[peak_start][3]:
-            peak_start = start
-    stop, _, top, peak_power = leaves[peak_start]
-    squares = _squared_cells(rows, m, peak_start, stop, power)
-    squares[top] = 0.0
-    sums = {start: leaf[1] for start, leaf in leaves.items()}
-    sums[peak_start] = np.add.reduce(squares)
-    total = _pairwise_sum(lambda start, stop: sums[start], 0, magnitude.size)
-    floor = float(total) / (magnitude.size - 1) if magnitude.size > 1 else 0.0
-    margin = 10.0 * np.log10(peak_power / floor) if floor > 0 else np.inf
     return {
         **asdict(peak),
-        "noise_margin_db": None if np.isinf(margin) else float(margin),
-        "detected": bool(margin >= DETECTION_MARGIN_DB),
+        "noise_margin_db": None if np.isinf(peak.noise_margin_db) else peak.noise_margin_db,
+        "detected": bool(peak.noise_margin_db >= DETECTION_MARGIN_DB),
     }
 
 
@@ -433,7 +394,7 @@ def _cmd_radcom(config: dict, sc: Scenario) -> dict:
     _require_targets_within(sc, spec.N_CP, compute_radar_params(params).max_cp_range_m, "RadCom radar sector")
     n_data = spec.num_data_subchirps(params.N)
     # The comm channel's CP rule, then the sector layout's stricter one, before either leg runs.
-    spread = sc.comm_channel._spread_within_cp(params.N_CP)
+    spread = sc.comm_channel.spread_within_cp(params.N_CP)
     if spread >= spec.N_CP:  # the CP allows N_CP, which wraps the last data row into the pilot row
         raise ValueError(f"channel delay spread {spread} must be below the RadCom N_CP {spec.N_CP} (N_CP-1 guard nulls)")
 

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .framing import _CHANNEL_BLOCK, RadComFrameSpec, WaveformParams, from_stream, qpsk_map, to_stream
+from .framing import CHANNEL_BLOCK, RadComFrameSpec, WaveformParams, from_stream, qpsk_map, to_stream
 from .rxproc import RangeVelocityImage, doppler_process
 
 __all__ = [
@@ -75,8 +75,8 @@ def equalize_and_extract(
     DFT, keep ``spec.data_rows``.  By the convolution theorem this equals
     going to time (IDFnT), equalizing there and coming back (DFnT).
 
-    Works on blocks of _CHANNEL_BLOCK symbols in one reused F-ordered
-    N x _CHANNEL_BLOCK buffer; only the data rows of each block go into the
+    Works on blocks of CHANNEL_BLOCK symbols in one reused F-ordered
+    N x CHANNEL_BLOCK buffer; only the data rows of each block go into the
     returned (n_data, M) array, so no frame-sized temporary is built.  That
     array takes the frame's memory order, as the whole-frame quotient did (a
     receive frame's columns are contiguous), so reductions over it sum in the
@@ -91,9 +91,9 @@ def equalize_and_extract(
         raise ValueError("zero CFR bin: zero-forcing equalizer is singular")
     rows = spec.data_rows(n)
     out = np.empty_like(frame, shape=(rows.stop - rows.start, m))
-    spectrum_buffer = np.empty((n, min(_CHANNEL_BLOCK, m)), dtype=np.complex128, order="F")
-    for start in range(0, m, _CHANNEL_BLOCK):
-        stop = min(start + _CHANNEL_BLOCK, m)
+    spectrum_buffer = np.empty((n, min(CHANNEL_BLOCK, m)), dtype=np.complex128, order="F")
+    for start in range(0, m, CHANNEL_BLOCK):
+        stop = min(start + CHANNEL_BLOCK, m)
         spectrum = spectrum_buffer[:, : stop - start]
         np.fft.fft(frame[:, start:stop], axis=0, out=spectrum)
         spectrum /= cfr[:, None]

@@ -40,13 +40,13 @@ __all__ = [
 # reference numerology tables exactly (307.20 m, 463.56 m/s, ...).
 C0 = 3.0e8
 
-# Symbols per block of the radar chain: modulate, channel.apply_shift_channel and
-# analysis.radar_image's receive work on this many columns at a time, and
-# rxproc.doppler_process sizes its row blocks to as many elements.  Any width
+# Symbols per block of the radar and comm chains: modulate, both channels' echo pass,
+# rxproc.receive_frame and comms.equalize_and_extract work on this many columns at a
+# time, and rxproc.doppler_process sizes its row blocks to as many elements.  Any width
 # from 16 to 256 runs a full-scale channel (N=2048, M=5120, 3 targets) in
 # 0.8-0.9 s on 2 vCPUs, 1024 takes 1.2 s; at 64 each block temporary is 2 MiB,
 # a few MiB in all beside the frame-sized stream buffer.
-_CHANNEL_BLOCK = 64
+CHANNEL_BLOCK = 64
 
 # Data symbols per band of a RadCom payload: draw_payload_bits draws, and
 # build_radcom_frame maps, whole data rows of at most this many symbols at a time
@@ -281,7 +281,7 @@ def modulate(frame: np.ndarray, params: WaveformParams) -> np.ndarray:
     """OCDM transmitter: Fresnel-domain (N x M) frame to its sample stream (IDFnT, then CP).
 
     Equal to ``to_stream(idfnt_fast(frame), params)`` bit for bit: the IDFnT acts
-    column by column, so each block of _CHANNEL_BLOCK columns is transformed on
+    column by column, so each block of CHANNEL_BLOCK columns is transformed on
     its own and written straight into its symbols of the stream, CP rows copied
     from the block's tail.  Only the stream and one block's transform are built.
     """
@@ -291,8 +291,8 @@ def modulate(frame: np.ndarray, params: WaveformParams) -> np.ndarray:
     n, n_cp = params.N, params.N_CP
     stream = np.empty(params.stream_len, dtype=np.complex128)
     symbols = stream.reshape((params.symbol_len, params.M), order="F")  # a view
-    for start in range(0, params.M, _CHANNEL_BLOCK):
-        block = slice(start, start + _CHANNEL_BLOCK)
+    for start in range(0, params.M, CHANNEL_BLOCK):
+        block = slice(start, start + CHANNEL_BLOCK)
         time_block = idfnt_fast(frame[:, block])
         symbols[:n_cp, block] = time_block[n - n_cp :]
         symbols[n_cp:, block] = time_block

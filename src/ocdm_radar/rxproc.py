@@ -1,4 +1,4 @@
-"""Receiver chain: receive DFnT, range-velocity imaging and peak estimation.
+"""Receiver chain: receive DFnT, range-velocity imaging and the peak report.
 
 The corrected receive frame of a pilot transmission is directly the stack of
 M consecutive radar CIR estimates.  A row-wise DFT across the symbols then
@@ -11,6 +11,9 @@ per M symbols sits at raw bin d; after centering, bin offset j - M//2 maps to
 velocity -(j - M//2) * delta_v so that negative normalized Doppler shifts
 (the default mapping of positive radial velocity) read out as positive
 velocities.  The two half-rate edges +/- v_max,ua alias onto the same bin.
+
+The module owns the image statistics and the noise floor: estimate_peak
+reports the peak and its margin over that floor, which detection reads.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import SUM_LEAF, pairwise_sum
 from .fresnel import dfnt_fast, phase_fold_correct
-from .framing import _CHANNEL_BLOCK, C0, MimoConfig, WaveformParams, from_stream
+from .framing import C0, CHANNEL_BLOCK, MimoConfig, WaveformParams, from_stream
 
 # Values per staged window of _RowWindow: two 1 MiB float buffers.
 _WINDOW_VALUES = 1 << 17
@@ -49,9 +53,12 @@ class RangeVelocityImage:
 
 @dataclass(frozen=True)
 class PeakReport:
+    """The image's peak cell and power, and the peak's margin over the noise floor (inf on a zero floor)."""
+
     range_m: float
     velocity_mps: float
     power_db: float
+    noise_margin_db: float
 
 
 @dataclass(frozen=True)
@@ -76,7 +83,7 @@ def receive_frame(
     estimates.  Communication receivers pass correct_fold=False: their
     channel carries no fold to undo.
 
-    Works on blocks of _CHANNEL_BLOCK symbols: the DFnT acts column by
+    Works on blocks of CHANNEL_BLOCK symbols: the DFnT acts column by
     column, so each block is transformed on its own, fold-corrected in place
     on the transform's output and written into its columns of ``out`` (an
     N x M complex128 array) when given, else of a new F-ordered one, which
@@ -89,8 +96,8 @@ def receive_frame(
         out = np.empty((params.N, params.M), dtype=np.complex128, order="F")
     elif out.shape != (params.N, params.M) or out.dtype != np.complex128:
         raise ValueError(f"out must be a complex128 array of shape {(params.N, params.M)}")
-    for start in range(0, params.M, _CHANNEL_BLOCK):
-        block = slice(start, start + _CHANNEL_BLOCK)
+    for start in range(0, params.M, CHANNEL_BLOCK):
+        block = slice(start, start + CHANNEL_BLOCK)
         fresnel = dfnt_fast(time_frame[:, block])
         out[:, block] = phase_fold_correct(fresnel) if correct_fold else fresnel
     return out
@@ -99,7 +106,7 @@ def receive_frame(
 def doppler_process(cir: np.ndarray, params: WaveformParams, out: np.ndarray | None = None) -> RangeVelocityImage:
     """Row-wise DFT across symbols (no taper), centered, converted to physical axes.
 
-    Works in blocks of rows holding about _CHANNEL_BLOCK * N elements: the
+    Works in blocks of rows holding about CHANNEL_BLOCK * N elements: the
     magnitudes of each block's spectrum go straight into their fftshift
     columns of the image, ``out`` (a float64 array of the CIR's shape) when
     given, else a new one.  abs is elementwise and fftshift a permutation, so
@@ -107,7 +114,7 @@ def doppler_process(cir: np.ndarray, params: WaveformParams, out: np.ndarray | N
     whole frame is built.  ``out`` may be ``cir.real``: a block's rows are
     transformed before their real parts are overwritten, so the image is a
     float view into the CIR's own buffer and no image-sized array is built.
-    A frame of at most _CHANNEL_BLOCK symbols is one block.
+    A frame of at most CHANNEL_BLOCK symbols is one block.
     """
     cir = np.asarray(cir, dtype=np.complex128)
     if cir.ndim != 2 or cir.shape[1] < 2:
@@ -117,17 +124,17 @@ def doppler_process(cir: np.ndarray, params: WaveformParams, out: np.ndarray | N
         out = np.empty((n_rows, m))
     elif out.shape != cir.shape or out.dtype != np.float64:
         raise ValueError(f"out must be a float64 array of shape {cir.shape}")
-    step, shift = max(1, _CHANNEL_BLOCK * params.N // m), m // 2
+    step, shift = max(1, CHANNEL_BLOCK * params.N // m), m // 2
     for start in range(0, n_rows, step):
         block = slice(start, start + step)
         spectrum = np.fft.fft(cir[block], axis=1)
         # fftshift: bin j lands in column (j + m // 2) % m.
         np.abs(spectrum[:, : m - shift], out=out[block, shift:])
         np.abs(spectrum[:, m - shift :], out=out[block, :shift])
-    return _with_axes(out, params)
+    return with_axes(out, params)
 
 
-def _with_axes(image: np.ndarray, params: WaveformParams) -> RangeVelocityImage:
+def with_axes(image: np.ndarray, params: WaveformParams) -> RangeVelocityImage:
     """A (range bins x centered Doppler bins) magnitude image with its physical axes."""
     n_rows, m = image.shape
     rp = compute_radar_params(params)
@@ -156,39 +163,65 @@ def compute_radar_params(params: WaveformParams, num_tx: int | None = None) -> R
 
 
 def estimate_peak(image: RangeVelocityImage) -> PeakReport:
-    """Global magnitude peak in physical units; deterministic tie-breaking.
+    """Global magnitude peak in physical units, and its margin over the noise floor.
 
-    Ties resolve to the lowest range, then the lowest absolute velocity.
+    Ties resolve to the lowest range, then the lowest absolute velocity, then
+    the negative velocity.  The floor is the mean power of every other cell:
+    the squared image summed with its first maximum in C order zeroed (sum
+    minus peak would cancel to 0 on a noise-free image).  One pass reads the
+    image in C order through _RowWindow, a leaf of at most SUM_LEAF cells at a
+    time split as numpy splits its pairwise sum, so the floor is ndarray.sum's
+    bit for bit and no image-sized array is built.  Each leaf keeps its
+    magnitude maximum, power sum and first power maximum; only the leaves
+    holding the peak are read again.
     """
-    mag = image.magnitude
-    if mag.size == 0:
+    magnitude = image.magnitude
+    if magnitude.size == 0:
         raise ValueError("empty image")
-    peak = float(mag.max())
+    m = magnitude.shape[1]
+    rows = _RowWindow(magnitude, SUM_LEAF // m + 2)
+    power = np.empty(min(SUM_LEAF, magnitude.size))
+    # Per leaf start: (stop, magnitude maximum, offset of the first power maximum, that maximum), and the power sum.
+    leaves, sums = {}, {}
+
+    def cells(start: int, stop: int) -> np.ndarray:
+        first = start // m
+        return rows[first : -(-stop // m)].reshape(-1)[start - first * m : stop - first * m]
+
+    def squares(start: int, stop: int) -> np.ndarray:
+        return np.square(cells(start, stop), out=power[: stop - start])
+
+    def leaf_sum(start: int, stop: int) -> float:
+        largest, leaf = np.max(cells(start, stop)), squares(start, stop)
+        top = int(np.argmax(leaf))
+        leaves[start], sums[start] = (stop, largest, top, leaf[top]), np.add.reduce(leaf)
+        return sums[start]
+
+    pairwise_sum(leaf_sum, 0, magnitude.size)  # visits every leaf in order
+    peak = float(np.max([leaf[1] for leaf in leaves.values()]))
     if not np.isfinite(peak):
         raise ValueError("image magnitudes are not finite")
     if peak == 0.0:
         raise ValueError("all-zero image has no peak")
-    hits = mag == peak  # laid out as the image is
-    if hits.flags.f_contiguous and not hits.flags.c_contiguous:
-        # An image viewed in a column-major buffer: scanned by columns, then put in row order.
-        cols, rows = np.divmod(np.flatnonzero(hits.T), mag.shape[0])
-        cells = np.sort(rows * mag.shape[1] + cols)
-    else:
-        cells = np.flatnonzero(hits)
-    rows, cols = np.divmod(cells, mag.shape[1])
-    best = min(
-        range(rows.size),
-        key=lambda i: (
-            image.range_axis_m[rows[i]],
-            abs(image.velocity_axis_mps[cols[i]]),
-            image.velocity_axis_mps[cols[i]],
-        ),
+    hits = [start + np.flatnonzero(cells(start, leaf[0]) == peak) for start, leaf in leaves.items() if leaf[1] == peak]
+    ranges, velocities = image.range_axis_m, image.velocity_axis_mps
+    r, c = min(
+        zip(*np.divmod(np.concatenate(hits), m)),
+        key=lambda cell: (ranges[cell[0]], abs(velocities[cell[1]]), velocities[cell[1]]),
     )
-    r, c = rows[best], cols[best]
+    # The first leaf holding the power maximum, as np.argmax finds it, summed again with that cell zeroed.
+    peak_start = max(leaves, key=lambda start: leaves[start][3])
+    stop, _, top, peak_power = leaves[peak_start]
+    zeroed = squares(peak_start, stop)
+    zeroed[top] = 0.0
+    sums[peak_start] = np.add.reduce(zeroed)
+    total = pairwise_sum(lambda start, stop: sums[start], 0, magnitude.size)
+    floor = float(total) / (magnitude.size - 1) if magnitude.size > 1 else 0.0
     return PeakReport(
-        range_m=float(image.range_axis_m[r]),
-        velocity_mps=float(image.velocity_axis_mps[c]),
+        range_m=float(ranges[r]),
+        velocity_mps=float(velocities[c]),
         power_db=float(20.0 * np.log10(peak)),
+        noise_margin_db=float(10.0 * np.log10(peak_power / floor)) if floor > 0 else np.inf,
     )
 
 

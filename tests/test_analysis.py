@@ -22,7 +22,7 @@ from ocdm_radar.analysis import (
 )
 from ocdm_radar.channel import apply_shift_channel
 from ocdm_radar.framing import (
-    _CHANNEL_BLOCK,
+    CHANNEL_BLOCK,
     MimoConfig,
     RadComFrameSpec,
     WaveformParams,
@@ -47,7 +47,7 @@ FOUR_SLICES = [slice(0, 64), slice(64, 128), slice(128, 192), slice(192, 256)]  
 def test_radar_image_equals_whole_frame_chain(rows):
     # M leaves a partial receive block, the CP rows of the rx buffer are skipped, and
     # the chain matches receive_frame and an fftshift of the complex spectrum on whole frames.
-    params = WaveformParams(N=256, M=2 * _CHANNEL_BLOCK + 5, N_CP=24)
+    params = WaveformParams(N=256, M=2 * CHANNEL_BLOCK + 5, N_CP=24)
     spec = RadComFrameSpec(N_CP=24)
     rng = np.random.default_rng(17)
     bits = rng.integers(0, 2, size=2 * spec.num_data_subchirps(params.N) * params.M)

@@ -8,11 +8,10 @@ import pytest
 
 from ocdm_radar.channel import (
     _NOISE_CHUNK,
-    _SUM_LEAF,
+    SUM_LEAF,
     CommChannelConfig,
     _add_awgn,
     _mean_power,
-    _pairwise_sum,
     Target,
     apply_comm_channel,
     apply_shift_channel,
@@ -21,9 +20,10 @@ from ocdm_radar.channel import (
     ideal_cir_from_shifts,
     load_cfr_csv,
     normalize_target,
+    pairwise_sum,
     two_tap_tilt_cir,
 )
-from ocdm_radar.framing import _CHANNEL_BLOCK, WaveformParams, build_pilot_frame, from_stream, to_stream
+from ocdm_radar.framing import CHANNEL_BLOCK, WaveformParams, build_pilot_frame, from_stream, to_stream
 from ocdm_radar.fresnel import dfnt_fast, dirichlet_kernel, idfnt_fast
 from ocdm_radar.rxproc import receive_frame
 
@@ -153,7 +153,7 @@ def _stream_form_channel(stream, params, shifts):
 def test_block_channel_matches_stream_form_cp_included(n_cp):
     # Every stream sample, CP rows included: a CP row carries e^{-2 pi i k_delta}
     # relative to its tail.  M leaves a partial last block.
-    params = WaveformParams(N=64, M=_CHANNEL_BLOCK + 3, N_CP=n_cp)
+    params = WaveformParams(N=64, M=CHANNEL_BLOCK + 3, N_CP=n_cp)
     rng = np.random.default_rng(7)
     frame = rng.standard_normal((params.N, params.M)) + 1j * rng.standard_normal((params.N, params.M))
     stream = to_stream(frame, params)
@@ -208,7 +208,7 @@ def test_chunked_awgn_equals_whole_stream_noise(zero_signal):
 
 @pytest.mark.parametrize(
     "size",
-    [1, 7, 8, 127, 128, 129, _SUM_LEAF - 1, _SUM_LEAF, _SUM_LEAF + 1, 2 * _SUM_LEAF + 1001, 2560 * 512],
+    [1, 7, 8, 127, 128, 129, SUM_LEAF - 1, SUM_LEAF, SUM_LEAF + 1, 2 * SUM_LEAF + 1001, 2560 * 512],
 )
 def test_pairwise_sum_is_numpys_bit_for_bit(size):
     # If numpy ever changes its reduction order, this is the alarm: the noise level
@@ -217,7 +217,7 @@ def test_pairwise_sum_is_numpys_bit_for_bit(size):
     x = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) * 10.0 ** rng.uniform(-4, 4, size)
     assert _mean_power(x) == np.mean(np.abs(x) ** 2)
     values = np.abs(x)
-    assert _pairwise_sum(lambda start, stop: np.add.reduce(values[start:stop]), 0, size) == values.sum()
+    assert pairwise_sum(lambda start, stop: np.add.reduce(values[start:stop]), 0, size) == values.sum()
 
 
 def test_pairwise_sum_of_an_image_with_a_zeroed_cell():
@@ -225,7 +225,7 @@ def test_pairwise_sum_of_an_image_with_a_zeroed_cell():
     image = rng.standard_normal((517, 389)) ** 2 * 10.0 ** rng.uniform(-4, 4, (517, 389))
     image[301, 77] = 0.0
     cells = image.reshape(-1)
-    assert _pairwise_sum(lambda start, stop: np.add.reduce(cells[start:stop]), 0, cells.size) == image.sum()
+    assert pairwise_sum(lambda start, stop: np.add.reduce(cells[start:stop]), 0, cells.size) == image.sum()
 
 
 @pytest.mark.parametrize(
@@ -241,7 +241,7 @@ def test_pairwise_sum_of_an_image_with_a_zeroed_cell():
 def test_in_place_channel_equals_out_of_place(shifts, snr_db):
     # out=stream: every block is read before it is overwritten, and the zero-target
     # noise is referenced to the transmit power measured before the first write.
-    params = WaveformParams(N=64, M=2 * _CHANNEL_BLOCK + 5, N_CP=16)
+    params = WaveformParams(N=64, M=2 * CHANNEL_BLOCK + 5, N_CP=16)
     stream = pilot_stream(params) + 0.1 * to_stream(np.eye(params.N, params.M), params)
     want = apply_shift_channel(stream, params, shifts, snr_db, rng_seed=5)
     buffer = stream.copy()
@@ -252,15 +252,15 @@ def test_in_place_channel_equals_out_of_place(shifts, snr_db):
 
 def _per_target_echoes(stream, params, shifts):
     # The block channel's per-target formula, kept as its byte reference: per block of
-    # _CHANNEL_BLOCK symbols and per target, to_stream(ifft(spectrum * phase)), times the
+    # CHANNEL_BLOCK symbols and per target, to_stream(ifft(spectrum * phase)), times the
     # in-symbol factor, times the per-symbol factor, added onto zeros.
     n, rows = params.N, params.symbol_len
     frame = from_stream(stream, params)
     bins = np.fft.fftfreq(n, d=1.0 / n)
     r, m = np.arange(rows), np.arange(params.M)
     received = np.zeros((rows, params.M), dtype=np.complex128, order="F")
-    for start in range(0, params.M, _CHANNEL_BLOCK):
-        stop = min(start + _CHANNEL_BLOCK, params.M)
+    for start in range(0, params.M, CHANNEL_BLOCK):
+        stop = min(start + CHANNEL_BLOCK, params.M)
         spectrum = np.fft.fft(frame[:, start:stop], axis=0)
         for n_delta, k_delta, amplitude in shifts:
             phase = np.exp(-2j * np.pi * bins * n_delta / n)[:, None]
@@ -275,7 +275,7 @@ def _per_target_echoes(stream, params, shifts):
 @pytest.mark.parametrize("n_cp", [0, 24])
 @pytest.mark.parametrize("snr_db", [None, 8.0], ids=["noise-free", "noisy"])
 def test_shift_channel_equals_the_per_target_formula(n_cp, snr_db):
-    params = WaveformParams(N=64, M=2 * _CHANNEL_BLOCK + 5, N_CP=n_cp)
+    params = WaveformParams(N=64, M=2 * CHANNEL_BLOCK + 5, N_CP=n_cp)
     rng = np.random.default_rng(n_cp)
     frame = rng.standard_normal((params.N, params.M)) + 1j * rng.standard_normal((params.N, params.M))
     stream = to_stream(frame, params)
@@ -290,7 +290,7 @@ def test_shift_channel_equals_the_per_target_formula(n_cp, snr_db):
 def test_cancelling_targets_leave_the_zero_target_noise(in_place):
     # Opposite amplitudes at one (n_delta, k_delta) cancel exactly: the noise is then
     # referenced to the transmit power, measured before the stream is overwritten.
-    params = WaveformParams(N=64, M=_CHANNEL_BLOCK + 5, N_CP=16)
+    params = WaveformParams(N=64, M=CHANNEL_BLOCK + 5, N_CP=16)
     stream = pilot_stream(params)
     want = apply_shift_channel(stream, params, [], snr_db=9.0, rng_seed=5)
     shifts = [(12.5, 0.3, 0.7 - 0.2j), (12.5, 0.3, -0.7 + 0.2j)]
@@ -330,7 +330,7 @@ def test_comm_channel_equals_out_of_place_product():
 @pytest.mark.parametrize("snr_db", [None, 12.0], ids=["noise-free", "noisy"])
 def test_block_comm_channel_in_place_equals_the_whole_frame_product(snr_db):
     # M = 130 leaves a partial last block; out=stream overwrites each block after reading it.
-    params = WaveformParams(N=64, M=2 * _CHANNEL_BLOCK + 2, N_CP=8)
+    params = WaveformParams(N=64, M=2 * CHANNEL_BLOCK + 2, N_CP=8)
     rng = np.random.default_rng(31)
     stream = rng.standard_normal(params.stream_len) + 1j * rng.standard_normal(params.stream_len)
     cfg = CommChannelConfig(cir=np.array([0.9 + 0.1j, 0.0, -0.4j, 0.05]), snr_db=snr_db, rng_seed=5)
@@ -347,7 +347,7 @@ def test_block_comm_channel_in_place_equals_the_whole_frame_product(snr_db):
 @pytest.mark.parametrize("snr_db", [None, 11.0], ids=["noise-free", "noisy"])
 def test_comm_channel_with_a_delta_cir_is_the_shift_channel(d, snr_db):
     # The CIR delta[n - d] is the one zero-Doppler, unit-gain path of a target at n_delta = d.
-    params = WaveformParams(N=64, M=_CHANNEL_BLOCK + 3, N_CP=8)
+    params = WaveformParams(N=64, M=CHANNEL_BLOCK + 3, N_CP=8)
     rng = np.random.default_rng(d)
     stream = rng.standard_normal(params.stream_len) + 1j * rng.standard_normal(params.stream_len)
     cir = np.zeros(d + 1, dtype=complex)
@@ -371,7 +371,7 @@ def test_comm_channel_out_must_fit_the_stream():
 def test_comm_echo_silenced_by_a_zero_cfr_bin_gets_the_tx_power_noise(in_place):
     # CIR [1, -1] nulls bin 0, the only bin of a constant symbol: the echo is exactly
     # zero, and its noise is referenced to the transmit power, measured before any write.
-    params = WaveformParams(N=64, M=_CHANNEL_BLOCK + 3, N_CP=8)
+    params = WaveformParams(N=64, M=CHANNEL_BLOCK + 3, N_CP=8)
     stream = np.full(params.stream_len, 0.6 - 0.8j)
     cfg = CommChannelConfig(cir=np.array([1.0, -1.0]), snr_db=9.0, rng_seed=4)
     assert not apply_comm_channel(stream, replace(cfg, snr_db=None), params).any()
@@ -390,8 +390,8 @@ def test_noisy_comm_channel_leaves_a_zero_stream_zero():
 
 
 def test_comm_channel_memory_is_bounded():
-    # In place, beside the stream: the echo pass's three block buffers (N x _CHANNEL_BLOCK
-    # spectrum and body, N_CP x _CHANNEL_BLOCK CP), the noise level's leaf buffer and the
+    # In place, beside the stream: the echo pass's three block buffers (N x CHANNEL_BLOCK
+    # spectrum and body, N_CP x CHANNEL_BLOCK CP), the noise level's leaf buffer and the
     # noise chunk, measured 0.19x the stream bytes; a half-stream power array, a
     # frame-sized spectrum or a second stream would exceed the bound.
     params = WaveformParams(N=256, M=1024, N_CP=16)

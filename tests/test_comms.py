@@ -26,7 +26,7 @@ from ocdm_radar.comms import (
     ofdm_radar_process,
 )
 from ocdm_radar.framing import (
-    _CHANNEL_BLOCK,
+    CHANNEL_BLOCK,
     RadComFrameSpec,
     WaveformParams,
     build_pilot_frame,
@@ -143,7 +143,7 @@ def test_equalize_matches_the_time_domain_chain():
 def test_block_equalizer_equals_the_whole_frame_quotient(order):
     # M = 130 leaves a partial last block.  The data rows keep the whole-frame
     # result's memory order, so evm_and_snr sums them in the same order.
-    params = WaveformParams(N=64, M=2 * _CHANNEL_BLOCK + 2, N_CP=8)
+    params = WaveformParams(N=64, M=2 * CHANNEL_BLOCK + 2, N_CP=8)
     spec = RadComFrameSpec(N_CP=params.N_CP)
     rng = np.random.default_rng(17)
     frame = rng.standard_normal((params.N, params.M)) + 1j * rng.standard_normal((params.N, params.M))

@@ -5,7 +5,7 @@ import pytest
 
 from ocdm_radar import framing
 from ocdm_radar.framing import (
-    _CHANNEL_BLOCK,
+    CHANNEL_BLOCK,
     MimoConfig,
     RadComFrameSpec,
     WaveformParams,
@@ -291,7 +291,7 @@ def test_stream_shape_and_length_checks():
 @pytest.mark.parametrize("n_cp", [0, 24])
 def test_modulate_equals_the_whole_frame_stream(order, n_cp):
     # Block by block into the stream buffer, a partial last block included, bit for bit.
-    params = WaveformParams(N=256, M=2 * _CHANNEL_BLOCK + 5, N_CP=n_cp)
+    params = WaveformParams(N=256, M=2 * CHANNEL_BLOCK + 5, N_CP=n_cp)
     rng = np.random.default_rng(n_cp)
     frame = rng.standard_normal((params.N, params.M)) + 1j * rng.standard_normal((params.N, params.M))
     frame = np.asarray(frame, order=order)

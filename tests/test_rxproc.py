@@ -9,7 +9,7 @@ import pytest
 
 from ocdm_radar.channel import apply_shift_channel, biased_cir_from_shifts
 from ocdm_radar.framing import (
-    _CHANNEL_BLOCK,
+    CHANNEL_BLOCK,
     MimoConfig,
     RadComFrameSpec,
     WaveformParams,
@@ -30,7 +30,7 @@ from ocdm_radar.rxproc import (
     write_csv,
 )
 from ocdm_radar._csvwrite import _CSV_BLOCK
-from ocdm_radar.rxproc import _WINDOW_VALUES
+from ocdm_radar.rxproc import _WINDOW_VALUES, _RowWindow
 
 FULL = WaveformParams(N=2048, M=5120, N_CP=0, B=1e9, fc=79e9)
 
@@ -73,7 +73,7 @@ def test_receive_frame_folds_the_fresh_transform(n_cp):
 def test_receive_into_the_stream_buffer_equals_the_whole_frame_transform(correct_fold):
     # M = 130 leaves a partial last block; each block is transformed before its
     # symbols are overwritten, so the buffer ends as the whole frame's DFnT.
-    params = WaveformParams(N=64, M=2 * _CHANNEL_BLOCK + 2, N_CP=8)
+    params = WaveformParams(N=64, M=2 * CHANNEL_BLOCK + 2, N_CP=8)
     rng = np.random.default_rng(8)
     stream = rng.standard_normal(params.stream_len) + 1j * rng.standard_normal(params.stream_len)
     want = dfnt_fast(from_stream(stream, params))
@@ -370,6 +370,74 @@ def test_estimate_peak_all_zero_rejected():
         estimate_peak(image)
 
 
+def _standard_image(magnitude, layout):
+    # The image as a C-ordered array, or as the .real view of an F-ordered complex buffer
+    # (how the radar chain's images sit in its stream buffer).
+    if layout == "F view":
+        view = np.zeros(magnitude.shape, dtype=np.complex128, order="F").real
+        view[...] = magnitude
+        magnitude = view
+    n_rows, m = magnitude.shape
+    return RangeVelocityImage(magnitude, np.arange(n_rows) * 0.15, -(np.arange(m) - m // 2) * 0.5)
+
+
+# 401 x 300 cells split into the pairwise-sum leaves [0, 60144) and [60144, 120300):
+# row 200 straddles them, cell (200, 100) in the first and (200, 150) in the second.
+TWO_LEAVES = (401, 300)
+
+
+@pytest.mark.parametrize("layout", ["C", "F view"])
+@pytest.mark.parametrize(
+    "shape, ties, want",
+    [
+        ((16, 8), [(9, 4), (5, 1), (5, 6)], (5, 6)),  # row 5: velocity bins 3 and -2; row 9: bin 0
+        ((16, 8), [(5, 1), (5, 3), (5, 5)], (5, 5)),  # row 5: velocity bins 3, 1 and -1
+        (TWO_LEAVES, [(200, 100), (200, 150), (300, 150)], (200, 150)),
+        (TWO_LEAVES, [(100, 10), (300, 150)], (100, 10)),
+    ],
+    ids=["lower speed", "negative velocity", "speed across leaves", "range across leaves"],
+)
+def test_estimate_peak_breaks_ties_by_range_then_speed_then_negative_velocity(shape, ties, want, layout):
+    if shape == TWO_LEAVES:
+        size = shape[0] * shape[1]
+        split = size // 2 - size // 2 % 8  # numpy's pairwise split of the C-ordered cells
+        assert 200 * 300 + 100 < split <= 200 * 300 + 150 and size - split <= 2**16
+    magnitude = np.random.default_rng(2).uniform(0.0, 1.0, shape)
+    for cell in ties:
+        magnitude[cell] = 2.0
+    image = _standard_image(magnitude, layout)
+    peak = estimate_peak(image)
+    assert (peak.range_m, peak.velocity_mps) == (image.range_axis_m[want[0]], image.velocity_axis_mps[want[1]])
+    assert peak.power_db == 20.0 * np.log10(2.0)
+
+
+@pytest.mark.parametrize("layout", ["C", "F view"])
+@pytest.mark.parametrize("cell", [(0, 0), (400, 299)], ids=["first leaf", "last leaf"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_estimate_peak_rejects_a_non_finite_cell_off_the_peak(bad, cell, layout):
+    magnitude = np.random.default_rng(3).uniform(0.0, 1.0, TWO_LEAVES)
+    magnitude[200, 150] = 5.0
+    magnitude[cell] = bad
+    with pytest.raises(ValueError, match="image magnitudes are not finite"):
+        estimate_peak(_standard_image(magnitude, layout))
+
+
+@pytest.mark.parametrize("layout", ["C", "F view"])
+@pytest.mark.parametrize("max_rows", [10, 300], ids=["rows below the window", "rows above the window"])
+def test_row_window_reads_equal_the_contiguous_table(layout, max_rows):
+    # 512 columns: a window of _WINDOW_VALUES // 512 = 256 rows, or max_rows when that is more.
+    rng = np.random.default_rng(4)
+    table = rng.standard_normal((700, 512))
+    if layout == "F view":
+        table = np.asfortranarray(table + 1j * rng.standard_normal(table.shape)).real
+    want = np.ascontiguousarray(table)
+    window = _RowWindow(table, max_rows)
+    # Forward, backward, past the window, backward, to the table's end, back to the start.
+    for start in [0, max_rows, 5, 400, 390, 700 - max_rows, 0]:
+        rows = window[start : start + max_rows]
+        assert rows.flags.c_contiguous and np.array_equal(rows, want[start : start + max_rows])
+
+
 def test_coupling_biases_reported_range():
     # 231.78 m/s pairs with k_delta = -0.25: Dirichlet mainlobe center moves
     # by a quarter bin so the reported range can bias by one resolution cell.
@@ -503,9 +571,9 @@ def test_doppler_process_into_the_cir_real_parts():
 
 
 def test_doppler_row_blocks_equal_whole_frame_transform():
-    # 61 rows in blocks of _CHANNEL_BLOCK * N // M = 4 rows: the last block is partial.
+    # 61 rows in blocks of CHANNEL_BLOCK * N // M = 4 rows: the last block is partial.
     params = WaveformParams(N=64, M=1000)
-    assert _CHANNEL_BLOCK * params.N // params.M == 4
+    assert CHANNEL_BLOCK * params.N // params.M == 4
     rng = np.random.default_rng(13)
     cir = rng.standard_normal((61, params.M)) + 1j * rng.standard_normal((61, params.M))
     image = doppler_process(cir, params)
