@@ -39,12 +39,9 @@ __all__ = [
     "RangeCutMetrics",
     "PaprCcdf",
     "SweepResult",
-    "range_cut_metrics",
     "radar_image",
     "mimo_leakage_db",
-    "single_point_image",
     "doppler_tolerance_sweep",
-    "oversampled_papr_db",
     "papr_ccdf",
     "pilot_symbol_builder",
     "radcom_symbol_builder",
@@ -202,19 +199,13 @@ def _pilot_imager(params: WaveformParams):
     return image
 
 
-def single_point_image(params: WaveformParams, n_delta: float, k_delta: float) -> RangeVelocityImage:
-    """Noise-free single-scatterer pilot-frame image, in its exact rank-1 form."""
-    return _pilot_imager(params)(n_delta, k_delta)
-
-
 def doppler_tolerance_sweep(params: WaveformParams, n_grid, k_grid) -> SweepResult:
     """Metric surfaces over the (n_delta, k_delta) grid, noise-free.
 
     The PPLR reference for each n_delta is that target's own zero-Doppler
     peak power, so the k_delta = 0 column of the PPLR surface is exactly
     0 dB.  Every cell images one pilot symbol built per call, in the rank-1
-    form of single_point_image; the k_delta = 0 cells reuse the reference
-    image.
+    form of _pilot_imager; the k_delta = 0 cells reuse the reference image.
     """
     n_grid = np.asarray(n_grid, dtype=float)
     k_grid = np.asarray(k_grid, dtype=float)
@@ -235,8 +226,10 @@ def doppler_tolerance_sweep(params: WaveformParams, n_grid, k_grid) -> SweepResu
 
 
 def _papr_meter(n: int, oversample: int):
-    """PAPR in dB of n-sample symbols, as oversampled_papr_db defines it.
+    """PAPR in dB of n-sample symbols after zero-padded spectral interpolation.
 
+    The spectrum is split at N/2 so both signal halves keep their band
+    position, matching a DAC-style reconstruction at oversample x rate.
     The zero-padded spectral interpolation is evaluated in polyphase form:
     sample q * oversample + r of the upsampled symbol is
     ifft_n(X e^{2 pi i s r / (n oversample)})[q], with X the symbol's spectrum
@@ -263,16 +256,6 @@ def _papr_meter(n: int, oversample: int):
         return float(10.0 * np.log10(power.max() / power.mean()))
 
     return meter
-
-
-def oversampled_papr_db(time_symbol: np.ndarray, oversample: int = 20) -> float:
-    """PAPR of one symbol after zero-padded spectral interpolation.
-
-    The spectrum is split at N/2 so both signal halves keep their band
-    position, matching a DAC-style reconstruction at oversample x rate.
-    """
-    x = np.asarray(time_symbol, dtype=np.complex128).ravel()
-    return _papr_meter(x.size, oversample)(x)
 
 
 def papr_ccdf(symbol_builder, trials: int, oversample: int = 20, rng_seed: int = 0) -> PaprCcdf:

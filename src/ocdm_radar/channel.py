@@ -1,4 +1,4 @@
-"""Point-target radar channel, frequency-selective comm channel, CIR oracles.
+"""Point-target radar channel and frequency-selective comm channel.
 
 Both channels are sums of paths acting per OCDM symbol.  By the DFnT
 convolution theorem a path is a response over the N DFT bins of the useful
@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fresnel import dirichlet_kernel
 from .framing import C0, CHANNEL_BLOCK, WaveformParams, from_stream
 
 __all__ = [
@@ -42,12 +41,9 @@ __all__ = [
     "CommChannelConfig",
     "normalize_target",
     "apply_shift_channel",
-    "ideal_cir_from_shifts",
-    "biased_cir_from_shifts",
     "apply_comm_channel",
     "two_tap_tilt_cir",
     "load_cfr_csv",
-    "cfr_from_cir",
 ]
 
 DOPPLER_SIGN = -1.0
@@ -284,61 +280,6 @@ def _echoes(frame: np.ndarray, params: WaveformParams, paths, received: np.ndarr
             body *= per_symbol[start:stop]
             block[:n_cp] += cp
             block[n_cp:] += body
-
-
-def _phi_m(params: WaveformParams, k_delta: float) -> np.ndarray:
-    m = np.arange(params.M)
-    return 2.0 * np.pi * k_delta * (m * (params.N + params.N_CP) + params.N_CP) / params.N
-
-
-def ideal_cir_from_shifts(shifts, params: WaveformParams) -> np.ndarray:
-    """Fold-free CIR matrix: Dirichlet peak at n_delta, Doppler phases only.
-
-    Normalized so an integer n_delta gives a unit Kronecker delta (the
-    unnormalized closed form would carry an extra factor N).
-    """
-    n = np.arange(params.N)
-    out = np.zeros((params.N, params.M), dtype=np.complex128)
-    for n_delta, k_delta, amplitude in shifts:
-        column = (
-            dirichlet_kernel(n_delta - n, params.N)
-            / params.N
-            * np.exp(2j * np.pi * k_delta * n / params.N)
-        )
-        out += complex(amplitude) * np.outer(column, np.exp(1j * _phi_m(params, k_delta)))
-    return out
-
-
-def biased_cir_from_shifts(shifts, params: WaveformParams) -> np.ndarray:
-    """Closed-form fold-corrected CIR including delay-Doppler coupling.
-
-    Evaluates, per scatterer,
-
-        h_corr[n, m] = A e^{i phi_m} e^{i pi n} (1/N^2)
-                       sum_kappa e^{-i pi (kappa - n_delta)} D(kappa - n_delta)
-                                 e^{i pi (n^2 - kappa^2)/N} D(k_delta - n + kappa)
-
-    which is the receive-chain output for the pilot frame.  For integer
-    n_delta and k_delta it collapses to a delta at <n_delta + k_delta>_N with
-    phase e^{i (pi/N) [2 n k_delta - k_delta^2 + N (n_delta + k_delta)]}.
-    """
-    n_len = params.N
-    n = np.arange(n_len)
-    kappa = np.arange(n_len)
-    quad = np.exp(1j * np.pi * ((n * n % (2 * n_len))[:, None] - (kappa * kappa % (2 * n_len))[None, :]) / n_len)
-    out = np.zeros((n_len, params.M), dtype=np.complex128)
-    for n_delta, k_delta, amplitude in shifts:
-        delay_kernel = np.exp(-1j * np.pi * (kappa - n_delta)) * dirichlet_kernel(
-            kappa - n_delta, n_len
-        )
-        doppler_kernel = dirichlet_kernel(k_delta - n[:, None] + kappa[None, :], n_len)
-        column = (
-            np.exp(1j * np.pi * n)
-            / n_len**2
-            * np.sum(delay_kernel[None, :] * quad * doppler_kernel, axis=1)
-        )
-        out += complex(amplitude) * np.outer(column, np.exp(1j * _phi_m(params, k_delta)))
-    return out
 
 
 def two_tap_tilt_cir(tilt_db: float) -> np.ndarray:

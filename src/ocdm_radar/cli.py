@@ -576,7 +576,9 @@ def main(argv=None) -> int:
     }
     try:
         try:
-            artifacts = commands[args.command](config, scenario)
+            # No numpy float warnings: estimate_peak and _render_json reject a non-finite result by name.
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                artifacts = commands[args.command](config, scenario)
             # Render the reports before anything is written: a non-finite value is exit 3.
             artifacts = {k: _render_json(k, v) if isinstance(v, dict) else v for k, v in artifacts.items()}
         except ValueError as exc:

@@ -1,4 +1,4 @@
-"""Communication receiver for sector-modulated RadCom and an OFDM baseline.
+"""Communication receiver for sector-modulated RadCom; transmitter of an OFDM baseline.
 
 The RadCom receiver reuses the unmodulated pilot subchirp for channel
 estimation: the radar rows of the (uncorrected) receive Fresnel frame hold
@@ -19,8 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .framing import CHANNEL_BLOCK, RadComFrameSpec, WaveformParams, from_stream, qpsk_map, to_stream
-from .rxproc import RangeVelocityImage, doppler_process
+from .framing import CHANNEL_BLOCK, RadComFrameSpec, WaveformParams, qpsk_map, to_stream
 
 __all__ = [
     "CommReport",
@@ -30,10 +29,6 @@ __all__ = [
     "ofdm_grid",
     "ofdm_pilot_mask",
     "ofdm_modulate",
-    "ofdm_demodulate",
-    "estimate_ofdm_cfr",
-    "ofdm_equalize",
-    "ofdm_radar_process",
     "data_rate_radcom",
     "data_rate_comb_pilot",
 ]
@@ -173,46 +168,6 @@ def ofdm_grid(data_symbols: np.ndarray, params: WaveformParams) -> np.ndarray:
 def ofdm_modulate(grid: np.ndarray, params: WaveformParams) -> np.ndarray:
     """Column-wise IDFT to the sample stream; rejects a grid that is not (N x M)."""
     return to_stream(np.fft.ifft(np.asarray(grid, dtype=np.complex128), axis=0), params)
-
-
-def ofdm_demodulate(stream: np.ndarray, params: WaveformParams) -> np.ndarray:
-    """CP removal and column-wise DFT back to the subcarrier matrix."""
-    return np.fft.fft(from_stream(stream, params), axis=0)
-
-
-def estimate_ofdm_cfr(rx_grid: np.ndarray, params: WaveformParams) -> np.ndarray:
-    """LS estimate at the pilot comb, averaged over all symbols, linearly interpolated to all bins."""
-    rx = np.asarray(rx_grid, dtype=np.complex128)
-    mask = ofdm_pilot_mask(params.N)
-    pilot_bins = np.nonzero(mask)[0]
-    ls = rx[mask].mean(axis=1) / _ofdm_pilot_values(params.N)
-    # Periodic extension keeps interpolation valid past the last pilot.
-    bins_ext = np.concatenate([pilot_bins, [pilot_bins[0] + params.N]])
-    ls_ext = np.concatenate([ls, [ls[0]]])
-    k = np.arange(params.N)
-    return np.interp(k, bins_ext, ls_ext.real) + 1j * np.interp(k, bins_ext, ls_ext.imag)
-
-
-def ofdm_equalize(rx_grid: np.ndarray, cfr: np.ndarray, params: WaveformParams) -> np.ndarray:
-    """Zero-forcing per subcarrier; returns the data-bin rows only."""
-    cfr = np.asarray(cfr, dtype=np.complex128)
-    if np.any(cfr == 0):
-        raise ValueError("zero CFR bin: zero-forcing equalizer is singular")
-    mask = ofdm_pilot_mask(params.N)
-    eq = np.asarray(rx_grid, dtype=np.complex128) / cfr[:, None]
-    return eq[~mask]
-
-
-def ofdm_radar_process(tx_grid: np.ndarray, rx_grid: np.ndarray, params: WaveformParams) -> RangeVelocityImage:
-    """Spectral-division OFDM radar: divide, IDFT over bins, DFT over symbols."""
-    tx = np.asarray(tx_grid, dtype=np.complex128)
-    rx = np.asarray(rx_grid, dtype=np.complex128)
-    if tx.shape != rx.shape:
-        raise ValueError("tx/rx grids must have identical shape")
-    if np.any(tx == 0):
-        raise ValueError("zero transmit symbol: spectral division is singular")
-    profiles = np.fft.ifft(rx / tx, axis=0)
-    return doppler_process(profiles, params)
 
 
 def data_rate_radcom(params: WaveformParams) -> float:

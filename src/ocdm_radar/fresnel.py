@@ -9,8 +9,9 @@ coefficients, the inverse builds the time-domain symbol from them:
 Scaling keeps the 1/N on the inverse only, so ``dfnt(idfnt(X)) == X`` and the
 forward transform grows total signal energy by a factor N.  White Gaussian
 noise is therefore *not* variance-preserving under this convention (a unitary
-variant would need 1/sqrt(N) on both sides); downstream SNR bookkeeping
-accounts for the N-fold scaling explicitly.
+variant would need 1/sqrt(N) on both sides).  The SNR needs no correction for
+it: both channels add their noise to the time-domain stream, referenced to
+that stream's echo power, so the receive DFnT scales echo and noise alike.
 
 All transforms require an even length: the fast paths factor the chirp kernel
 as DFT -> quadratic-phase multiply -> IDFT, which relies on the kernel being
@@ -24,9 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "gamma_vector",
     "dfnt_direct",
-    "idfnt_direct",
     "dfnt_fast",
     "idfnt_fast",
     "phase_fold_correct",
@@ -49,20 +48,10 @@ def _length(x: np.ndarray) -> int:
     return x.shape[0]
 
 
-def gamma_vector(n: int) -> np.ndarray:
-    """Quadratic-phase vector with k-th entry exp(-i pi k^2 / N), even N only.
-
-    This is the element-wise factor that turns a DFT/IDFT pair into the
-    Fresnel transform. Entries have unit magnitude and the first is 1.  The
-    vector is built once per N and is read-only: every transform of length N
-    shares it.
-    """
-    return _gammas(n)[0]
-
-
 @lru_cache(maxsize=8)
 def _gammas(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gamma of length n and its conjugate, built on the first call for n, read-only."""
+    """Gamma, the length-n vector exp(-i pi k^2 / n), and its conjugate; built on the first
+    call for n and read-only, shared by every transform of length n."""
     _check_even_length(n)
     k = np.arange(n, dtype=np.int64)
     # k^2 mod 2N keeps the phase argument small; exact for even N.
@@ -73,11 +62,11 @@ def _gammas(n: int) -> tuple[np.ndarray, np.ndarray]:
     return gamma, conj
 
 
-def _chirp_kernel(n: int, sign: float) -> np.ndarray:
+def _chirp_kernel(n: int) -> np.ndarray:
     idx = np.arange(n, dtype=np.int64)
     diff = idx[:, None] - idx[None, :]
     q = (diff * diff) % (2 * n)
-    return np.exp(sign * 1j * np.pi * q / n)
+    return np.exp(1j * np.pi * q / n)
 
 
 def dfnt_direct(x: np.ndarray) -> np.ndarray:
@@ -89,17 +78,8 @@ def dfnt_direct(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.complex128)
     n = _length(x)
     _check_even_length(n)
-    kernel = _chirp_kernel(n, +1.0)
+    kernel = _chirp_kernel(n)
     return np.exp(-1j * np.pi / 4) * (kernel @ x)
-
-
-def idfnt_direct(x: np.ndarray) -> np.ndarray:
-    """Inverse Fresnel transform by per-definition O(N^2) summation."""
-    x = np.asarray(x, dtype=np.complex128)
-    n = _length(x)
-    _check_even_length(n)
-    kernel = _chirp_kernel(n, -1.0)
-    return np.exp(1j * np.pi / 4) / n * (kernel @ x)
 
 
 def dfnt_fast(x: np.ndarray) -> np.ndarray:

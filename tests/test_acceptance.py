@@ -15,13 +15,11 @@ from ocdm_radar.analysis import (
     papr_ccdf,
     pilot_symbol_builder,
     radcom_symbol_builder,
-    single_point_image,
 )
 from ocdm_radar.channel import (
     CommChannelConfig,
     apply_comm_channel,
     apply_shift_channel,
-    biased_cir_from_shifts,
     cfr_from_cir,
     two_tap_tilt_cir,
 )
@@ -30,10 +28,7 @@ from ocdm_radar.comms import (
     data_rate_radcom,
     equalize_and_extract,
     estimate_comm_cfr,
-    estimate_ofdm_cfr,
     evm_and_snr,
-    ofdm_demodulate,
-    ofdm_equalize,
     ofdm_grid,
     ofdm_modulate,
     ofdm_pilot_mask,
@@ -49,11 +44,19 @@ from ocdm_radar.framing import (
     qpsk_map,
     to_stream,
 )
-from ocdm_radar.fresnel import dfnt_direct, dfnt_fast, idfnt_direct, idfnt_fast
+from ocdm_radar.fresnel import dfnt_direct, dfnt_fast, idfnt_fast
 from ocdm_radar.rxproc import (
     compute_radar_params,
     doppler_process,
     receive_frame,
+)
+from reference import (
+    biased_cir_from_shifts,
+    estimate_ofdm_cfr,
+    idfnt_direct,
+    ofdm_demodulate,
+    ofdm_equalize,
+    single_point_image,
 )
 
 

@@ -12,13 +12,11 @@ from ocdm_radar.analysis import (
     doppler_tolerance_sweep,
     mimo_leakage_db,
     ofdm_symbol_builder,
-    oversampled_papr_db,
     papr_ccdf,
     pilot_symbol_builder,
     radar_image,
     radcom_symbol_builder,
     range_cut_metrics,
-    single_point_image,
 )
 from ocdm_radar.channel import apply_shift_channel
 from ocdm_radar.framing import (
@@ -34,6 +32,7 @@ from ocdm_radar.framing import (
 )
 from ocdm_radar.fresnel import idfnt_fast
 from ocdm_radar.rxproc import receive_frame
+from reference import biased_cir_from_shifts, single_point_image
 
 SHIFTS = [(10.5, 0.2, 1.0), (60.25, -0.35, 0.3j), (130.0, 0.05, 0.2 - 0.1j)]
 FOUR_SLICES = [slice(0, 64), slice(64, 128), slice(128, 192), slice(192, 256)]  # of N = 256 rows
@@ -259,7 +258,6 @@ def test_sweep_is_finite_at_integer_zero_doppler_cells():
 
 def test_sweep_metrics_match_oracle_columns():
     # Metrics computed from the closed-form CIR equal the pipeline's.
-    from ocdm_radar.channel import biased_cir_from_shifts
     from ocdm_radar.rxproc import doppler_process
 
     params = WaveformParams(N=64, M=16)
@@ -277,13 +275,13 @@ def test_sweep_metrics_match_oracle_columns():
 
 def test_papr_constant_signal_is_zero_db():
     x = np.exp(1j * np.linspace(0, np.pi, 64))
-    assert oversampled_papr_db(x, 1) == pytest.approx(0.0, abs=1e-12)
+    assert analysis._papr_meter(x.size, 1)(x) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_papr_oversampling_catches_intersample_peaks():
     rng = np.random.default_rng(0)
     x = np.fft.ifft(rng.standard_normal(64) + 1j * rng.standard_normal(64))
-    assert oversampled_papr_db(x, 20) >= oversampled_papr_db(x, 1)
+    assert analysis._papr_meter(x.size, 20)(x) >= analysis._papr_meter(x.size, 1)(x)
 
 
 def _zero_padded_papr_db(x, oversample):
@@ -305,7 +303,7 @@ def test_polyphase_papr_equals_the_zero_padded_interpolation(oversample):
     symbols = [build(rng) for build in builders for _ in range(5)]
     symbols += [rng.standard_normal(n) + 1j * rng.standard_normal(n) for n in (2, 6, 64)]
     for x in symbols:
-        assert abs(oversampled_papr_db(x, oversample) - _zero_padded_papr_db(x, oversample)) < 1e-12
+        assert abs(analysis._papr_meter(x.size, oversample)(x) - _zero_padded_papr_db(x, oversample)) < 1e-12
     ccdf = papr_ccdf(builders[0], trials=20, oversample=oversample, rng_seed=5)
     again = np.random.default_rng(5)
     want = [_zero_padded_papr_db(builders[0](again), oversample) for _ in range(20)]
@@ -315,7 +313,7 @@ def test_polyphase_papr_equals_the_zero_padded_interpolation(oversample):
 @pytest.mark.parametrize("x, oversample", [(np.ones(8), 0), (np.ones(7), 2), (np.ones(0), 2)])
 def test_papr_meter_validation(x, oversample):
     with pytest.raises(ValueError):
-        oversampled_papr_db(x, oversample)
+        analysis._papr_meter(x.size, oversample)(x)
 
 
 def test_papr_ccdf_memory_does_not_grow_with_trials():
@@ -355,7 +353,7 @@ def test_papr_ccdf_meters_a_repeated_symbol_once(monkeypatch, waveform):
     else:
         build, meterings = _refilling_builder(radcom_symbol_builder(params, RadComFrameSpec(N_CP=32)), 128), 25
     rng = np.random.default_rng(8)
-    samples = np.array([oversampled_papr_db(build(rng), 4) for _ in range(25)])
+    samples = np.array([analysis._papr_meter(params.N, 4)(build(rng)) for _ in range(25)])
     exceedance = np.array([(samples > t).mean() for t in PAPR_THRESHOLDS_DB])
 
     calls = []

@@ -15,9 +15,7 @@ from ocdm_radar.channel import (
     Target,
     apply_comm_channel,
     apply_shift_channel,
-    biased_cir_from_shifts,
     cfr_from_cir,
-    ideal_cir_from_shifts,
     load_cfr_csv,
     normalize_target,
     pairwise_sum,
@@ -26,6 +24,7 @@ from ocdm_radar.channel import (
 from ocdm_radar.framing import CHANNEL_BLOCK, WaveformParams, build_pilot_frame, from_stream, to_stream
 from ocdm_radar.fresnel import dfnt_fast, dirichlet_kernel, idfnt_fast
 from ocdm_radar.rxproc import receive_frame
+from reference import biased_cir_from_shifts, ideal_cir_from_shifts
 
 
 def pilot_stream(params):

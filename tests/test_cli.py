@@ -534,7 +534,7 @@ def test_hostile_config_exits_2_naming_field(tmp_path, capsys, command, config, 
 ONE_TARGET = [{"range_m": 1.0}]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "command, config, reason",
     [

@@ -16,14 +16,10 @@ from ocdm_radar.comms import (
     data_rate_radcom,
     equalize_and_extract,
     estimate_comm_cfr,
-    estimate_ofdm_cfr,
     evm_and_snr,
-    ofdm_demodulate,
-    ofdm_equalize,
     ofdm_grid,
     ofdm_modulate,
     ofdm_pilot_mask,
-    ofdm_radar_process,
 )
 from ocdm_radar.framing import (
     CHANNEL_BLOCK,
@@ -37,6 +33,7 @@ from ocdm_radar.framing import (
 )
 from ocdm_radar.fresnel import dfnt_fast, idfnt_fast
 from ocdm_radar.rxproc import doppler_process, estimate_peak, receive_frame
+from reference import estimate_ofdm_cfr, ofdm_demodulate, ofdm_equalize, ofdm_radar_process
 
 
 def radcom_link(params, spec, rng, channel_cfg):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ocdm_radar.channel import apply_shift_channel, biased_cir_from_shifts
+from ocdm_radar.channel import apply_shift_channel
 from ocdm_radar.framing import (
     CHANNEL_BLOCK,
     MimoConfig,
@@ -31,6 +31,7 @@ from ocdm_radar.rxproc import (
 )
 from ocdm_radar._csvwrite import _CSV_BLOCK
 from ocdm_radar.rxproc import _WINDOW_VALUES, _RowWindow
+from reference import biased_cir_from_shifts
 
 FULL = WaveformParams(N=2048, M=5120, N_CP=0, B=1e9, fc=79e9)
 
