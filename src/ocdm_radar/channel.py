@@ -331,8 +331,8 @@ def apply_comm_channel(
 ) -> np.ndarray:
     """Per-symbol circular convolution with the configured CIR, plus AWGN.
 
-    A valid channel model only while the delay spread fits the CP: a longer
-    spread is rejected.
+    A valid channel model only while the delay spread fits the CP; the caller
+    checks that rule (CommChannelConfig.spread_within_cp).
 
     The channel is the one path (CFR, 0.0, 1.0) through the shift channel's
     block pass, so ``out`` takes the same arrays as in apply_shift_channel and
@@ -344,6 +344,5 @@ def apply_comm_channel(
     """
     stream = np.asarray(stream, dtype=np.complex128)
     cfr = cfr_from_cir(cfg.cir, params.N)
-    cfg.spread_within_cp(params.N_CP)
     tx_power = _mean_power(stream) if cfg.snr_db is not None and not cfr.all() else 0.0
     return _multipath(stream, params, [(cfr, 0.0, 1.0)], cfg.snr_db, cfg.rng_seed, tx_power, out)

@@ -1,12 +1,14 @@
 """Communication receiver for sector-modulated RadCom; transmitter of an OFDM baseline.
 
-The RadCom receiver reuses the unmodulated pilot subchirp for channel
-estimation: the radar rows of the (uncorrected) receive Fresnel frame hold
-the CIR, zero-padding rejects trailing noise, and a length-N DFT gives
-the CFR.  Equalization is single-tap zero-forcing on the Fresnel coefficients:
-an even-length DFnT is circulant, so it commutes with the channel's per-symbol
-circular convolution (the DFnT convolution theorem) and the subchirps see the
-same CFR as the time samples; an MMSE variant would slot in at the same place.
+The RadCom receiver works on the received Fresnel frame.  An even-length DFnT
+is circulant, so it commutes with the comm channel's per-symbol circular
+convolution (the DFnT convolution theorem): the channel acts on the
+transmitted frame's columns directly, with no fold to undo, and the subchirps
+see the same CFR as the time samples.  The unmodulated pilot subchirp gives
+the channel estimate: the frame's radar rows hold the CIR, zero-padding
+rejects trailing noise, and a length-N DFT gives the CFR.  Equalization is
+single-tap zero-forcing on the Fresnel coefficients; an MMSE variant would
+slot in at the same place.
 
 The OFDM baseline uses a uniform comb-pilot layout; its spacing of 8 yields
 the reference payload data rate for the full-scale numerology.

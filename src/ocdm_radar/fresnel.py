@@ -10,8 +10,9 @@ Scaling keeps the 1/N on the inverse only, so ``dfnt(idfnt(X)) == X`` and the
 forward transform grows total signal energy by a factor N.  White Gaussian
 noise is therefore *not* variance-preserving under this convention (a unitary
 variant would need 1/sqrt(N) on both sides).  The SNR needs no correction for
-it: both channels add their noise to the time-domain stream, referenced to
-that stream's echo power, so the receive DFnT scales echo and noise alike.
+it: each channel adds its noise at its SNR below the echo it adds it to.  The
+radar channel's echo is the time-domain stream, which the receive DFnT scales
+alike with its noise; the RadCom comm channel's is the Fresnel frame itself.
 
 All transforms require an even length: the fast paths factor the chirp kernel
 as DFT -> quadratic-phase multiply -> IDFT, which relies on the kernel being

@@ -74,14 +74,12 @@ class RadarParams:
     mimo_max_unambiguous_range_m: float | None = None
 
 
-def receive_frame(
-    stream: np.ndarray, params: WaveformParams, correct_fold: bool = True, out: np.ndarray | None = None
-) -> np.ndarray:
+def receive_frame(stream: np.ndarray, params: WaveformParams, out: np.ndarray | None = None) -> np.ndarray:
     """CP removal, column-wise fast Fresnel transform, phase-fold correction.
 
     With a pilot transmission the corrected output holds the radar CIR
-    estimates.  Communication receivers pass correct_fold=False: their
-    channel carries no fold to undo.
+    estimates.  The fold correction is its own inverse, so applying it again
+    gives the plain transform.
 
     Works on blocks of CHANNEL_BLOCK symbols: the DFnT acts column by
     column, so each block is transformed on its own, fold-corrected in place
@@ -98,8 +96,7 @@ def receive_frame(
         raise ValueError(f"out must be a complex128 array of shape {(params.N, params.M)}")
     for start in range(0, params.M, CHANNEL_BLOCK):
         block = slice(start, start + CHANNEL_BLOCK)
-        fresnel = dfnt_fast(time_frame[:, block])
-        out[:, block] = phase_fold_correct(fresnel) if correct_fold else fresnel
+        out[:, block] = phase_fold_correct(dfnt_fast(time_frame[:, block]))
     return out
 
 

@@ -44,7 +44,7 @@ from ocdm_radar.framing import (
     qpsk_map,
     to_stream,
 )
-from ocdm_radar.fresnel import dfnt_direct, dfnt_fast, idfnt_fast
+from ocdm_radar.fresnel import dfnt_direct, dfnt_fast, idfnt_fast, phase_fold_correct
 from ocdm_radar.rxproc import (
     compute_radar_params,
     doppler_process,
@@ -318,7 +318,7 @@ def test_criterion_10_communication_loopback():
     rx = apply_comm_channel(
         tx, CommChannelConfig(cir=cir, snr_db=snr_db, rng_seed=11), params
     )
-    fresnel = receive_frame(rx, params, correct_fold=False)
+    fresnel = phase_fold_correct(receive_frame(rx, params))
     cfr_est = estimate_comm_cfr(fresnel, spec, avg_symbols=params.M)
     recovered = equalize_and_extract(fresnel, cfr_est, spec)
     errors = int(np.count_nonzero(qpsk_demap(recovered) != bits))

@@ -528,16 +528,14 @@ def test_comm_channel_matches_time_domain_convolution():
 
 
 def test_comm_channel_delay_spread_flagged():
-    params = WaveformParams(N=32, M=2, N_CP=2)
+    # The CP rule lives in CommChannelConfig; apply_comm_channel leaves it to its caller.
     cir = np.zeros(8, dtype=complex)
     cir[0] = 1.0
     cir[5] = 0.5
-    with pytest.raises(ValueError):
-        apply_comm_channel(
-            np.zeros(params.stream_len, dtype=complex),
-            CommChannelConfig(cir=cir),
-            params,
-        )
+    cfg = CommChannelConfig(cir=cir)
+    assert cfg.spread_within_cp(5) == 5
+    with pytest.raises(ValueError, match="channel delay spread 5 exceeds the CP length 2"):
+        cfg.spread_within_cp(2)
 
 
 @pytest.mark.parametrize(

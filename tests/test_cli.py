@@ -12,19 +12,23 @@ import pytest
 
 from ocdm_radar import analysis, cli
 from ocdm_radar.analysis import mimo_leakage_db, radar_image
-from ocdm_radar.channel import Target, normalize_target
+from ocdm_radar.channel import CommChannelConfig, Target, apply_comm_channel, normalize_target, two_tap_tilt_cir
 from ocdm_radar.cli import EXIT_OK, EXIT_PRECONDITION, EXIT_RUNTIME, EXIT_SCHEMA, main, resolve_config
 from ocdm_radar.cli import ConfigError
 from ocdm_radar.framing import (
+    CHANNEL_BLOCK,
     MimoConfig,
     RadComFrameSpec,
     WaveformParams,
     build_pilot_frame,
     build_radcom_frame,
     build_superposed_pilot_frame,
+    draw_payload_bits,
     modulate,
 )
-from ocdm_radar.rxproc import RangeVelocityImage
+from ocdm_radar.comms import equalize_and_extract
+from ocdm_radar.fresnel import phase_fold_correct
+from ocdm_radar.rxproc import RangeVelocityImage, receive_frame
 from ocdm_radar.selftest import run_selftest
 
 
@@ -402,24 +406,117 @@ def test_radcom_radar_leg_stream_is_freed_before_the_comm_leg(monkeypatch):
         radar_streams.append(weakref.ref(stream))
         return stream
 
-    def comm_modulate(*args):
+    def comm_channel(*args, **kwargs):
         alive_at_comm_leg.extend(ref() is not None for ref in radar_streams)
-        return modulate(*args)
+        return apply_comm_channel(*args, **kwargs)
 
     monkeypatch.setattr(analysis, "modulate", radar_modulate)
-    monkeypatch.setattr(cli, "modulate", comm_modulate)
+    monkeypatch.setattr(cli, "apply_comm_channel", comm_channel)
     cli._cmd_radcom(config, sc)
     assert alive_at_comm_leg == [False]
 
 
+def test_radcom_comm_leg_holds_no_stream(monkeypatch):
+    # The comm leg runs on a column-major copy of the Fresnel frame: from the comm channel
+    # call on, the largest live array is an N x M frame (the received one, then the EVM
+    # reference), never an (N + N_CP) x M stream.
+    config = resolve_config({"waveform": {"N": 256, "M": 64}, "targets": [{"range_m": 1.5}], "snr_db": 15.0})
+    sc = cli.build_scenario(config)
+    p = sc.radcom_params
+    largest = []
+
+    def measured(function):
+        def call(*args, **kwargs):
+            largest.append(max(trace.size for trace in tracemalloc.take_snapshot().traces))
+            return function(*args, **kwargs)
+
+        return call
+
+    for name in ("apply_comm_channel", "estimate_comm_cfr", "equalize_and_extract", "evm_and_snr", "qpsk_demap"):
+        monkeypatch.setattr(cli, name, measured(getattr(cli, name)))
+    tracemalloc.start()
+    try:
+        cli._cmd_radcom(config, sc)
+    finally:
+        tracemalloc.stop()
+    assert len(largest) == 5 and largest[0] == p.N * p.M * 16
+    assert max(largest) < p.stream_len * 16
+
+
+def _comm_leg(config: dict, sc: cli.Scenario) -> np.ndarray:
+    """A copy of the received Fresnel frame of _cmd_radcom's comm leg."""
+    received = []
+
+    def equalize(frame, *args):
+        received.append(frame.copy())
+        return equalize_and_extract(frame, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "equalize_and_extract", equalize)
+        cli._cmd_radcom(config, sc)
+    return received[0]
+
+
+def _radcom_scenario(raw: dict, cir=None, snr_db=None):
+    """A radcom config and its scenario, with the comm channel's CIR (default: the config's) and snr_db."""
+    config = resolve_config({"targets": [{"range_m": 1.5}], "snr_db": 20.0, **raw})
+    sc = cli.build_scenario(config)
+    channel = CommChannelConfig(sc.comm_channel.cir if cir is None else cir, snr_db, sc.comm_channel.rng_seed)
+    return config, sc._replace(comm_channel=channel)
+
+
+@pytest.mark.parametrize("spread", [0, 1, 63])
+def test_radcom_comm_leg_equals_the_time_domain_chain(spread):
+    # Noise-free, the channel on the Fresnel frame gives the frame that modulating, the
+    # CP-inclusive channel and the plain receive DFnT give, for spreads up to
+    # N_CP - 1 = 63, the largest the sector layout allows.  M = CHANNEL_BLOCK + 3
+    # leaves a partial last block.
+    cir = np.zeros(spread + 1, dtype=np.complex128)
+    cir[0], cir[-1] = 1.0, 0.4 - 0.3j
+    config, sc = _radcom_scenario({"waveform": {"N": 256, "M": CHANNEL_BLOCK + 3}, "seed": spread}, cir)
+    params, spec = sc.radcom_params, sc.spec
+    assert spec.N_CP == 64
+    got = _comm_leg(config, sc)
+    frame = build_radcom_frame(params, spec, draw_payload_bits(np.random.default_rng(config["seed"]), params, spec))
+    want = phase_fold_correct(receive_frame(apply_comm_channel(modulate(frame, params), sc.comm_channel, params), params))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_radcom_comm_noise_is_referenced_to_the_fresnel_cells():
+    # The noise is drawn over the N M Fresnel cells at comm.snr_db below the noise-free
+    # received frame's mean cell power.  Over 8 seeds of 256 x 67 cells the measured
+    # variance has a relative standard deviation of 0.27 %; 3 % separates it from a
+    # reference that counted the CP rows (0.67 of the body's power here, a 7 % change).
+    ratios = []
+    for seed in range(8):
+        raw = {"waveform": {"N": 256, "M": CHANNEL_BLOCK + 3}, "seed": seed}
+        clean = _comm_leg(*_radcom_scenario(raw))
+        noisy = _comm_leg(*_radcom_scenario(raw, snr_db=20.0))
+        ratios.append(np.mean(np.abs(noisy - clean) ** 2) / (np.mean(np.abs(clean) ** 2) * 10 ** (-20.0 / 10)))
+    assert abs(np.mean(ratios) - 1.0) <= 0.03
+
+
+def test_radcom_comm_leg_meets_criterion_10():
+    # Acceptance criterion 10's numerology and bounds on the command's own comm leg: no bit
+    # errors, and the EVM within 1 dB of the zero-forcing value for white Fresnel-domain
+    # noise of variance sigma2 per cell, N M sigma2 = the noise-free frame's energy / SNR.
+    raw = {"waveform": {"N": 256, "M": 800}, "radcom": {"N_CP": 64}, "comm": {"tilt_db": 10.0}, "seed": 10}
+    clean = _comm_leg(*_radcom_scenario(raw))
+    artifacts = cli._cmd_radcom(*_radcom_scenario(raw, snr_db=30.0))
+    sigma2 = float(np.mean(np.abs(clean) ** 2)) * 10 ** (-30.0 / 10)
+    cfr = np.fft.fft(two_tap_tilt_cir(10.0), 256)
+    analytic_evm_db = 10 * np.log10(sigma2 * float(np.mean(1.0 / np.abs(cfr) ** 2)))
+    report = artifacts["comm_report.json"]
+    assert report["bit_errors"] == 0 and report["total_bits"] >= 2e5
+    assert abs(report["evm_mean_db"] - analytic_evm_db) <= 1.0
+
+
 def test_radcom_command_holds_one_stream():
-    # Both legs run in one stream buffer, beside the frame while it is modulated;
-    # the payload is kept as bits and the comm leg drops the frame, so the
-    # equalizer's (n_data, M) symbols and the EVM reference rebuilt from the bits
-    # stay under the half-frame allowance (measured 10.4 MiB against an 11.0 MiB
-    # bound, 12.2 MiB with a payload-sized symbol matrix and the frame kept
-    # through the comm leg): a frame-sized spectrum or quotient, or a second
-    # stream, would exceed it.
+    # The radar leg runs in one stream buffer beside the frame, and the comm leg in a
+    # column-major copy that replaces the frame; the payload is kept as bits, so the
+    # equalizer's (n_data, M) symbols and the EVM reference rebuilt from the bits stay
+    # under the half-frame allowance (measured 10.3 MiB against an 11.0 MiB bound): a
+    # frame-sized spectrum or quotient, or a second stream, would exceed it.
     config = resolve_config(
         {"waveform": {"N": 256, "M": 1024}, "targets": [{"range_m": 5.03, "velocity_mps": 10.0}], "snr_db": 15.0}
     )

@@ -31,7 +31,7 @@ from ocdm_radar.framing import (
     qpsk_map,
     to_stream,
 )
-from ocdm_radar.fresnel import dfnt_fast, idfnt_fast
+from ocdm_radar.fresnel import dfnt_fast, idfnt_fast, phase_fold_correct
 from ocdm_radar.rxproc import doppler_process, estimate_peak, receive_frame
 from reference import estimate_ofdm_cfr, ofdm_demodulate, ofdm_equalize, ofdm_radar_process
 
@@ -44,7 +44,7 @@ def radcom_link(params, spec, rng, channel_cfg):
     symbols = frame[spec.data_rows(params.N)]
     tx = to_stream(idfnt_fast(frame), params)
     rx = apply_comm_channel(tx, channel_cfg, params)
-    fresnel = receive_frame(rx, params, correct_fold=False)
+    fresnel = phase_fold_correct(receive_frame(rx, params))  # the correction reapplied: the plain DFnT
     return bits, symbols, fresnel
 
 

@@ -51,6 +51,18 @@ def test_fresnel_transforms_run_in_one_place_each():
     assert found == [], found
 
 
+def test_cli_runs_no_transform_chain_of_its_own():
+    # The radar chain is analysis.radar_image; the RadCom comm leg applies the comm channel
+    # to the Fresnel frame itself (the DFnT commutes with it), so cli neither modulates nor
+    # runs the receive DFnT.  It keeps rxproc's receive_frame bound, uncalled, because the
+    # perfbench tracer test checks that binding.
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    called = {ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert imported & {"modulate", "from_stream"} == set()
+    assert called & {"modulate", "receive_frame"} == set()
+
+
 def test_channels_share_one_echo_pass():
     # The shift and comm channels are paths through channel._echoes: one IDFT call and
     # one loop over blocks of CHANNEL_BLOCK symbols in the module.

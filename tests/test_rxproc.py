@@ -65,23 +65,26 @@ def test_receive_frame_folds_the_fresh_transform(n_cp):
     stream = rng.standard_normal(params.stream_len) + 1j * rng.standard_normal(params.stream_len)
     kept = stream.copy()
     want = dfnt_fast(from_stream(stream, params))
-    assert receive_frame(stream, params, correct_fold=False).tobytes() == want.tobytes()
+    assert phase_fold_correct(receive_frame(stream, params)).tobytes() == want.tobytes()
     assert receive_frame(stream, params).tobytes() == phase_fold_correct(want).tobytes()
     assert stream.tobytes() == kept.tobytes()
 
 
-@pytest.mark.parametrize("correct_fold", [True, False], ids=["folded", "unfolded"])
-def test_receive_into_the_stream_buffer_equals_the_whole_frame_transform(correct_fold):
+@pytest.mark.parametrize("folded", [True, False], ids=["folded", "unfolded"])
+def test_receive_into_the_stream_buffer_equals_the_whole_frame_transform(folded):
     # M = 130 leaves a partial last block; each block is transformed before its
-    # symbols are overwritten, so the buffer ends as the whole frame's DFnT.
+    # symbols are overwritten, so the buffer ends as the whole frame's DFnT,
+    # fold-corrected (the correction applied again gives the plain transform).
     params = WaveformParams(N=64, M=2 * CHANNEL_BLOCK + 2, N_CP=8)
     rng = np.random.default_rng(8)
     stream = rng.standard_normal(params.stream_len) + 1j * rng.standard_normal(params.stream_len)
     want = dfnt_fast(from_stream(stream, params))
-    if correct_fold:
-        phase_fold_correct(want)
     out = from_stream(stream, params)
-    assert receive_frame(stream, params, correct_fold, out=out) is out
+    assert receive_frame(stream, params, out=out) is out
+    if folded:
+        phase_fold_correct(want)
+    else:
+        phase_fold_correct(out)
     assert out.tobytes() == want.tobytes()
 
 
@@ -105,7 +108,7 @@ def test_fold_correction_even_integer_delay():
     stream = pilot_stream(params)
     rx = apply_shift_channel(stream, params, [(6.0, 0.0, 1.0)])
     corrected = receive_frame(rx, params)[:, 0]
-    uncorrected = receive_frame(rx, params, correct_fold=False)[:, 0]
+    uncorrected = phase_fold_correct(receive_frame(rx, params))[:, 0]
     n = np.arange(16)
     delta = np.zeros(16, dtype=complex)
     delta[6] = 1.0
