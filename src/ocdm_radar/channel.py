@@ -88,13 +88,6 @@ class CommChannelConfig:
         mag = np.abs(np.asarray(self.cir, dtype=np.complex128))
         return int(np.max(np.nonzero(mag > 1e-12 * np.max(mag))[0]))
 
-    def spread_within_cp(self, n_cp: int) -> int:
-        """The delay spread; past a CP of n_cp samples the channel is rejected."""
-        spread = self.delay_spread
-        if spread > n_cp:
-            raise ValueError(f"channel delay spread {spread} exceeds the CP length {n_cp}")
-        return spread
-
 
 def normalize_target(target: Target, params: WaveformParams):
     """Map (range, velocity) to the normalized shift pair (n_delta, k_delta).
@@ -332,7 +325,7 @@ def apply_comm_channel(
     """Per-symbol circular convolution with the configured CIR, plus AWGN.
 
     A valid channel model only while the delay spread fits the CP; the caller
-    checks that rule (CommChannelConfig.spread_within_cp).
+    checks that rule (radcom requires CommChannelConfig.delay_spread < N_CP).
 
     The channel is the one path (CFR, 0.0, 1.0) through the shift channel's
     block pass, so ``out`` takes the same arrays as in apply_shift_channel and

@@ -391,9 +391,10 @@ def _cmd_radcom(config: dict, sc: Scenario) -> dict:
     params, spec = sc.radcom_params, sc.spec
     _require_targets_within(sc, spec.N_CP, compute_radar_params(params).max_cp_range_m, "RadCom radar sector")
     n_data = spec.num_data_subchirps(params.N)
-    # The comm channel's CP rule, then the sector layout's stricter one, before either leg runs.
-    spread = sc.comm_channel.spread_within_cp(params.N_CP)
-    if spread >= spec.N_CP:  # the CP allows N_CP, which wraps the last data row into the pilot row
+    # The sector layout's spread rule, before either leg runs: stricter than the CP's
+    # (spread <= N_CP), since a spread of N_CP wraps the last data row into the pilot row.
+    spread = sc.comm_channel.delay_spread
+    if spread >= spec.N_CP:
         raise ValueError(f"channel delay spread {spread} must be below the RadCom N_CP {spec.N_CP} (N_CP-1 guard nulls)")
 
     bits = draw_payload_bits(np.random.default_rng(config["seed"]), params, spec)

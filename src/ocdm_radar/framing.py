@@ -48,9 +48,9 @@ C0 = 3.0e8
 # a few MiB in all beside the frame-sized stream buffer.
 CHANNEL_BLOCK = 64
 
-# Data symbols per band of a RadCom payload: draw_payload_bits draws, and
-# build_radcom_frame maps, whole data rows of at most this many symbols at a time
-# (at least one row), so a band's int64 draw or complex symbols take 1 MiB.
+# Data symbols per band of a RadCom payload: build_radcom_frame maps whole data rows
+# of at most this many symbols at a time (at least one row), so a band's float pairs
+# and complex symbols take 1 MiB each and no payload-sized one is built.
 _PAYLOAD_BAND = 1 << 16
 
 
@@ -89,10 +89,6 @@ class WaveformParams:
     @property
     def delta_f(self) -> float:
         return self.B / self.N
-
-    @property
-    def symbol_duration(self) -> float:
-        return (self.N + self.N_CP) / self.B
 
 
 @dataclass(frozen=True)
@@ -217,16 +213,10 @@ def build_radcom_frame(params: WaveformParams, spec: RadComFrameSpec, bits: np.n
 def draw_payload_bits(rng: np.random.Generator, params: WaveformParams, spec: RadComFrameSpec) -> np.ndarray:
     """Random payload of a RadCom frame: ``build_radcom_frame``'s bits, as uint8.
 
-    Bit for bit ``rng.integers(0, 2, size=2 * n_data * M)``, leaving ``rng`` in
-    the same state: each call continues the bit generator's stream, so the draw
-    is made a band of rows at a time and no payload-sized int64 array is built.
+    One call, ``rng.integers(0, 2, size=2 * n_data * M)``, cast down.
     """
     count = 2 * spec.num_data_subchirps(params.N) * params.M
-    bits = np.empty(count, dtype=np.uint8)
-    band = 2 * params.M * max(1, _PAYLOAD_BAND // params.M)
-    for start in range(0, count, band):
-        bits[start : start + band] = rng.integers(0, 2, size=min(band, count - start))
-    return bits
+    return rng.integers(0, 2, size=count).astype(np.uint8)
 
 
 _QPSK_SCALE = 1.0 / np.sqrt(2.0)

@@ -30,12 +30,7 @@ __all__ = [
     "dfnt_fast",
     "idfnt_fast",
     "phase_fold_correct",
-    "dirichlet_kernel",
 ]
-
-# Below this distance from a multiple of N the Dirichlet ratio switches to its
-# limit value N; keeps the double-precision ratio error under ~1e-6.
-_DIRICHLET_SINGULARITY = 1e-9
 
 
 def _check_even_length(n: int) -> None:
@@ -133,23 +128,3 @@ def phase_fold_correct(y: np.ndarray) -> np.ndarray:
     y[1::2] *= -1.0
     return y
 
-
-def dirichlet_kernel(a, n: int):
-    """Closed form of the geometric series sum_{l=0}^{N-1} e^{i 2 pi a l / N}.
-
-    Evaluates ``(e^{i 2 pi a} - 1) / (e^{i 2 pi a / N} - 1)`` and switches to
-    the limit value N when ``a`` is within 1e-9 of a multiple of N. Accepts a
-    scalar or an array; N must be positive.
-    """
-    if n <= 0:
-        raise ValueError(f"kernel length must be positive, got {n}")
-    a_arr = np.asarray(a, dtype=float)
-    r = np.mod(a_arr, n)
-    near_zero = np.minimum(r, n - r) < _DIRICHLET_SINGULARITY
-    safe = np.where(near_zero, 0.25 * n, r)
-    num = np.exp(2j * np.pi * safe) - 1.0
-    den = np.exp(2j * np.pi * safe / n) - 1.0
-    out = np.where(near_zero, complex(n), num / den)
-    if np.isscalar(a) or a_arr.ndim == 0:
-        return complex(out)
-    return out

@@ -4,12 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fresnel import (
-    dfnt_direct,
-    dfnt_fast,
-    dirichlet_kernel,
-    idfnt_fast,
-)
+from .fresnel import dfnt_direct, dfnt_fast, idfnt_fast
 
 __all__ = ["run_selftest"]
 
@@ -46,8 +41,4 @@ def run_selftest() -> list[tuple[str, bool, str]]:
         err = np.max(np.abs(got - shifted))
         checks.append((f"frequency-shift theorem k_delta={k_delta}", bool(err <= 1e-9), f"max err {err:.2e}"))
 
-    a = 0.5
-    explicit = sum(np.exp(2j * np.pi * a * l / 8) for l in range(8))
-    err = abs(dirichlet_kernel(a, 8) - explicit)
-    checks.append(("dirichlet closed form", bool(err <= 1e-12), f"err {err:.2e}"))
     return checks

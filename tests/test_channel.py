@@ -22,9 +22,9 @@ from ocdm_radar.channel import (
     two_tap_tilt_cir,
 )
 from ocdm_radar.framing import CHANNEL_BLOCK, WaveformParams, build_pilot_frame, from_stream, to_stream
-from ocdm_radar.fresnel import dfnt_fast, dirichlet_kernel, idfnt_fast
+from ocdm_radar.fresnel import dfnt_fast, idfnt_fast
 from ocdm_radar.rxproc import receive_frame
-from reference import biased_cir_from_shifts, ideal_cir_from_shifts
+from reference import biased_cir_from_shifts, dirichlet_kernel, ideal_cir_from_shifts
 
 
 def pilot_stream(params):
@@ -528,14 +528,14 @@ def test_comm_channel_matches_time_domain_convolution():
 
 
 def test_comm_channel_delay_spread_flagged():
-    # The CP rule lives in CommChannelConfig; apply_comm_channel leaves it to its caller.
+    # CommChannelConfig reports the delay of its last tap; radcom checks it against its
+    # N_CP, and apply_comm_channel leaves that rule to its caller.  Taps below 1e-12 of
+    # the strongest do not count.
     cir = np.zeros(8, dtype=complex)
     cir[0] = 1.0
     cir[5] = 0.5
-    cfg = CommChannelConfig(cir=cir)
-    assert cfg.spread_within_cp(5) == 5
-    with pytest.raises(ValueError, match="channel delay spread 5 exceeds the CP length 2"):
-        cfg.spread_within_cp(2)
+    cir[7] = 1e-13
+    assert CommChannelConfig(cir=cir).delay_spread == 5
 
 
 @pytest.mark.parametrize(

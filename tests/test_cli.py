@@ -65,9 +65,9 @@ def test_selftest_command(capsys):
     assert main(["selftest"]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
     assert lines == [f"[PASS] {name}: {detail}" for name, _, detail in run_selftest()]
-    assert len(lines) == 9
+    assert len(lines) == 8
     assert lines[0].startswith("[PASS] round trip N=4: max err ")
-    assert lines[-1].startswith("[PASS] dirichlet closed form: err ")
+    assert lines[-1].startswith("[PASS] frequency-shift theorem k_delta=17: max err ")
 
 
 def test_params_full_scale_matches_reference_table(tmp_path):
@@ -691,7 +691,7 @@ def test_failing_image_leaves_no_file(tmp_path, capsys):
 
 def test_comm_leg_failure_writes_nothing(tmp_path, capsys):
     # A CFR whose CIR has a tap at delay 100 passes the config checks but
-    # exceeds the desk-scale RadCom CP (64), which the radcom command rejects.
+    # exceeds the desk-scale RadCom N_CP (64), which the radcom command rejects.
     k = np.arange(256)
     cfr = 1.0 + 0.5 * np.exp(-2j * np.pi * k * 100 / 256)
     csv = tmp_path / "cfr.csv"
@@ -699,7 +699,7 @@ def test_comm_leg_failure_writes_nothing(tmp_path, capsys):
     cfg = write_config(tmp_path, {"targets": [{"range_m": 7.5}], "comm": {"cfr_csv": str(csv)}})
     out = tmp_path / "out"
     assert main(["radcom", "--config", cfg, "--out", str(out)]) == EXIT_PRECONDITION
-    assert "channel delay spread 100 exceeds the CP length 64" in capsys.readouterr().err
+    assert "channel delay spread 100 must be below the RadCom N_CP 64" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -726,12 +726,12 @@ def test_comm_leg_spread_must_stay_below_radcom_n_cp(tmp_path, capsys):
 @pytest.mark.parametrize(
     "delay, reason",
     [
-        (100, "channel delay spread 100 exceeds the CP length 64"),
+        (100, "channel delay spread 100 must be below the RadCom N_CP 64"),
         (64, "channel delay spread 64 must be below the RadCom N_CP 64"),
     ],
 )
 def test_comm_spread_fails_before_the_radar_leg(tmp_path, capsys, monkeypatch, delay, reason):
-    # Both spread rules depend on the config alone: radcom exits 3 before computing either leg.
+    # The spread rule depends on the config alone: radcom exits 3 before computing either leg.
     def radar_leg(*args, **kwargs):
         raise AssertionError("the radar leg ran")
 

@@ -174,20 +174,18 @@ def test_radcom_constraint_violations():
         build_radcom_frame(params, RadComFrameSpec(N_CP=2), np.zeros((5, 2), dtype=np.uint8))
 
 
-@pytest.mark.parametrize("band, m", [(framing._PAYLOAD_BAND, 1000), (7, 3), (1, 3)])
-def test_payload_bits_are_one_draw_band_by_band(monkeypatch, band, m):
-    # Each rng.integers call continues the bit generator's stream, so the draw a band of
-    # rows at a time is the single int64 draw bit for bit, and leaves the generator where
-    # that draw does.  225 data rows are no multiple of the 65, 2 or 1 rows of a band.
-    monkeypatch.setattr(framing, "_PAYLOAD_BAND", band)
+@pytest.mark.parametrize("m", [1, 3, 1000])
+def test_payload_bits_are_the_int64_draw(m):
+    # draw_payload_bits is one rng.integers call cast to uint8: the same bits as the
+    # int64 draw, and the generator left where that draw leaves it.
     params, spec = WaveformParams(N=256, M=m), RadComFrameSpec(N_CP=16)
     count = 2 * spec.num_data_subchirps(params.N) * m
     for seed in range(3):
-        one_draw, banded = np.random.default_rng(seed), np.random.default_rng(seed)
+        one_draw, payload = np.random.default_rng(seed), np.random.default_rng(seed)
         want = one_draw.integers(0, 2, size=count)
-        got = draw_payload_bits(banded, params, spec)
+        got = draw_payload_bits(payload, params, spec)
         assert got.dtype == np.uint8 and np.array_equal(got, want)
-        assert np.array_equal(banded.integers(0, 2**62, size=3), one_draw.integers(0, 2**62, size=3))
+        assert np.array_equal(payload.integers(0, 2**62, size=3), one_draw.integers(0, 2**62, size=3))
 
 
 def test_radcom_frame_maps_its_payload_bit_for_bit():
@@ -212,7 +210,7 @@ def test_radcom_data_rate_example():
     spec = RadComFrameSpec(N_CP=512)
     n_data = spec.num_data_subchirps(params.N)
     assert n_data == 1025
-    rate = 2 * n_data / params.symbol_duration
+    rate = 2 * n_data / (params.symbol_len / params.B)
     assert round(rate / 1e9, 2) == 0.80
 
 

@@ -9,11 +9,10 @@ from ocdm_radar.fresnel import (
     _gammas,
     dfnt_direct,
     dfnt_fast,
-    dirichlet_kernel,
     idfnt_fast,
     phase_fold_correct,
 )
-from reference import idfnt_direct
+from reference import dirichlet_kernel, idfnt_direct
 
 
 def random_complex(rng, n):

@@ -29,9 +29,8 @@ from ocdm_radar.rxproc import (
     receive_frame,
     write_csv,
 )
-from ocdm_radar._csvwrite import _CSV_BLOCK
-from ocdm_radar.rxproc import _WINDOW_VALUES, _RowWindow
-from reference import biased_cir_from_shifts
+from ocdm_radar.rxproc import _CSV_BLOCK, _WINDOW_VALUES, _RowWindow
+from reference import biased_cir_from_shifts, dirichlet_kernel
 
 FULL = WaveformParams(N=2048, M=5120, N_CP=0, B=1e9, fc=79e9)
 
@@ -120,8 +119,6 @@ def test_fold_correction_fractional_delay_recovers_clean_kernel():
     # After correction the fractional-delay column is the plain Dirichlet
     # interpolation kernel (constant phase), so its zero-padded reconstruction
     # peaks at the true delay; uncorrected it alternates sign.
-    from ocdm_radar.fresnel import dirichlet_kernel
-
     params = WaveformParams(N=64, M=2)
     n_delta = 20.5
     rx = apply_shift_channel(pilot_stream(params), params, [(n_delta, 0.0, 1.0)])
