@@ -485,7 +485,7 @@ def _write_run(out_dir: Path, command: str, config: dict, artifacts: dict) -> No
 
     An artifact is rendered JSON text (str), a CSV ``(header, columns)`` pair,
     which write_csv writes, or a RangeVelocityImage, which image_to_csv writes
-    with the key as its prefix.
+    with the key as its prefix.  A MemoryError while writing one names it.
     """
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -493,14 +493,18 @@ def _write_run(out_dir: Path, command: str, config: dict, artifacts: dict) -> No
         raise RuntimeError(f"cannot create output directory: {exc}") from None
     files = []
     for name, value in artifacts.items():
-        if isinstance(value, RangeVelocityImage):
-            files.extend(Path(p).name for p in image_to_csv(value, out_dir / name))
-            continue
-        if isinstance(value, str):
-            (out_dir / name).write_text(value)
-        else:
-            header, columns = value
-            write_csv(out_dir / name, columns, header)
+        try:
+            if isinstance(value, RangeVelocityImage):
+                files.extend(Path(p).name for p in image_to_csv(value, out_dir / name))
+                continue
+            if isinstance(value, str):
+                (out_dir / name).write_text(value)
+            else:
+                header, columns = value
+                write_csv(out_dir / name, columns, header)
+        except MemoryError:
+            label = f"the {name} image CSVs" if isinstance(value, RangeVelocityImage) else name
+            raise MemoryError(f"out of memory while writing {label}") from None
         files.append(name)
     resolved = _canonical_json(config)
     manifest = {
@@ -595,7 +599,11 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             return EXIT_PRECONDITION
-        _write_run(out_dir, args.command, config, artifacts)
+        try:
+            _write_run(out_dir, args.command, config, artifacts)
+        except MemoryError as exc:
+            print(f"error: precondition violated: {exc}; no manifest was written", file=sys.stderr)
+            return EXIT_PRECONDITION
     except Exception as exc:  # noqa: BLE001 - reported as runtime failure
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

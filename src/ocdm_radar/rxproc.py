@@ -14,8 +14,13 @@ velocities.  The two half-rate edges +/- v_max,ua alias onto the same bin.
 
 The module owns the image statistics and the noise floor: estimate_peak
 reports the peak and its margin over that floor, which detection reads.
-write_csv writes every CSV of the package, '%.12g' text a block of values at
-a time.
+
+write_csv writes every CSV of the package as '%.12g' text, a block of values
+at a time.  numpy rounds each value to its 12 significant digits exactly,
+which fixes the layout of its text (sign, exponent, digits shown); each
+layout's texts are built as fixed-width rows and written at their byte
+offsets.  Python's own '%.12g' formats the few values the arithmetic cannot
+round exactly.
 """
 
 from __future__ import annotations
@@ -266,131 +271,263 @@ class _RowWindow:
 
 # write_csv formats a block of values at a time.  A finite nonzero |x| scales
 # to s = |x| * 10**(11 - e), e = floor(log10|x|) corrected once, with one
-# correctly rounded multiply or divide by an exact power of ten.  D = rint(s)
-# is then the correctly rounded 12-digit significand, and e (e + 1 where D
-# carries to 10**12) the exponent X of '%.12g'.  Python's own '%.12g' formats
-# the rest: NaN and +-inf, |11 - e| > 22 (no exact power of ten), and s within
-# one ulp of a half integer, where rint(s) and the exact product may round
-# apart.
+# correctly rounded multiply or divide by an exact power of ten (10**22 is the
+# largest), so s is within half an ulp of the exact product.  D = rint(s) is
+# then the correctly rounded 12-digit significand, and e (e + 1 where D
+# carries to 10**12) the exponent X of '%.12g', unless the exact product lies
+# that close to a half integer.  Python's own '%.12g' formats those values
+# (s within one ulp of a half integer), NaN and +-inf, and |11 - e| > 22.
 #
-# Each value owns a slot holding every character its text can use, in text
-# order (_CSV_SLOT).  The text depends only on the value's sign, X and the
-# number of digits D keeps after stripping its trailing zeros: its layout.  A
-# per-layout keep mask picks the text's bytes, and one compaction of the
-# block's slots makes the block's text.
+# The text depends only on the value's sign, X and the number of digits D
+# keeps after stripping its trailing zeros: its layout.  A layout's text has a
+# fixed length and fixed bytes (the sign, the "0.000" of -4 <= X < 0, the
+# point, "e+XX", the ','), with D's leading digits at fixed places.  A value's
+# text starts at the sum of the lengths before it.  One stable sort groups the
+# block's values by layout.  Each layout present builds one row of 8-byte words
+# per value: D's 12 ASCII digits (three 4-digit table words, held in the words
+# lo and hi) moved with the layout's constant shifts and ORed with its constant
+# bytes.  One assignment puts the rows at their offsets, through a view of the
+# output with an item of the text's length at every byte.  A value Python
+# formats has only its terminator there, and its text is spliced in.  The ','
+# of each row's last value becomes its newline.
 
 # Values per block: the block's buffers stay a few MiB.
-_CSV_BLOCK = 1 << 14
-# Slot bytes: sign, the "0.000" of -4 <= X < 0, D's 12 digits each followed by
-# a '.', "e+XX", the terminator (',' or a newline); the blanks are never kept.
-_CSV_SLOT = b"  -0.000" + b"0." * 12 + b"e+00" + b",   "
-_SIGN, _PREFIX, _DIGITS, _EXPONENT, _END = 2, 3, 8, 32, 36
+_CSV_BLOCK = 1 << 15
 # Exponents X of the scaled values: e in [-11, 33], plus one on a carry.
 _X_MIN, _X_MAX = -11, 34
-# Layout 0 is a value Python formats (only its terminator is kept), 1 and 2
+# Layout 0 is a value Python formats (only its terminator is written), 1 and 2
 # are +0 and -0, and the scaled values follow.
 _LAYOUT_SCALED = 3
 # One ulp of s < 2**40: a fractional part this close to 0.5 goes to Python.
 _TIE_ULP = 2.0**-13
+# Row words and digit words are little-endian: byte i of a word is its bits 8i to 8i + 7.
+_WORD = np.dtype("<u8")
 
 
-def _kept_bytes(x: int, digits: int) -> list[int]:
-    """Slot bytes of a positive scaled value's text, terminator excluded."""
-    digit = [_DIGITS + 2 * j for j in range(12)]  # digit j's '.' is at digit[j] + 1
-    if not -4 <= x < 12:
-        point = [digit[0] + 1] if digits > 1 else []
-        return digit[:1] + point + digit[1:digits] + list(range(_EXPONENT, _EXPONENT + 4))
-    if x < 0:
-        return list(range(_PREFIX, _PREFIX + 1 - x)) + digit[:digits]
-    point = [digit[x] + 1] if digits > x + 1 else []
-    return sorted(digit[: max(digits, x + 1)] + point)
+def _scaled_text(x: int, digits: int) -> tuple[bytes, int, int, int]:
+    """A positive scaled value's text with a zero byte for each digit of D shown.
+
+    Also returns where those digits start, the digit the point precedes (none
+    of them when it is ``shown`` or more) and how many are shown.
+    """
+    if not -4 <= x < 12:  # d.ddde+XX
+        head, point, shown, tail = b"", 1, digits, b"e%+03d" % x
+    elif x < 0:  # 0.000ddd
+        head, point, shown, tail = b"0." + b"0" * (-x - 1), 12, digits, b""
+    else:  # ddd.ddd, or ddd with D's own zeros up to the units digit
+        head, point, shown, tail = b"", x + 1, max(digits, x + 1), b""
+    text = bytearray(head) + bytearray(shown + (shown > point)) + tail
+    if shown > point:
+        text[len(head) + point] = ord(".")
+    return bytes(text), len(head), point, shown
+
+
+def _digit_moves(head: int, point: int, shown: int, words: int) -> list[list]:
+    """Per 8-byte word of a text, the moves that put D's first ``shown`` digits at their places.
+
+    Digit i is byte i % 8 of source word i // 8 (lo, hi) and goes to place
+    head + i, one further from digit ``point`` on.  A move is (source, mask
+    or None, shift): source & mask shifted left by shift bits, right where
+    shift is negative.
+    """
+    runs = []  # (source, first byte, end byte, distance from source byte to place)
+    for source, first, end in ((0, 0, 8), (1, 8, 12)):
+        for start, stop, distance in ((first, point, head), (point, end, head + 1)):
+            start, stop = max(start, first), min(stop, end, shown)
+            if start < stop:
+                runs.append((source, start - first, stop - first, distance + first))
+    moves = []
+    for j in range(words):
+        word = []
+        for source, start, stop, distance in runs:
+            # The source bytes that land in word j, and those of them the run holds.
+            land_start, land_stop = max(8 * j - distance, 0), min(8 * j + 8 - distance, 8 if source == 0 else 4)
+            keep_start, keep_stop = max(start, land_start), min(stop, land_stop)
+            if keep_start < keep_stop:
+                whole = start <= land_start and land_stop <= stop
+                mask = None if whole else (1 << 8 * keep_stop) - (1 << 8 * keep_start)
+                word.append((source, mask, 8 * (distance - 8 * j)))
+        moves.append(word)
+    return moves
 
 
 def _csv_tables():
-    """Keep masks and text lengths by layout, and the digit, exponent and power tables."""
-    texts = [[], [_PREFIX], [_SIGN, _PREFIX]]
+    """Text lengths, digit moves and constant words by layout; the digit, trailing-digit and scale tables."""
+    texts = [(b",", 0, 0, 0), (b"0,", 0, 0, 0), (b"-0,", 0, 0, 0)]
     for x in range(_X_MIN, _X_MAX + 1):
         for digits in range(1, 13):
-            kept = _kept_bytes(x, digits)
-            texts += [kept, [_SIGN] + kept]
-    keep = np.zeros((len(texts), len(_CSV_SLOT)), dtype=bool)
-    for row, kept in zip(keep, texts):
-        row[kept + [_END]] = True
+            text, head, point, shown = _scaled_text(x, digits)
+            texts += [(text + b",", head, point, shown), (b"-" + text + b",", head + 1, point, shown)]
+    lengths = np.array([len(text) for text, *_ in texts])
+    constants = np.frombuffer(b"".join(text.ljust(24, b"\0") for text, *_ in texts), dtype=_WORD).reshape(-1, 3)
+    shared, moves = {}, []  # layouts that place their digits alike share their moves
+    for text, head, point, shown in texts:
+        key = head, point, shown, -(-len(text) // 8)
+        if key not in shared:
+            shared[key] = _digit_moves(*key)
+        moves.append(shared[key])
     numbers = np.arange(10_000)
-    # Each 4-digit group as the uint64 "d.d.d.d.": a third of a slot's digit bytes.
-    pairs = np.full((10_000, 8), ord("."), dtype=np.uint8)
+    # Each 4-digit group's ASCII digits as a word, the first digit in its lowest byte.
+    quads = np.empty((10_000, 4), dtype=np.uint8)
     for j in range(4):
-        pairs[:, 2 * j] = numbers // 10 ** (3 - j) % 10 + ord("0")
+        quads[:, j] = numbers // 10 ** (3 - j) % 10 + ord("0")
+    quads = quads.view("<u4").ravel().astype(_WORD)
     # places[i, g]: digits D keeps up to its 4-digit group i when that group is g (0 if g is 0).
     trailing = np.zeros(10_000, dtype=np.intp)
     for p in range(1, 4):
         trailing[numbers % 10**p == 0] = p
     places = np.where(numbers > 0, np.arange(4, 13, 4)[:, None] - trailing, 0).astype(np.uint8)
-    exponents = np.frombuffer(b"".join(b"e%+03d" % x for x in range(_X_MIN, _X_MAX + 1)), dtype=np.uint32)
-    powers = np.array([float(10**p) for p in range(23)])
-    tables = keep, keep.sum(axis=1), pairs.view(np.uint64).ravel(), places, exponents, powers
-    for table in tables:  # shared by every call
+    # a * 10**k for |k| <= 22 is a * up[k + 22] / down[k + 22]: one factor is 1, the other exact.
+    up = np.array([float(10 ** max(k, 0)) for k in range(-22, 23)])
+    down = up[::-1].copy()
+    for table in (lengths, constants, quads, places, up, down):  # shared by every call
         table.flags.writeable = False
-    return tables
+    return lengths, moves, constants, quads, places, up, down
 
 
 _CSV_TABLES = _csv_tables()
 
 
-def _scale(a: np.ndarray, k: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """a * 10**k with one correctly rounded operation (|k| <= 22, so 10**|k| is exact)."""
-    return a * powers.take(np.maximum(k, 0)) / powers.take(np.maximum(-k, 0))
+def _texts(buffer: np.ndarray, length: int, count: int, stride: int) -> np.ndarray:
+    """``count`` items of ``length`` bytes in the contiguous ``buffer``, ``stride`` bytes apart."""
+    return np.ndarray((count,), dtype=f"V{length}", buffer=buffer, strides=(stride,))
 
 
-def _format_block(values: np.ndarray, slots: np.ndarray) -> bytes:
-    """The '%.12g' texts of values, each with the terminator of its slot."""
-    keep, lengths, pairs, places, exponents, powers = _CSV_TABLES
-    a = np.abs(values)
-    negative = np.signbit(values)
-    # Zeros and non-finite values run through the arithmetic unscaled; it is not used for them.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k = 11.0 - np.floor(np.log10(a))  # inf at 0, nan at nan and inf
-        scaled = np.abs(k) <= 22
-        k = np.where(scaled, k, 0.0).astype(np.intp)
-        s = _scale(a, k, powers)
-        # Correct e once where log10 rounded across a power of ten.
-        step = (s < 1e11).astype(np.intp) - (s >= 1e12)
-        moved = np.flatnonzero(step & scaled)
-        if moved.size:
-            k[moved] += step[moved]
-            scaled[moved] = np.abs(k[moved]) <= 22
-            k[moved] *= scaled[moved]
-            s[moved] = _scale(a[moved], k[moved], powers)
-        d = np.rint(s)
-        scaled &= np.abs(s - np.floor(s) - 0.5) > _TIE_ULP
-    carry = d == 1e12
-    x = 11 - k + carry
-    d = np.where(scaled & ~carry, d, 1e11).astype(np.intp)
-    g0 = d // 10**8
-    rest = d - g0 * 10**8
-    g1 = rest // 10**4
-    g2 = rest - g1 * 10**4
-    digits = np.maximum(np.maximum(places[0].take(g0), places[1].take(g1)), places[2].take(g2))
-    layout = _LAYOUT_SCALED + 2 * (12 * (x - _X_MIN) + digits - 1) + negative
-    layout = np.where(scaled, layout, (a == 0) * (1 + negative))
+class _BlockFormatter:
+    """The '%.12g' texts of blocks of up to ``span`` values, built in buffers allocated once.
 
-    block = slots[: values.size]
-    words = block.view(np.uint64)
-    for j, group in enumerate((g0, g1, g2)):
-        words[:, _DIGITS // 8 + j] = pairs.take(group)
-    block.view(np.uint32)[:, _EXPONENT // 4] = exponents.take(x - _X_MIN)
-    text = np.extract(keep.take(layout, axis=0), block).tobytes()
+    Every step of a block writes into these buffers; a block allocates only
+    its sort order and arrays the size of its rare cases.  A new block-sized
+    array per step gets fresh pages whenever the allocator has handed the
+    last block's memory back to the system, and faulting them in doubled the
+    writer's time per value in a full-scale run.
+    """
 
-    python = np.flatnonzero(layout == 0)
-    if not python.size:
-        return text
-    ends = np.cumsum(lengths.take(layout))
-    pieces, done = [], 0
-    for i, start in zip(python.tolist(), (ends[python] - 1).tolist()):
-        pieces += [text[done:start], b"%.12g" % values[i]]
-        done = start
-    pieces.append(text[done:])
-    return b"".join(pieces)
+    def __init__(self, span: int):
+        # The rows share their memory with |x|, s and the unsorted offsets, which are spent before any row is built.
+        self.words = np.empty((3, span), dtype=_WORD)
+        self.rows = self.words.reshape(span, 3)
+        self.floats = np.empty((2, span))
+        self.ints = np.empty((4, span), dtype=np.intp)
+        self.flags = np.empty((4, span), dtype=bool)
+        self.digits = np.empty((2, span), dtype=np.uint8)
+        self.key = np.empty(span, dtype=np.uint16)
+        self.text = np.empty(span * int(_CSV_TABLES[0].max()), dtype=np.uint8)
+        # Per text length, the rows' texts and the text-wide items of the output, one at every byte.
+        width, text_lengths = self.rows.strides[0], set(_CSV_TABLES[0].tolist())
+        self.row_texts = {length: _texts(self.rows, length, span, width) for length in text_lengths}
+        self.texts = {length: _texts(self.text, length, self.text.size - length + 1, 1) for length in text_lengths}
+
+    def __call__(self, values: np.ndarray, n_cols: int):
+        """The texts of a block of whole rows of ``n_cols`` values, each followed by ',' or a row's newline.
+
+        They are returned in pieces, mostly views of the formatter's buffer,
+        valid until its next call.
+        """
+        lengths, moves, constants, quads, places, up, down = _CSV_TABLES
+        n = values.size
+        a, s = self.words[:2, :n].view(np.float64)
+        i1 = self.words[2, :n].view(np.intp)
+        f1, f2 = self.floats[:, :n]
+        k, g0, g1, g2 = self.ints[:, :n]
+        negative, scaled, b1, b2 = self.flags[:, :n]
+        d0, d1 = self.digits[:, :n]
+        np.abs(values, out=a)
+        np.signbit(values, out=negative)
+        # Zeros and non-finite values run through the arithmetic unscaled; it is not used for them.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.log10(a, out=f1)
+            np.subtract(11.0, np.floor(f1, out=f1), out=f1)  # k: inf at 0, nan at nan and inf
+            np.less_equal(np.abs(f1, out=f2), 22, out=scaled)
+            np.copyto(f1, 0.0, where=np.logical_not(scaled, out=b1))
+            np.copyto(k, f1, casting="unsafe")
+            np.add(k, 22, out=i1)
+            np.multiply(a, np.take(up, i1, out=f1), out=s)
+            np.divide(s, np.take(down, i1, out=f1), out=s)
+            # Correct e once where log10 rounded across a power of ten.
+            np.logical_or(np.less(s, 1e11, out=b1), np.greater_equal(s, 1e12, out=b2), out=b1)
+            moved = np.flatnonzero(np.logical_and(b1, scaled, out=b1))
+            if moved.size:
+                k[moved] += (s[moved] < 1e11).astype(np.intp) - (s[moved] >= 1e12)
+                scaled[moved] = np.abs(k[moved]) <= 22
+                k[moved] *= scaled[moved]
+                s[moved] = a[moved] * up.take(k[moved] + 22) / down.take(k[moved] + 22)
+            tie = np.subtract(np.subtract(s, np.floor(s, out=f1), out=f1), 0.5, out=f1)
+            scaled &= np.greater(np.abs(tie, out=f1), _TIE_ULP, out=b1)
+        d = np.rint(s, out=s)
+        carry = np.equal(d, 1e12, out=b2)
+        np.copyto(d, 1e11, where=np.logical_or(np.logical_not(scaled, out=b1), carry, out=b1))
+        # D's 4-digit groups, and the digits it keeps after stripping its trailing zeros.
+        np.copyto(g2, d, casting="unsafe")
+        np.floor_divide(g2, 10**8, out=g0)
+        g2 -= np.multiply(g0, 10**8, out=i1)
+        np.floor_divide(g2, 10**4, out=g1)
+        g2 -= np.multiply(g1, 10**4, out=i1)
+        np.maximum(np.take(places[0], g0, out=d0), np.take(places[1], g1, out=d1), out=d0)
+        np.maximum(d0, np.take(places[2], g2, out=d1), out=d0)
+        # layout = _LAYOUT_SCALED + 2 * (12 * (X - _X_MIN) + digits - 1) + negative, X = 11 - k + carry
+        layout = k
+        np.subtract(11 - _X_MIN, k, out=layout)
+        layout += carry
+        layout *= 12
+        layout += d0
+        layout *= 2
+        layout += _LAYOUT_SCALED - 2
+        layout += negative
+        np.copyto(layout, 0, where=np.logical_not(scaled, out=b1))
+        zeros = np.flatnonzero(np.equal(a, 0.0, out=b1))
+        layout[zeros] = 1 + negative[zeros]
+
+        # Each text's offset, and D's digit words: lo holds digits 0-7, hi digits 8-11.
+        size = np.take(lengths, layout, out=i1)
+        ends = np.cumsum(size, out=f1.view(np.intp))
+        starts = np.subtract(ends, size, out=i1)
+        lo = np.take(quads, g1, out=a.view(_WORD))
+        lo <<= 32
+        lo |= np.take(quads, g0, out=s.view(_WORD))
+        hi = np.take(quads, g2, out=s.view(_WORD))
+        # Grouped by layout, each group's texts go out as one row per value.
+        counts = np.bincount(layout, minlength=len(lengths))
+        present = np.flatnonzero(counts)
+        # The sort key is each layout's rank among those present: a byte, so one radix pass, where it fits.
+        key = self.key.view(np.uint8)[:n] if len(present) < 256 else self.key[:n]
+        order = np.argsort(np.take(np.cumsum(counts > 0).astype(key.dtype), layout, out=key), kind="stable")
+        starts = np.take(starts, order, out=f2.view(np.intp))
+        sources = np.take(lo, order, out=g0.view(_WORD)), np.take(hi, order, out=g1.view(_WORD))
+        temp = g2.view(_WORD)
+        first = 0
+        for kind, last in zip(present.tolist(), np.cumsum(counts[present]).tolist()):
+            for column, constant, word_moves in zip(self.rows[first:last].T, constants[kind], moves[kind]):
+                # The first move writes the column, the others are ORed into it.
+                for m, (source, mask, shift) in enumerate(word_moves):
+                    word, out = sources[source][first:last], (temp[first:last] if m else column)
+                    if mask is not None:
+                        word = np.bitwise_and(word, mask, out=out)
+                    if shift >= 0:
+                        np.left_shift(word, shift, out=out)
+                    else:
+                        np.right_shift(word, -shift, out=out)
+                    if m:
+                        column |= out
+                if not word_moves:
+                    column[...] = constant
+                elif constant:
+                    column |= constant
+            length = int(lengths[kind])
+            self.texts[length][starts[first:last]] = self.row_texts[length][first:last]
+            first = last
+        text = self.text[: ends[-1]]
+        text[ends[n_cols - 1 :: n_cols] - 1] = ord("\n")
+
+        # The values Python formats are layout 0: the first in the sort, in their block order.
+        pieces, done = [], 0
+        if counts[0]:
+            python = order[: counts[0]]
+            for i, start in zip(python.tolist(), (ends[python] - 1).tolist()):
+                pieces += [text[done:start], b"%.12g" % values[i]]
+                done = start
+        pieces.append(text[done:])
+        return pieces
 
 
 def write_csv(path, array, header: str = "") -> None:
@@ -418,9 +555,7 @@ def write_csv(path, array, header: str = "") -> None:
             fh.write(b"\n" * n_rows)
             return
         rows_per_block = max(1, min(n_rows, _CSV_BLOCK // n_cols))
-        span = rows_per_block * n_cols
-        slots = np.frombuffer(_CSV_SLOT * span, dtype=np.uint8).reshape(span, len(_CSV_SLOT)).copy()
-        slots[n_cols - 1 :: n_cols, _END] = ord("\n")
+        formatter = _BlockFormatter(rows_per_block * n_cols)
         rows = None if columns is not None else _RowWindow(table, rows_per_block)
         for start in range(0, n_rows, rows_per_block):
             stop = min(start + rows_per_block, n_rows)
@@ -428,4 +563,4 @@ def write_csv(path, array, header: str = "") -> None:
                 block = rows[start:stop].reshape(-1)
             else:
                 block = np.column_stack([c[start:stop] for c in columns]).astype(np.float64, copy=False).ravel()
-            fh.write(_format_block(block, slots))
+            fh.writelines(formatter(block, n_cols))

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ocdm_radar import analysis, cli
+from ocdm_radar import analysis, cli, rxproc
 from ocdm_radar.analysis import mimo_leakage_db, radar_image
 from ocdm_radar.channel import CommChannelConfig, Target, apply_comm_channel, normalize_target, two_tap_tilt_cir
 from ocdm_radar.cli import EXIT_OK, EXIT_PRECONDITION, EXIT_RUNTIME, EXIT_SCHEMA, main, resolve_config
@@ -765,6 +765,20 @@ def test_memory_error_exits_3_naming_numerology(tmp_path, capsys, monkeypatch, c
     peak_mib = (256 + n_cp + frame) * 16 * 32 / 2**20  # the stream buffer holds the images too
     assert f"out of memory at {numerology}" in err and f"about {peak_mib:.1f} MiB" in err, err
     assert not out.exists()
+
+
+def test_memory_error_while_writing_exits_3_naming_the_artifact(tmp_path, capsys, monkeypatch):
+    # The image CSVs run out of memory after radar_peak.json is written: exit 3, not an empty exit 1.
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(rxproc, "write_csv", out_of_memory)
+    cfg = write_config(tmp_path, {"targets": [{"range_m": 5.0}], "snr_db": 10.0})
+    out = tmp_path / "out"
+    assert main(["radar", "--config", cfg, "--out", str(out)]) == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert "out of memory while writing the radar image CSVs" in err, err
+    assert (out / "radar_peak.json").exists() and not (out / "manifest.json").exists()
 
 
 def test_uncreatable_output_directory_exits_1(tmp_path, capsys):

@@ -534,6 +534,56 @@ def test_write_csv_columns_and_blocks_equal_savetxt(tmp_path):
     assert _write_csv_bytes(tmp_path / "got.csv", columns, "a,b,c") == want
 
 
+def _every_layout():
+    """Values of every text layout: both signs, X from -11 to 34, 1 to 12 digits; and the cases Python formats."""
+    shown = [float(f"{'123456789123'[:digits]}e{x - digits + 1}") for x in range(-11, 35) for digits in range(1, 13)]
+    ties = [123456789012.5 * 10.0**k for k in range(4)] + [0.5, 2.5, 1.5e-5]  # exact 12th-digit ties
+    carries = [999999999999.5 * 10.0**k for k in range(-25, 26)]
+    subnormals = [5e-324, 2.0**-1060, 2.2250738585072014e-308 / 3]
+    near = [np.nextafter(v, side) for v in ties + carries for side in (-np.inf, np.inf)]
+    magnitudes = shown + ties + carries + subnormals + near + [0.0, np.inf, 1e-300, 1e300]
+    return np.array(magnitudes + [-v for v in magnitudes] + [np.nan])
+
+
+def test_write_csv_every_layout_equals_savetxt(tmp_path):
+    # Shuffled so that every block mixes many layouts; three blocks of whole rows, the last one short.
+    rng = np.random.default_rng(21)
+    values = _every_layout()
+    n_cols = 7
+    n_rows = 2 * (_CSV_BLOCK // n_cols) + 5
+    picks = np.concatenate([values, rng.choice(values, n_rows * n_cols - len(values))])
+    table = rng.permutation(picks).reshape(n_rows, n_cols)
+    want = _savetxt_bytes(tmp_path / "want.csv", table)
+    assert _write_csv_bytes(tmp_path / "got.csv", table) == want
+    assert _write_csv_bytes(tmp_path / "got.csv", list(table.T)) == want
+
+
+def test_write_csv_equals_savetxt_on_image_and_constellation_tables(tmp_path):
+    # A range-velocity image's Rayleigh magnitudes, 5120 Doppler bins a row, in two blocks;
+    # and a constellation table: signed re and im and an integer subchirp column.
+    rng = np.random.default_rng(22)
+    image = rng.rayleigh(0.12, (7, 5120))
+    assert _write_csv_bytes(tmp_path / "got.csv", image) == _savetxt_bytes(tmp_path / "want.csv", image)
+    symbols = (rng.choice([-1.0, 1.0], (2, 40_000)) + 0.1 * rng.standard_normal((2, 40_000))) / np.sqrt(2)
+    columns = [symbols[0], symbols[1], np.arange(40_000) % 512]
+    want = _savetxt_bytes(tmp_path / "want.csv", np.column_stack(columns), "re,im,subchirp")
+    assert _write_csv_bytes(tmp_path / "got.csv", columns, "re,im,subchirp") == want
+
+
+def test_write_csv_peak_memory_of_a_contiguous_table(tmp_path):
+    # The writer's block buffers bound its memory: a 400 x 5120 table peaks at a few MiB.
+    table = np.random.default_rng(23).rayleigh(0.12, (400, 5120))
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        write_csv(tmp_path / "got.csv", table)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20, peak
+
+
 def test_write_csv_reads_a_strided_table_a_window_at_a_time(tmp_path):
     # A table whose rows are not contiguous (an image viewed in the column-major stream
     # buffer) gives savetxt's bytes, and is staged a window of rows at a time: beside the
