@@ -30,6 +30,7 @@ matching the reference range-velocity maps.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -292,10 +293,14 @@ def cfr_from_cir(cir: np.ndarray, n: int) -> np.ndarray:
 def load_cfr_csv(path, n: int) -> np.ndarray:
     """Read a CFR from CSV rows (bin index, Re, Im); each of the N bins exactly once.
 
-    Rejects non-finite values, non-integer or repeated bin indices and an
-    all-zero response.
+    Rejects a file without rows, non-finite values, non-integer or repeated
+    bin indices and an all-zero response.
     """
-    raw = np.loadtxt(path, delimiter=",", ndmin=2)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # rejected below
+        raw = np.loadtxt(path, delimiter=",", ndmin=2)
+    if raw.size == 0:
+        raise ValueError("CFR CSV holds no rows")
     if raw.shape[1] != 3:
         raise ValueError("CFR CSV must have columns (bin, Re, Im)")
     if not np.isfinite(raw).all():

@@ -204,9 +204,7 @@ def resolve_config(raw: dict, full_scale: bool = False) -> dict:
         # At least 2 so the default two-tap comm channel fits below it; at most N - 1.
         radcom["N_CP"] = min(max(waveform["N_CP"], waveform["N"] // 4, 2), waveform["N"] - 1)
     if radcom["avg_symbols"] is not None:
-        radcom["avg_symbols"] = _number(
-            radcom["avg_symbols"], "config.radcom.avg_symbols", lo=1, hi=waveform["M"], integer=True
-        )
+        radcom["avg_symbols"] = _number(radcom["avg_symbols"], "config.radcom.avg_symbols", lo=1, integer=True)
 
     comm = _section(raw.get("comm", {}), "config.comm", {"cfr_csv": None, "tilt_db": 10.0, "snr_db": 30.0})
     comm["tilt_db"] = _number(comm["tilt_db"], "config.comm.tilt_db", lo=0.0)
@@ -279,6 +277,8 @@ def build_scenario(config: dict) -> Scenario:
     """
     rc, comm = config["radcom"], config["comm"]
     params = _build("config.waveform", WaveformParams, **config["waveform"])
+    if rc["avg_symbols"] is not None and rc["avg_symbols"] > params.M:
+        raise ConfigError(f"config.radcom.avg_symbols: must be <= {params.M}")
     radcom_params = _build("config.radcom.N_CP", replace, params, N_CP=rc["N_CP"])
     spec = _build(
         "config.radcom", RadComFrameSpec, rc["N_CP"], rc["pilot_energy"], rc["symbol_energy"]

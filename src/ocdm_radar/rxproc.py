@@ -18,9 +18,9 @@ reports the peak and its margin over that floor, which detection reads.
 write_csv writes every CSV of the package as '%.12g' text, a block of values
 at a time.  numpy rounds each value to its 12 significant digits exactly,
 which fixes the layout of its text (sign, exponent, digits shown); each
-layout's texts are built as fixed-width rows and written at their byte
-offsets.  Python's own '%.12g' formats the few values the arithmetic cannot
-round exactly.
+layout's texts are its constant template with the value's digits copied in,
+written at their byte offsets.  Python's own '%.12g' formats the few values
+the arithmetic cannot round exactly.
 """
 
 from __future__ import annotations
@@ -282,14 +282,15 @@ class _RowWindow:
 # keeps after stripping its trailing zeros: its layout.  A layout's text has a
 # fixed length and fixed bytes (the sign, the "0.000" of -4 <= X < 0, the
 # point, "e+XX", the ','), with D's leading digits at fixed places.  A value's
-# text starts at the sum of the lengths before it.  One stable sort groups the
-# block's values by layout.  Each layout present builds one row of 8-byte words
-# per value: D's 12 ASCII digits (three 4-digit table words, held in the words
-# lo and hi) moved with the layout's constant shifts and ORed with its constant
-# bytes.  One assignment puts the rows at their offsets, through a view of the
-# output with an item of the text's length at every byte.  A value Python
-# formats has only its terminator there, and its text is spliced in.  The ','
-# of each row's last value becomes its newline.
+# text starts at the sum of the lengths before it.  D's 12 ASCII digits form a
+# 16-byte row per value (three 4-digit table words side by side), and one
+# stable sort groups the block's values, with their digit rows, by layout.
+# Each layout present fills one text row per value with its constant template,
+# then copies in at most two runs of digits as fixed-width items: those before
+# the point and those after it.  One assignment puts the rows at their offsets,
+# through a view of the output with an item of the text's length at every
+# byte.  A value Python formats has only its terminator there, and its text is
+# spliced in.  The ',' of each row's last value becomes its newline.
 
 # Values per block: the block's buffers stay a few MiB.
 _CSV_BLOCK = 1 << 15
@@ -300,8 +301,8 @@ _X_MIN, _X_MAX = -11, 34
 _LAYOUT_SCALED = 3
 # One ulp of s < 2**40: a fractional part this close to 0.5 goes to Python.
 _TIE_ULP = 2.0**-13
-# Row words and digit words are little-endian: byte i of a word is its bits 8i to 8i + 7.
-_WORD = np.dtype("<u8")
+# Bytes of a text row: any layout's text fits, and a row is a value's three words |x|, s and offset.
+_ROW = 24
 
 
 def _scaled_text(x: int, digits: int) -> tuple[bytes, int, int, int]:
@@ -322,56 +323,26 @@ def _scaled_text(x: int, digits: int) -> tuple[bytes, int, int, int]:
     return bytes(text), len(head), point, shown
 
 
-def _digit_moves(head: int, point: int, shown: int, words: int) -> list[list]:
-    """Per 8-byte word of a text, the moves that put D's first ``shown`` digits at their places.
-
-    Digit i is byte i % 8 of source word i // 8 (lo, hi) and goes to place
-    head + i, one further from digit ``point`` on.  A move is (source, mask
-    or None, shift): source & mask shifted left by shift bits, right where
-    shift is negative.
-    """
-    runs = []  # (source, first byte, end byte, distance from source byte to place)
-    for source, first, end in ((0, 0, 8), (1, 8, 12)):
-        for start, stop, distance in ((first, point, head), (point, end, head + 1)):
-            start, stop = max(start, first), min(stop, end, shown)
-            if start < stop:
-                runs.append((source, start - first, stop - first, distance + first))
-    moves = []
-    for j in range(words):
-        word = []
-        for source, start, stop, distance in runs:
-            # The source bytes that land in word j, and those of them the run holds.
-            land_start, land_stop = max(8 * j - distance, 0), min(8 * j + 8 - distance, 8 if source == 0 else 4)
-            keep_start, keep_stop = max(start, land_start), min(stop, land_stop)
-            if keep_start < keep_stop:
-                whole = start <= land_start and land_stop <= stop
-                mask = None if whole else (1 << 8 * keep_stop) - (1 << 8 * keep_start)
-                word.append((source, mask, 8 * (distance - 8 * j)))
-        moves.append(word)
-    return moves
-
-
 def _csv_tables():
-    """Text lengths, digit moves and constant words by layout; the digit, trailing-digit and scale tables."""
+    """Text lengths, templates and digit runs by layout; the digit, trailing-digit and scale tables."""
     texts = [(b",", 0, 0, 0), (b"0,", 0, 0, 0), (b"-0,", 0, 0, 0)]
     for x in range(_X_MIN, _X_MAX + 1):
         for digits in range(1, 13):
             text, head, point, shown = _scaled_text(x, digits)
             texts += [(text + b",", head, point, shown), (b"-" + text + b",", head + 1, point, shown)]
     lengths = np.array([len(text) for text, *_ in texts])
-    constants = np.frombuffer(b"".join(text.ljust(24, b"\0") for text, *_ in texts), dtype=_WORD).reshape(-1, 3)
-    shared, moves = {}, []  # layouts that place their digits alike share their moves
-    for text, head, point, shown in texts:
-        key = head, point, shown, -(-len(text) // 8)
-        if key not in shared:
-            shared[key] = _digit_moves(*key)
-        moves.append(shared[key])
+    templates = np.frombuffer(b"".join(text.ljust(_ROW, b"\0") for text, *_ in texts), dtype=f"V{_ROW}")
+    # Per layout, (place, first digit, count) of D's digits shown before the point and after it.
+    runs = [
+        [run for run in ((head, 0, min(point, shown)), (head + point + 1, point, shown - point)) if run[2] > 0]
+        for _, head, point, shown in texts
+    ]
     numbers = np.arange(10_000)
-    # Each 4-digit group's ASCII digits as a word, the first digit in its lowest byte.
+    # Each 4-digit group's ASCII digits, the first digit in the first byte.
     quads = np.empty((10_000, 4), dtype=np.uint8)
     for j in range(4):
         quads[:, j] = numbers // 10 ** (3 - j) % 10 + ord("0")
-    quads = quads.view("<u4").ravel().astype(_WORD)
+    quads = quads.view(np.uint32).ravel()
     # places[i, g]: digits D keeps up to its 4-digit group i when that group is g (0 if g is 0).
     trailing = np.zeros(10_000, dtype=np.intp)
     for p in range(1, 4):
@@ -380,17 +351,17 @@ def _csv_tables():
     # a * 10**k for |k| <= 22 is a * up[k + 22] / down[k + 22]: one factor is 1, the other exact.
     up = np.array([float(10 ** max(k, 0)) for k in range(-22, 23)])
     down = up[::-1].copy()
-    for table in (lengths, constants, quads, places, up, down):  # shared by every call
+    for table in (lengths, quads, places, up, down):  # shared by every call
         table.flags.writeable = False
-    return lengths, moves, constants, quads, places, up, down
+    return lengths, templates, runs, quads, places, up, down
 
 
 _CSV_TABLES = _csv_tables()
 
 
-def _texts(buffer: np.ndarray, length: int, count: int, stride: int) -> np.ndarray:
-    """``count`` items of ``length`` bytes in the contiguous ``buffer``, ``stride`` bytes apart."""
-    return np.ndarray((count,), dtype=f"V{length}", buffer=buffer, strides=(stride,))
+def _texts(buffer: np.ndarray, length: int, count: int, stride: int, offset: int = 0) -> np.ndarray:
+    """``count`` items of ``length`` bytes in the contiguous ``buffer`` from byte ``offset``, ``stride`` bytes apart."""
+    return np.ndarray((count,), dtype=f"V{length}", buffer=buffer, offset=offset, strides=(stride,))
 
 
 class _BlockFormatter:
@@ -404,9 +375,11 @@ class _BlockFormatter:
     """
 
     def __init__(self, span: int):
-        # The rows share their memory with |x|, s and the unsorted offsets, which are spent before any row is built.
-        self.words = np.empty((3, span), dtype=_WORD)
-        self.rows = self.words.reshape(span, 3)
+        # Buffers are shared by values spent before the next use: the unsorted digit rows take the
+        # memory of |x| and s, the sorted ones that of the layouts and the first digit group, and
+        # the text rows that of |x|, s and the unsorted offsets.
+        self.words = np.empty((3, span))
+        self.rows = self.words.reshape(-1).view(f"V{_ROW}")
         self.floats = np.empty((2, span))
         self.ints = np.empty((4, span), dtype=np.intp)
         self.flags = np.empty((4, span), dtype=bool)
@@ -414,8 +387,8 @@ class _BlockFormatter:
         self.key = np.empty(span, dtype=np.uint16)
         self.text = np.empty(span * int(_CSV_TABLES[0].max()), dtype=np.uint8)
         # Per text length, the rows' texts and the text-wide items of the output, one at every byte.
-        width, text_lengths = self.rows.strides[0], set(_CSV_TABLES[0].tolist())
-        self.row_texts = {length: _texts(self.rows, length, span, width) for length in text_lengths}
+        text_lengths = set(_CSV_TABLES[0].tolist())
+        self.row_texts = {length: _texts(self.rows, length, span, _ROW) for length in text_lengths}
         self.texts = {length: _texts(self.text, length, self.text.size - length + 1, 1) for length in text_lengths}
 
     def __call__(self, values: np.ndarray, n_cols: int):
@@ -424,9 +397,9 @@ class _BlockFormatter:
         They are returned in pieces, mostly views of the formatter's buffer,
         valid until its next call.
         """
-        lengths, moves, constants, quads, places, up, down = _CSV_TABLES
+        lengths, templates, runs, quads, places, up, down = _CSV_TABLES
         n = values.size
-        a, s = self.words[:2, :n].view(np.float64)
+        a, s = self.words[:2, :n]
         i1 = self.words[2, :n].view(np.intp)
         f1, f2 = self.floats[:, :n]
         k, g0, g1, g2 = self.ints[:, :n]
@@ -478,14 +451,13 @@ class _BlockFormatter:
         zeros = np.flatnonzero(np.equal(a, 0.0, out=b1))
         layout[zeros] = 1 + negative[zeros]
 
-        # Each text's offset, and D's digit words: lo holds digits 0-7, hi digits 8-11.
+        # Each text's offset, and D's digit rows: its three 4-digit groups and 4 unused bytes.
         size = np.take(lengths, layout, out=i1)
         ends = np.cumsum(size, out=f1.view(np.intp))
         starts = np.subtract(ends, size, out=i1)
-        lo = np.take(quads, g1, out=a.view(_WORD))
-        lo <<= 32
-        lo |= np.take(quads, g0, out=s.view(_WORD))
-        hi = np.take(quads, g2, out=s.view(_WORD))
+        groups = self.words[:2].reshape(-1).view(np.uint32).reshape(-1, 4)[:n]
+        for column, group in zip(groups.T, (g0, g1, g2)):
+            np.take(quads, group, out=column)
         # Grouped by layout, each group's texts go out as one row per value.
         counts = np.bincount(layout, minlength=len(lengths))
         present = np.flatnonzero(counts)
@@ -493,26 +465,15 @@ class _BlockFormatter:
         key = self.key.view(np.uint8)[:n] if len(present) < 256 else self.key[:n]
         order = np.argsort(np.take(np.cumsum(counts > 0).astype(key.dtype), layout, out=key), kind="stable")
         starts = np.take(starts, order, out=f2.view(np.intp))
-        sources = np.take(lo, order, out=g0.view(_WORD)), np.take(hi, order, out=g1.view(_WORD))
-        temp = g2.view(_WORD)
+        # mode="clip" fills out in place, where "raise" gathers into a temporary copy (order clips nothing).
+        digits = np.take(groups.view("V16").ravel(), order, out=self.ints[:2].reshape(-1).view("V16")[:n], mode="clip")
         first = 0
         for kind, last in zip(present.tolist(), np.cumsum(counts[present]).tolist()):
-            for column, constant, word_moves in zip(self.rows[first:last].T, constants[kind], moves[kind]):
-                # The first move writes the column, the others are ORed into it.
-                for m, (source, mask, shift) in enumerate(word_moves):
-                    word, out = sources[source][first:last], (temp[first:last] if m else column)
-                    if mask is not None:
-                        word = np.bitwise_and(word, mask, out=out)
-                    if shift >= 0:
-                        np.left_shift(word, shift, out=out)
-                    else:
-                        np.right_shift(word, -shift, out=out)
-                    if m:
-                        column |= out
-                if not word_moves:
-                    column[...] = constant
-                elif constant:
-                    column |= constant
+            # The layout's template, then its runs of digits copied in.
+            self.rows[first:last] = templates[kind]
+            for place, digit, count in runs[kind]:
+                copy = _texts(digits, count, last - first, 16, 16 * first + digit)
+                _texts(self.rows, count, last - first, _ROW, _ROW * first + place)[...] = copy
             length = int(lengths[kind])
             self.texts[length][starts[first:last]] = self.row_texts[length][first:last]
             first = last

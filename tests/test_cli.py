@@ -618,6 +618,8 @@ def test_manifest_config_round_trip(tmp_path):
         ("params", {"output_dir": "a\u0000b"}, "config.output_dir: embedded null byte"),
         ("params", {"waveform": {"B": 5e-324}}, "config.waveform: bandwidth 5e-324 leaves a zero bin width"),
         ("radcom", {"radcom": {"N_CP": 0}}, "config.radcom: RadCom N_CP must be >= 1"),
+        ("radcom", {"waveform": {"M": 0}, "radcom": {"avg_symbols": 1}}, "config.waveform: M must be positive"),
+        ("radcom", {"waveform": {"M": -5}, "radcom": {"avg_symbols": 1}}, "config.waveform: M must be positive"),
     ],
 )
 def test_hostile_config_exits_2_naming_field(tmp_path, capsys, command, config, field):
@@ -906,11 +908,13 @@ CFR_ROWS = [f"{k},1,0" for k in range(64)]
         (CFR_ROWS[:7] + ["7,1e308,1e308"] + CFR_ROWS[8:], "CIR taps are not finite"),
         (["0.5,1,0"] + CFR_ROWS[1:], "bin index 0.5 is not an integer"),
         (CFR_ROWS + ["3,1,0"], "bin index 3 is listed twice"),
+        ([], "CFR CSV holds no rows"),
     ],
 )
+@pytest.mark.filterwarnings("error")  # numpy warns on an empty file; the error line must be all the CLI prints
 def test_hostile_cfr_csv_exits_2_naming_it(tmp_path, capsys, rows, reason):
     csv = tmp_path / "cfr.csv"
-    csv.write_text("\n".join(rows) + "\n")
+    csv.write_text("".join(f"{row}\n" for row in rows))
     cfg = write_config(tmp_path, {**SMALL_CONFIG, "comm": {"cfr_csv": str(csv)}})
     out = tmp_path / "out"
     assert main(["radcom", "--config", cfg, "--out", str(out)]) == EXIT_SCHEMA

@@ -556,6 +556,8 @@ def test_write_csv_every_layout_equals_savetxt(tmp_path):
     want = _savetxt_bytes(tmp_path / "want.csv", table)
     assert _write_csv_bytes(tmp_path / "got.csv", table) == want
     assert _write_csv_bytes(tmp_path / "got.csv", list(table.T)) == want
+    # The real parts of a column-major complex table, as images sit in the stream buffer: staged.
+    assert _write_csv_bytes(tmp_path / "got.csv", np.asfortranarray(table.astype(complex)).real) == want
 
 
 def test_write_csv_equals_savetxt_on_image_and_constellation_tables(tmp_path):
@@ -584,15 +586,31 @@ def test_write_csv_peak_memory_of_a_contiguous_table(tmp_path):
     assert peak <= 6 * 2**20, peak
 
 
+def _strided_tables(values, rng):
+    """``values`` column-major, and as the real parts of a column-major complex table."""
+    return [np.asfortranarray(values), np.asfortranarray(values + 1j * rng.standard_normal(values.shape)).real]
+
+
 def test_write_csv_reads_a_strided_table_a_window_at_a_time(tmp_path):
     # A table whose rows are not contiguous (an image viewed in the column-major stream
-    # buffer) gives savetxt's bytes, and is staged a window of rows at a time: beside the
-    # writer's own block buffers no copy of the table is built.
+    # buffer) gives savetxt's bytes.  Windows of 700 columns hold _WINDOW_VALUES // 700 rows,
+    # so 400 rows are read as two full windows and a short one.
+    rng = np.random.default_rng(9)
+    values = rng.standard_normal((400, 700)) * 10.0 ** rng.integers(-5, 5, (400, 700))
+    assert 2 * (_WINDOW_VALUES // 700) < len(values) < 3 * (_WINDOW_VALUES // 700)
+    want = _savetxt_bytes(tmp_path / "want.csv", values)
+    for table in _strided_tables(values, rng):
+        assert not table.flags.c_contiguous
+        assert _write_csv_bytes(tmp_path / "got.csv", table) == want
+
+
+def test_write_csv_stages_a_strided_table_without_copying_it(tmp_path):
+    # Beside the writer's own block buffers no copy of a strided table is built, and its
+    # bytes are those of the C-contiguous table's.
     rng = np.random.default_rng(9)
     values = rng.standard_normal((1001, 700)) * 10.0 ** rng.integers(-5, 5, (1001, 700))
-    want = _savetxt_bytes(tmp_path / "want.csv", values)
-    tables = [np.asfortranarray(values), np.asfortranarray(values + 1j * rng.standard_normal(values.shape)).real]
-    peaks = []
+    tables = _strided_tables(values, rng)
+    peaks, texts = [], []
     for table in [values] + tables:
         tracemalloc.start()
         try:
@@ -602,9 +620,9 @@ def test_write_csv_reads_a_strided_table_a_window_at_a_time(tmp_path):
             peaks.append(tracemalloc.get_traced_memory()[1] - entry)
         finally:
             tracemalloc.stop()
-        assert (tmp_path / "got.csv").read_bytes() == want
-    for table, peak in zip(tables, peaks[1:]):
-        assert not table.flags.c_contiguous
+        texts.append((tmp_path / "got.csv").read_bytes())
+    for table, peak, text in zip(tables, peaks[1:], texts[1:]):
+        assert not table.flags.c_contiguous and text == texts[0]
         assert peak - peaks[0] <= 2 * _WINDOW_VALUES * 8 + 64 * 1024 < table.size * 8 // 2
 
 
