@@ -424,14 +424,10 @@ def _cmd_radcom(config: dict, sc: Scenario) -> dict:
         "data_rate_bps": data_rate_radcom(params),
         "total_bits": int(bits.size),
     }
-    artifacts["constellation.csv"] = (
-        "re,im,subchirp",
-        [
-            recovered.real.flatten(order="F"),
-            recovered.imag.flatten(order="F"),
-            np.tile(np.arange(n_data), params.M),
-        ],
-    )
+    # A row per recovered QPSK value: OCDM symbol by symbol, each one's data subchirps in turn.
+    table = np.empty((params.M, n_data, 3))
+    table[..., 0], table[..., 1], table[..., 2] = recovered.T.real, recovered.T.imag, np.arange(n_data)
+    artifacts["constellation.csv"] = ("re,im,subchirp", table.reshape(-1, 3))
     return artifacts
 
 
@@ -441,7 +437,8 @@ def _cmd_sweep(config: dict, sc: Scenario) -> dict:
     grid = [np.repeat(result.n_grid, k_size), np.tile(result.k_grid, n_size)]
     artifacts = {}
     for name, surface in (("pplr", result.pplr_db), ("pslr", result.pslr_db), ("islr", result.islr_db)):
-        artifacts[f"sweep_{name}.csv"] = ("n_delta,k_delta,value_db", grid + [surface.ravel()])
+        table = np.column_stack(grid + [surface.ravel()])
+        artifacts[f"sweep_{name}.csv"] = ("n_delta,k_delta,value_db", table)
     worst = int(np.argmin(result.pplr_db))
     artifacts["sweep_summary.json"] = {
         "pplr_min_db": float(result.pplr_db.min()),
@@ -471,7 +468,7 @@ def _cmd_papr(config: dict, sc: Scenario) -> dict:
             oversample=pc["oversample"],
             rng_seed=config["seed"] + i,
         )
-        artifacts[f"papr_{name}.csv"] = ("threshold_db,exceedance", [PAPR_THRESHOLDS_DB, ccdf.exceedance])
+        artifacts[f"papr_{name}.csv"] = ("threshold_db,exceedance", np.column_stack([PAPR_THRESHOLDS_DB, ccdf.exceedance]))
         summary[name] = {
             "mean_papr_db": ccdf.mean_papr_db,
             "papr_at_1e-2_db": ccdf.papr_at_probability(1e-2),
@@ -483,7 +480,7 @@ def _cmd_papr(config: dict, sc: Scenario) -> dict:
 def _write_run(out_dir: Path, command: str, config: dict, artifacts: dict) -> None:
     """Write a finished command's artifacts, then the manifest that lists them.
 
-    An artifact is rendered JSON text (str), a CSV ``(header, columns)`` pair,
+    An artifact is rendered JSON text (str), a CSV ``(header, table)`` pair,
     which write_csv writes, or a RangeVelocityImage, which image_to_csv writes
     with the key as its prefix.  A MemoryError while writing one names it.
     """
@@ -500,8 +497,8 @@ def _write_run(out_dir: Path, command: str, config: dict, artifacts: dict) -> No
             if isinstance(value, str):
                 (out_dir / name).write_text(value)
             else:
-                header, columns = value
-                write_csv(out_dir / name, columns, header)
+                header, table = value
+                write_csv(out_dir / name, table, header)
         except MemoryError:
             label = f"the {name} image CSVs" if isinstance(value, RangeVelocityImage) else name
             raise MemoryError(f"out of memory while writing {label}") from None
@@ -590,14 +587,15 @@ def main(argv=None) -> int:
             return EXIT_PRECONDITION
         except MemoryError:
             p = scenario.radcom_params if args.command == "radcom" else scenario.params
-            # The chain's one stream buffer, which holds the images too, and beside it radcom's
-            # Fresnel frame; the pilot frames are np.zeros pages that are never written.
-            peak = (p.stream_len + (p.N * p.M if args.command == "radcom" else 0)) * 16
-            print(
-                f"error: precondition violated: out of memory at N={p.N}, M={p.M}, N_CP={p.N_CP}; "
-                f"the radar chain needs about {peak / 2**20:.1f} MiB",
-                file=sys.stderr,
-            )
+            numerology = f"N={p.N}, M={p.M}, N_CP={p.N_CP}"
+            if args.command in ("radar", "mimo", "radcom"):
+                # The chain's one stream buffer, which holds the images too, and beside it radcom's
+                # Fresnel frame; the pilot frames are np.zeros pages that are never written.
+                peak = (p.stream_len + (p.N * p.M if args.command == "radcom" else 0)) * 16
+                message = f"out of memory at {numerology}; the radar chain needs about {peak / 2**20:.1f} MiB"
+            else:  # the other commands build no stream
+                message = f"{args.command} ran out of memory at {numerology}"
+            print(f"error: precondition violated: {message}", file=sys.stderr)
             return EXIT_PRECONDITION
         try:
             _write_run(out_dir, args.command, config, artifacts)

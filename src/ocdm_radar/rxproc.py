@@ -15,12 +15,13 @@ velocities.  The two half-rate edges +/- v_max,ua alias onto the same bin.
 The module owns the image statistics and the noise floor: estimate_peak
 reports the peak and its margin over that floor, which detection reads.
 
-write_csv writes every CSV of the package as '%.12g' text, a block of values
-at a time.  numpy rounds each value to its 12 significant digits exactly,
-which fixes the layout of its text (sign, exponent, digits shown); each
-layout's texts are its constant template with the value's digits copied in,
-written at their byte offsets.  Python's own '%.12g' formats the few values
-the arithmetic cannot round exactly.
+write_csv writes every CSV of the package from one float table, as the bytes
+numpy's text writer gives for it: '%.12g' text, a block of values at a time.
+numpy rounds each value to its 12 significant digits exactly, which fixes the
+layout of its text (sign, exponent, digits shown); each layout's texts are
+its constant template with the value's digits copied in, written at their
+byte offsets.  Python's own '%.12g' formats the few values the arithmetic
+cannot round exactly.
 """
 
 from __future__ import annotations
@@ -258,15 +259,16 @@ class _RowWindow:
             self.rows = np.empty(self.staged.shape)
 
     def __getitem__(self, rows: slice) -> np.ndarray:
-        """Rows ``rows.start`` to ``rows.stop`` (a slice with both set, no step), C-ordered."""
+        """Rows ``rows.start`` to ``rows.stop`` (a slice with both set, no step) or the table's end, C-ordered."""
+        start, stop = rows.start, min(rows.stop, len(self.table))
         if self.table.flags.c_contiguous:
-            return self.table[rows]
-        if rows.start < self.first or rows.stop > self.last:
-            self.first, self.last = rows.start, min(rows.start + len(self.rows), len(self.table))
+            return self.table[start:stop]
+        if start < self.first or stop > self.last:
+            self.first, self.last = start, min(start + len(self.rows), len(self.table))
             count = self.last - self.first
             self.staged[:count] = self.table[self.first : self.last]
             self.rows[:count] = self.staged[:count]
-        return self.rows[rows.start - self.first : rows.stop - self.first]
+        return self.rows[start - self.first : stop - self.first]
 
 
 # write_csv formats a block of values at a time.  A finite nonzero |x| scales
@@ -368,7 +370,9 @@ class _BlockFormatter:
     """The '%.12g' texts of blocks of up to ``span`` values, built in buffers allocated once.
 
     Every step of a block writes into these buffers; a block allocates only
-    its sort order and arrays the size of its rare cases.  A new block-sized
+    its sort order and arrays the size of its layouts and rare cases.  Each
+    gather is a take with mode="clip", which fills ``out`` in place where
+    "raise" stages a copy (no index is out of range).  A new block-sized
     array per step gets fresh pages whenever the allocator has handed the
     last block's memory back to the system, and faulting them in doubled the
     writer's time per value in a full-scale run.
@@ -415,8 +419,8 @@ class _BlockFormatter:
             np.copyto(f1, 0.0, where=np.logical_not(scaled, out=b1))
             np.copyto(k, f1, casting="unsafe")
             np.add(k, 22, out=i1)
-            np.multiply(a, np.take(up, i1, out=f1), out=s)
-            np.divide(s, np.take(down, i1, out=f1), out=s)
+            np.multiply(a, np.take(up, i1, out=f1, mode="clip"), out=s)
+            np.divide(s, np.take(down, i1, out=f1, mode="clip"), out=s)
             # Correct e once where log10 rounded across a power of ten.
             np.logical_or(np.less(s, 1e11, out=b1), np.greater_equal(s, 1e12, out=b2), out=b1)
             moved = np.flatnonzero(np.logical_and(b1, scaled, out=b1))
@@ -436,8 +440,9 @@ class _BlockFormatter:
         g2 -= np.multiply(g0, 10**8, out=i1)
         np.floor_divide(g2, 10**4, out=g1)
         g2 -= np.multiply(g1, 10**4, out=i1)
-        np.maximum(np.take(places[0], g0, out=d0), np.take(places[1], g1, out=d1), out=d0)
-        np.maximum(d0, np.take(places[2], g2, out=d1), out=d0)
+        np.take(places[0], g0, out=d0, mode="clip")
+        np.maximum(d0, np.take(places[1], g1, out=d1, mode="clip"), out=d0)
+        np.maximum(d0, np.take(places[2], g2, out=d1, mode="clip"), out=d0)
         # layout = _LAYOUT_SCALED + 2 * (12 * (X - _X_MIN) + digits - 1) + negative, X = 11 - k + carry
         layout = k
         np.subtract(11 - _X_MIN, k, out=layout)
@@ -452,20 +457,20 @@ class _BlockFormatter:
         layout[zeros] = 1 + negative[zeros]
 
         # Each text's offset, and D's digit rows: its three 4-digit groups and 4 unused bytes.
-        size = np.take(lengths, layout, out=i1)
+        size = np.take(lengths, layout, out=i1, mode="clip")
         ends = np.cumsum(size, out=f1.view(np.intp))
         starts = np.subtract(ends, size, out=i1)
         groups = self.words[:2].reshape(-1).view(np.uint32).reshape(-1, 4)[:n]
         for column, group in zip(groups.T, (g0, g1, g2)):
-            np.take(quads, group, out=column)
+            np.take(quads, group, out=column, mode="clip")
         # Grouped by layout, each group's texts go out as one row per value.
         counts = np.bincount(layout, minlength=len(lengths))
         present = np.flatnonzero(counts)
         # The sort key is each layout's rank among those present: a byte, so one radix pass, where it fits.
         key = self.key.view(np.uint8)[:n] if len(present) < 256 else self.key[:n]
-        order = np.argsort(np.take(np.cumsum(counts > 0).astype(key.dtype), layout, out=key), kind="stable")
-        starts = np.take(starts, order, out=f2.view(np.intp))
-        # mode="clip" fills out in place, where "raise" gathers into a temporary copy (order clips nothing).
+        ranks = np.cumsum(counts > 0).astype(key.dtype)
+        order = np.argsort(np.take(ranks, layout, out=key, mode="clip"), kind="stable")
+        starts = np.take(starts, order, out=f2.view(np.intp), mode="clip")
         digits = np.take(groups.view("V16").ravel(), order, out=self.ints[:2].reshape(-1).view("V16")[:n], mode="clip")
         first = 0
         for kind, last in zip(present.tolist(), np.cumsum(counts[present]).tolist()):
@@ -491,24 +496,20 @@ class _BlockFormatter:
         return pieces
 
 
-def write_csv(path, array, header: str = "") -> None:
-    """Write a table of floats as CSV: '%.12g' values, ',' between them, '\\n' after each row.
+def write_csv(path, table, header: str = "") -> None:
+    """Write a float table as CSV: '%.12g' values, ',' between them, '\\n' after each row.
 
-    A non-empty header goes first, on a line of its own.  These are the
-    bytes numpy's text writer gives for delimiter=",", fmt="%.12g" and
-    comments="".  ``array`` is a 1-D (one value per row) or 2-D table, or a
-    list of equal-length 1-D columns, joined as np.column_stack would join
-    them but one block of rows at a time.
+    A non-empty header goes first, on a line of its own.  ``table`` is what
+    numpy reads as a 1-D (one value per row) or 2-D float array, with any
+    strides (a list of 1-D arrays is a table of rows), and the bytes are
+    those numpy's text writer gives for it with delimiter=",", fmt="%.12g"
+    and comments="".
     """
-    columns = [np.asarray(c) for c in array] if isinstance(array, (list, tuple)) else None
-    if columns is None:
-        table = np.asarray(array, dtype=np.float64)
-        if table.ndim not in (1, 2):
-            raise ValueError(f"expected a 1-D or 2-D array, got {table.ndim}-D")
-        n_rows, n_cols = len(table), table.shape[1] if table.ndim == 2 else 1
-        table = table.reshape(n_rows, n_cols)  # a view, whatever the strides
-    else:
-        n_rows, n_cols = len(columns[0]), len(columns)
+    table = np.asarray(table, dtype=np.float64)
+    if table.ndim not in (1, 2):
+        raise ValueError(f"expected a 1-D or 2-D array, got {table.ndim}-D")
+    n_rows, n_cols = len(table), table.shape[1] if table.ndim == 2 else 1
+    table = table.reshape(n_rows, n_cols)  # a view, whatever the strides
     with open(path, "wb") as fh:
         if header:
             fh.write(header.encode() + b"\n")
@@ -517,11 +518,6 @@ def write_csv(path, array, header: str = "") -> None:
             return
         rows_per_block = max(1, min(n_rows, _CSV_BLOCK // n_cols))
         formatter = _BlockFormatter(rows_per_block * n_cols)
-        rows = None if columns is not None else _RowWindow(table, rows_per_block)
+        rows = _RowWindow(table, rows_per_block)
         for start in range(0, n_rows, rows_per_block):
-            stop = min(start + rows_per_block, n_rows)
-            if columns is None:
-                block = rows[start:stop].reshape(-1)
-            else:
-                block = np.column_stack([c[start:stop] for c in columns]).astype(np.float64, copy=False).ravel()
-            fh.writelines(formatter(block, n_cols))
+            fh.writelines(formatter(rows[start : start + rows_per_block].reshape(-1), n_cols))

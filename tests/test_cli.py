@@ -185,6 +185,9 @@ def test_radcom_run_reports(tmp_path):
     assert report["est_snr_db"] > 20.0
     constellation = np.loadtxt(out / "constellation.csv", delimiter=",", skiprows=1)
     assert constellation.shape[1] == 3
+    # OCDM symbol by symbol, each one's data subchirps in turn: 128 - 2 * 32 + 1 of them per symbol.
+    n_data = 128 - 2 * 32 + 1
+    assert np.array_equal(constellation[:, 2], np.tile(np.arange(n_data), 32))
     assert (out / "radcom_image.csv").exists()
 
 
@@ -751,7 +754,12 @@ def test_comm_spread_fails_before_the_radar_leg(tmp_path, capsys, monkeypatch, d
 
 @pytest.mark.parametrize(
     "command, chain, numerology",
-    [("radar", "radar_image", "N=256, M=32, N_CP=0"), ("radcom", "apply_comm_channel", "N=256, M=32, N_CP=64")],
+    [
+        ("radar", "radar_image", "N=256, M=32, N_CP=0"),
+        ("radcom", "apply_comm_channel", "N=256, M=32, N_CP=64"),
+        ("papr", "papr_ccdf", "N=256, M=32, N_CP=0"),
+        ("sweep", "doppler_tolerance_sweep", "N=256, M=32, N_CP=0"),
+    ],
 )
 def test_memory_error_exits_3_naming_numerology(tmp_path, capsys, monkeypatch, command, chain, numerology):
     def out_of_memory(*args, **kwargs):
@@ -762,10 +770,13 @@ def test_memory_error_exits_3_naming_numerology(tmp_path, capsys, monkeypatch, c
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_PRECONDITION
     err = capsys.readouterr().err
-    n_cp = 64 if command == "radcom" else 0
-    frame = 256 if command == "radcom" else 0  # radcom's Fresnel frame beside the stream
-    peak_mib = (256 + n_cp + frame) * 16 * 32 / 2**20  # the stream buffer holds the images too
-    assert f"out of memory at {numerology}" in err and f"about {peak_mib:.1f} MiB" in err, err
+    if command in ("papr", "sweep"):  # no stream is built: no radar chain to blame
+        assert f"{command} ran out of memory at {numerology}" in err and "radar chain" not in err, err
+    else:
+        n_cp = 64 if command == "radcom" else 0
+        frame = 256 if command == "radcom" else 0  # radcom's Fresnel frame beside the stream
+        peak_mib = (256 + n_cp + frame) * 16 * 32 / 2**20  # the stream buffer holds the images too
+        assert f"out of memory at {numerology}" in err and f"about {peak_mib:.1f} MiB" in err, err
     assert not out.exists()
 
 

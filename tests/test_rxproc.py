@@ -29,7 +29,7 @@ from ocdm_radar.rxproc import (
     receive_frame,
     write_csv,
 )
-from ocdm_radar.rxproc import _CSV_BLOCK, _WINDOW_VALUES, _RowWindow
+from ocdm_radar.rxproc import _CSV_BLOCK, _WINDOW_VALUES, _BlockFormatter, _RowWindow
 from reference import biased_cir_from_shifts, dirichlet_kernel
 
 FULL = WaveformParams(N=2048, M=5120, N_CP=0, B=1e9, fc=79e9)
@@ -433,8 +433,8 @@ def test_row_window_reads_equal_the_contiguous_table(layout, max_rows):
         table = np.asfortranarray(table + 1j * rng.standard_normal(table.shape)).real
     want = np.ascontiguousarray(table)
     window = _RowWindow(table, max_rows)
-    # Forward, backward, past the window, backward, to the table's end, back to the start.
-    for start in [0, max_rows, 5, 400, 390, 700 - max_rows, 0]:
+    # Forward, backward, past the window, backward, to the table's end, past it, back to the start.
+    for start in [0, max_rows, 5, 400, 390, 700 - max_rows, 700 - max_rows // 2, 0]:
         rows = window[start : start + max_rows]
         assert rows.flags.c_contiguous and np.array_equal(rows, want[start : start + max_rows])
 
@@ -528,10 +528,13 @@ def test_write_csv_columns_and_blocks_equal_savetxt(tmp_path):
     values[rng.integers(0, n, 50)] = 123456789012.5
     table = values[: n // 7 * 7].reshape(-1, 7)
     assert _write_csv_bytes(tmp_path / "got.csv", table) == _savetxt_bytes(tmp_path / "want.csv", table)
-    # A list is the table's columns; an integer column is written as floats, as column_stack makes it.
-    columns = [values, np.tile(np.arange(11), n // 11 + 1)[:n], -values]
-    want = _savetxt_bytes(tmp_path / "want.csv", np.column_stack(columns), "a,b,c")
-    assert _write_csv_bytes(tmp_path / "got.csv", columns, "a,b,c") == want
+    # Columns joined into one table; an integer column is written as floats, as column_stack makes it.
+    table = np.column_stack([values, np.tile(np.arange(11), n // 11 + 1)[:n], -values])
+    want = _savetxt_bytes(tmp_path / "want.csv", table, "a,b,c")
+    assert _write_csv_bytes(tmp_path / "got.csv", table, "a,b,c") == want
+    # A list of 1-D arrays is a table of rows, as savetxt reads it.
+    rows = [values[:5], -values[5:10], np.arange(5)]
+    assert _write_csv_bytes(tmp_path / "got.csv", rows, "a") == _savetxt_bytes(tmp_path / "want.csv", rows, "a")
 
 
 def _every_layout():
@@ -555,7 +558,7 @@ def test_write_csv_every_layout_equals_savetxt(tmp_path):
     table = rng.permutation(picks).reshape(n_rows, n_cols)
     want = _savetxt_bytes(tmp_path / "want.csv", table)
     assert _write_csv_bytes(tmp_path / "got.csv", table) == want
-    assert _write_csv_bytes(tmp_path / "got.csv", list(table.T)) == want
+    assert _write_csv_bytes(tmp_path / "got.csv", np.column_stack(list(table.T))) == want
     # The real parts of a column-major complex table, as images sit in the stream buffer: staged.
     assert _write_csv_bytes(tmp_path / "got.csv", np.asfortranarray(table.astype(complex)).real) == want
 
@@ -567,23 +570,28 @@ def test_write_csv_equals_savetxt_on_image_and_constellation_tables(tmp_path):
     image = rng.rayleigh(0.12, (7, 5120))
     assert _write_csv_bytes(tmp_path / "got.csv", image) == _savetxt_bytes(tmp_path / "want.csv", image)
     symbols = (rng.choice([-1.0, 1.0], (2, 40_000)) + 0.1 * rng.standard_normal((2, 40_000))) / np.sqrt(2)
-    columns = [symbols[0], symbols[1], np.arange(40_000) % 512]
-    want = _savetxt_bytes(tmp_path / "want.csv", np.column_stack(columns), "re,im,subchirp")
-    assert _write_csv_bytes(tmp_path / "got.csv", columns, "re,im,subchirp") == want
+    table = np.column_stack([symbols[0], symbols[1], np.arange(40_000) % 512])
+    want = _savetxt_bytes(tmp_path / "want.csv", table, "re,im,subchirp")
+    assert _write_csv_bytes(tmp_path / "got.csv", table, "re,im,subchirp") == want
 
 
 def test_write_csv_peak_memory_of_a_contiguous_table(tmp_path):
-    # The writer's block buffers bound its memory: a 400 x 5120 table peaks at a few MiB.
+    # Beside its block buffers, the writer allocates one block's sort order and arrays the size
+    # of a block's layouts and rare cases: a 400 x 5120 table, in blocks of 6 rows.
     table = np.random.default_rng(23).rayleigh(0.12, (400, 5120))
+    span = _CSV_BLOCK // 5120 * 5120
+    peaks = []
     tracemalloc.start()
     try:
-        entry = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        write_csv(tmp_path / "got.csv", table)
-        peak = tracemalloc.get_traced_memory()[1] - entry
+        for run in (lambda: _BlockFormatter(span), lambda: write_csv(tmp_path / "got.csv", table)):
+            entry = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1] - entry)
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * 2**20, peak
+    buffers, peak = peaks
+    assert peak <= buffers + span * 8 + 64 * 1024, (peak, buffers)
 
 
 def _strided_tables(values, rng):
