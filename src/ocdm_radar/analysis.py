@@ -29,7 +29,6 @@ from .framing import (
     build_pilot_frame,
     build_radcom_frame,
     draw_payload_bits,
-    from_stream,
     modulate,
     qpsk_map,
 )
@@ -126,12 +125,11 @@ def radar_image(
     holds a CIR: every ``MimoConfig.slice_rows`` slice of a superposed MIMO
     frame, ``RadComFrameSpec.radar_rows``, or every row (the default, one image).
 
-    One (N + N_CP) M complex buffer carries the chain: modulate writes the tx
-    stream into it, the channel overwrites it with the rx stream, and
-    receive_frame runs a block of symbols at a time, each fold-corrected
-    block overwriting those symbols' samples, so it ends as the Fresnel frame.
-    doppler_process then writes each slice's magnitudes into the real parts of
-    the slice's rows, so every image is a float view into that buffer and
+    One (N + N_CP) M complex buffer carries the chain, and every stage works
+    in place on it: modulate writes the tx stream into it, the channel
+    overwrites it with the rx stream, receive_frame with the Fresnel frame,
+    and doppler_process writes each slice's magnitudes into the real parts
+    of the slice's rows, so every image is a float view into that buffer and
     keeps it alive.  Besides the caller's frame, the buffer is the only
     frame-sized array: the chain peaks at about (N + N_CP) 16 M bytes, with
     block temporaries of a few MiB.  Overlapping slices are rejected: one
@@ -144,8 +142,8 @@ def radar_image(
         imaged[r] = True
     rx = modulate(frame, params)
     apply_shift_channel(rx, params, shifts, snr_db, rng_seed, out=rx)
-    fresnel = receive_frame(rx, params, out=from_stream(rx, params))
-    return [doppler_process(fresnel[r], params, out=fresnel[r].real) for r in rows]
+    fresnel = receive_frame(rx, params)
+    return [doppler_process(fresnel[r], params) for r in rows]
 
 
 def mimo_leakage_db(params: WaveformParams, mimo: MimoConfig, shifts) -> list[float | None]:

@@ -240,11 +240,11 @@ def _echoes(frame: np.ndarray, params: WaveformParams, paths, received: np.ndarr
     Doppler ramp of k_delta and the gain, as apply_shift_channel describes.
     Each block's spectrum is taken before the block's columns of ``received``
     are written, so ``frame`` may be a view into the same buffer.  Per path,
-    the symbols go into one F-ordered N x CHANNEL_BLOCK body buffer (response
-    multiply, then the IDFT in place) and their CP rows, copied from its tail,
-    into one N_CP x CHANNEL_BLOCK buffer; both take the in-symbol and
-    per-symbol factors, then add onto the block.  The three block buffers are
-    built once per call and are gone before the noise is added.
+    the symbols go into one F-ordered (N + N_CP) x CHANNEL_BLOCK echo buffer:
+    the response multiply and the IDFT in place in its last N rows, the CP
+    rows copied from its tail, then the in-symbol and per-symbol factors over
+    every row, and the add onto the block.  The spectrum and echo block
+    buffers are built once per call and are gone before the noise is added.
     """
     n, n_cp, rows = params.N, params.N_CP, params.symbol_len
     r, m = np.arange(rows), np.arange(params.M)
@@ -254,31 +254,31 @@ def _echoes(frame: np.ndarray, params: WaveformParams, paths, received: np.ndarr
         for response, k_delta, amplitude in paths
     ]
     spectrum_buffer = np.empty((n, min(CHANNEL_BLOCK, params.M)), dtype=np.complex128, order="F")
-    body_buffer = np.empty_like(spectrum_buffer)
-    cp_buffer = np.empty((n_cp, spectrum_buffer.shape[1]), dtype=np.complex128, order="F")
+    echo_buffer = np.empty((rows, spectrum_buffer.shape[1]), dtype=np.complex128, order="F")
 
     for start in range(0, params.M, CHANNEL_BLOCK):
         stop = min(start + CHANNEL_BLOCK, params.M)
         width = stop - start
-        spectrum, body, cp = spectrum_buffer[:, :width], body_buffer[:, :width], cp_buffer[:, :width]
+        spectrum, echo = spectrum_buffer[:, :width], echo_buffer[:, :width]
+        body = echo[n_cp:]
         np.fft.fft(frame[:, start:stop], axis=0, out=spectrum)
         block = received[:, start:stop]
         block.fill(0.0)  # the echoes add onto zeros, as into a fresh np.zeros buffer
         for response, in_symbol, per_symbol in factors:
             np.multiply(spectrum, response, out=body)
             np.fft.ifft(body, axis=0, out=body)
-            cp[...] = body[n - n_cp :]
-            cp *= in_symbol[:n_cp]
-            cp *= per_symbol[start:stop]
-            body *= in_symbol[n_cp:]
-            body *= per_symbol[start:stop]
-            block[:n_cp] += cp
-            block[n_cp:] += body
+            echo[:n_cp] = echo[n:]
+            echo *= in_symbol
+            echo *= per_symbol[start:stop]
+            block += echo
 
 
 def two_tap_tilt_cir(tilt_db: float) -> np.ndarray:
     """Two-tap CIR whose CFR magnitude spans tilt_db from best to worst bin."""
-    ratio = 10.0 ** (tilt_db / 20.0)
+    try:
+        ratio = 10.0 ** (tilt_db / 20.0)
+    except OverflowError:
+        raise ValueError(f"tilt_db={tilt_db} overflows the tap ratio 10**(tilt_db/20)") from None
     a = (ratio - 1.0) / (ratio + 1.0)
     return np.array([1.0, a], dtype=np.complex128)
 

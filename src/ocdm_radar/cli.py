@@ -113,7 +113,7 @@ def _section(obj, path: str, defaults: dict, required=()) -> dict:
     return {**defaults, **obj}
 
 
-def _number(obj, path, lo=None, hi=None, integer=False):
+def _number(obj, path, lo=None, integer=False):
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ConfigError(f"{path}: expected a number")
     if not abs(obj) <= sys.float_info.max:
@@ -122,8 +122,6 @@ def _number(obj, path, lo=None, hi=None, integer=False):
         raise ConfigError(f"{path}: expected an integer")
     if lo is not None and obj < lo:
         raise ConfigError(f"{path}: must be >= {lo}")
-    if hi is not None and obj > hi:
-        raise ConfigError(f"{path}: must be <= {hi}")
     return int(obj) if integer else float(obj)
 
 

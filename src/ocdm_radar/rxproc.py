@@ -82,53 +82,47 @@ class RadarParams:
     mimo_max_unambiguous_range_m: float | None = None
 
 
-def receive_frame(stream: np.ndarray, params: WaveformParams, out: np.ndarray | None = None) -> np.ndarray:
-    """CP removal, column-wise fast Fresnel transform, phase-fold correction.
+def receive_frame(stream: np.ndarray, params: WaveformParams) -> np.ndarray:
+    """CP removal, column-wise fast Fresnel transform, phase-fold correction, in place.
 
     With a pilot transmission the corrected output holds the radar CIR
     estimates.  The fold correction is its own inverse, so applying it again
     gives the plain transform.
 
-    Works on blocks of CHANNEL_BLOCK symbols: the DFnT acts column by
-    column, so each block is transformed on its own, fold-corrected in place
-    on the transform's output and written into its columns of ``out`` (an
-    N x M complex128 array) when given, else of a new F-ordered one, which
-    is returned.  ``out`` may be ``from_stream(stream, params)``: a block's
-    symbols are transformed before they are overwritten, so the stream's own
-    buffer ends as the Fresnel frame and no second frame-sized array is built.
+    Works on blocks of CHANNEL_BLOCK symbols: the DFnT acts column by column,
+    so each block is transformed on its own, fold-corrected in place on the
+    transform's output and written over those symbols' samples.  The stream
+    (a contiguous complex128 array, else ValueError) ends as the Fresnel
+    frame, which is returned as ``from_stream(stream, params)``; no second
+    frame-sized array is built.
     """
-    time_frame = from_stream(stream, params)
-    if out is None:
-        out = np.empty((params.N, params.M), dtype=np.complex128, order="F")
-    elif out.shape != (params.N, params.M) or out.dtype != np.complex128:
-        raise ValueError(f"out must be a complex128 array of shape {(params.N, params.M)}")
+    if not isinstance(stream, np.ndarray) or stream.dtype != np.complex128 or not stream.flags.c_contiguous:
+        raise ValueError("the frame is received in place on a contiguous complex128 stream")
+    frame = from_stream(stream, params)
     for start in range(0, params.M, CHANNEL_BLOCK):
         block = slice(start, start + CHANNEL_BLOCK)
-        out[:, block] = phase_fold_correct(dfnt_fast(time_frame[:, block]))
-    return out
+        frame[:, block] = phase_fold_correct(dfnt_fast(frame[:, block]))
+    return frame
 
 
-def doppler_process(cir: np.ndarray, params: WaveformParams, out: np.ndarray | None = None) -> RangeVelocityImage:
-    """Row-wise DFT across symbols (no taper), centered, converted to physical axes.
+def doppler_process(cir: np.ndarray, params: WaveformParams) -> RangeVelocityImage:
+    """Row-wise DFT across symbols (no taper), centered, with physical axes, in place.
 
-    Works in blocks of rows holding about CHANNEL_BLOCK * N elements: the
-    magnitudes of each block's spectrum go straight into their fftshift
-    columns of the image, ``out`` (a float64 array of the CIR's shape) when
-    given, else a new one.  abs is elementwise and fftshift a permutation, so
-    this is abs(fftshift(fft)) bit for bit, and no complex spectrum of the
-    whole frame is built.  ``out`` may be ``cir.real``: a block's rows are
-    transformed before their real parts are overwritten, so the image is a
-    float view into the CIR's own buffer and no image-sized array is built.
-    A frame of at most CHANNEL_BLOCK symbols is one block.
+    The CIR is a complex128 array of any strides (else ValueError), such as a
+    slice of rows of the Fresnel frame.  In blocks of rows of about
+    CHANNEL_BLOCK * N elements, each block is transformed, then its spectrum's
+    magnitudes go straight into their fftshift columns of ``cir.real``.  abs is
+    elementwise and fftshift a permutation, so the image is abs(fftshift(fft))
+    bit for bit and a float view into the CIR's own buffer; no image-sized or
+    whole-frame spectrum array is built.  A frame of at most CHANNEL_BLOCK
+    symbols is one block.
     """
-    cir = np.asarray(cir, dtype=np.complex128)
+    if not isinstance(cir, np.ndarray) or cir.dtype != np.complex128:
+        raise ValueError("the image is written in place into a complex128 CIR")
     if cir.ndim != 2 or cir.shape[1] < 2:
         raise ValueError("need a (range bins x M>=2) CIR matrix")
     n_rows, m = cir.shape
-    if out is None:
-        out = np.empty((n_rows, m))
-    elif out.shape != cir.shape or out.dtype != np.float64:
-        raise ValueError(f"out must be a float64 array of shape {cir.shape}")
+    out = cir.real
     step, shift = max(1, CHANNEL_BLOCK * params.N // m), m // 2
     for start in range(0, n_rows, step):
         block = slice(start, start + step)

@@ -623,6 +623,7 @@ def test_manifest_config_round_trip(tmp_path):
         ("radcom", {"radcom": {"N_CP": 0}}, "config.radcom: RadCom N_CP must be >= 1"),
         ("radcom", {"waveform": {"M": 0}, "radcom": {"avg_symbols": 1}}, "config.waveform: M must be positive"),
         ("radcom", {"waveform": {"M": -5}, "radcom": {"avg_symbols": 1}}, "config.waveform: M must be positive"),
+        ("radcom", {"comm": {"tilt_db": 1e308}}, "config.comm.tilt_db: tilt_db=1e+308 overflows the tap ratio"),
     ],
 )
 def test_hostile_config_exits_2_naming_field(tmp_path, capsys, command, config, field):
