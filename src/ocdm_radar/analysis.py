@@ -117,7 +117,7 @@ def range_cut_metrics(image: RangeVelocityImage, reference_peak_power: float) ->
 def radar_image(
     frame: np.ndarray, params: WaveformParams, shifts, snr_db=None, rng_seed: int = 0, rows=(slice(None),)
 ) -> list[RangeVelocityImage]:
-    """The radar chain on one Fresnel-domain (N x M) transmit frame, which it leaves as it is.
+    """The radar chain on one Fresnel-domain (N x M) transmit frame, which it consumes.
 
     modulate, apply_shift_channel with (n_delta, k_delta, amplitude) shifts and
     AWGN at snr_db, receive_frame, then doppler_process on each slice of
@@ -125,14 +125,14 @@ def radar_image(
     holds a CIR: every ``MimoConfig.slice_rows`` slice of a superposed MIMO
     frame, ``RadComFrameSpec.radar_rows``, or every row (the default, one image).
 
-    One (N + N_CP) M complex buffer carries the chain, and every stage works
-    in place on it: modulate writes the tx stream into it, the channel
-    overwrites it with the rx stream, receive_frame with the Fresnel frame,
-    and doppler_process writes each slice's magnitudes into the real parts
-    of the slice's rows, so every image is a float view into that buffer and
-    keeps it alive.  Besides the caller's frame, the buffer is the only
-    frame-sized array: the chain peaks at about (N + N_CP) 16 M bytes, with
-    block temporaries of a few MiB.  Overlapping slices are rejected: one
+    The frame is a builder's, the body of its own (N + N_CP) M complex stream,
+    and every stage works in place on that stream: modulate turns the frame
+    into the tx stream, the channel overwrites it with the rx stream,
+    receive_frame with the Fresnel frame, and doppler_process writes each
+    slice's magnitudes into the real parts of the slice's rows, so every image
+    is a float view into that buffer and keeps it alive.  The buffer is the
+    only frame-sized array: the chain peaks at about (N + N_CP) 16 M bytes,
+    with block temporaries of a few MiB.  Overlapping slices are rejected: one
     slice's image would overwrite rows of another before they are transformed.
     """
     imaged = np.zeros(params.N, dtype=bool)

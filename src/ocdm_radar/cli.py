@@ -63,6 +63,7 @@ from .framing import (
     build_radcom_frame,
     build_superposed_pilot_frame,
     draw_payload_bits,
+    payload_symbols,
     qpsk_demap,
 )
 from .rxproc import (
@@ -396,25 +397,25 @@ def _cmd_radcom(config: dict, sc: Scenario) -> dict:
         raise ValueError(f"channel delay spread {spread} must be below the RadCom N_CP {spec.N_CP} (N_CP-1 guard nulls)")
 
     bits = draw_payload_bits(np.random.default_rng(config["seed"]), params, spec)
+    # The frame is the body of its own stream, which radar_image modulates and images in place.
     frame = build_radcom_frame(params, spec, bits)
     [image] = radar_image(frame, params, sc.shifts, config["snr_db"], config["seed"], [spec.radar_rows])
+    del frame
     # The sector image is a view into the radar leg's stream buffer: a copy lets that buffer go.
     artifacts = _radar_artifacts("radcom", replace(image, magnitude=image.magnitude.copy()))
     del image
 
     # Communication leg on the frame's symbols one after another, a stream with N_CP = 0:
     # the DFnT commutes with the channel's per-symbol circular convolution, so the channel
-    # acts on them as on the transmit stream.  The stream is a column-major copy, and the
-    # row-major frame (its zero rows' pages never touched) goes before it runs in place.
-    rx = frame.ravel(order="F")
-    del frame
-    apply_comm_channel(rx, sc.comm_channel, replace(params, N_CP=0), out=rx)
-    rx = rx.reshape((params.N, params.M), order="F")  # the received frame, a view
+    # acts on them as on the transmit stream.  Built without a CP, the frame is the whole
+    # column-major stream it is a view of, and the channel overwrites that stream.
+    comm_params = replace(params, N_CP=0)
+    rx = build_radcom_frame(comm_params, spec, bits)
+    apply_comm_channel(rx.base, sc.comm_channel, comm_params, out=rx.base)
     avg = config["radcom"]["avg_symbols"] or params.M
     recovered = equalize_and_extract(rx, estimate_comm_cfr(rx, spec, avg), spec)
-    del rx  # the received frame goes before the reference frame is rebuilt
-    # The symbols sent, as the frame's C-contiguous data rows.
-    report = evm_and_snr(recovered, build_radcom_frame(params, spec, bits)[spec.data_rows(params.N)])
+    del rx  # the received frame goes before the symbols sent are mapped again
+    report = evm_and_snr(recovered, payload_symbols(params, spec, bits))
     rx_bits = qpsk_demap(recovered)
     artifacts["comm_report.json"] = {
         **asdict(report),
@@ -427,6 +428,15 @@ def _cmd_radcom(config: dict, sc: Scenario) -> dict:
     table[..., 0], table[..., 1], table[..., 2] = recovered.T.real, recovered.T.imag, np.arange(n_data)
     artifacts["constellation.csv"] = ("re,im,subchirp", table.reshape(-1, 3))
     return artifacts
+
+
+def _chain_peak_bytes(command: str, sc: Scenario) -> int:
+    """The frame-sized memory a radar, mimo or radcom run holds at its peak: the radar chain's
+    one stream buffer, or for radcom the comm leg's received frame and recovered symbols if larger."""
+    if command != "radcom":
+        return sc.params.stream_len * 16
+    p = sc.radcom_params
+    return max(p.stream_len, (p.N + sc.spec.num_data_subchirps(p.N)) * p.M) * 16
 
 
 def _cmd_sweep(config: dict, sc: Scenario) -> dict:
@@ -587,9 +597,7 @@ def main(argv=None) -> int:
             p = scenario.radcom_params if args.command == "radcom" else scenario.params
             numerology = f"N={p.N}, M={p.M}, N_CP={p.N_CP}"
             if args.command in ("radar", "mimo", "radcom"):
-                # The chain's one stream buffer, which holds the images too, and beside it radcom's
-                # Fresnel frame; the pilot frames are np.zeros pages that are never written.
-                peak = (p.stream_len + (p.N * p.M if args.command == "radcom" else 0)) * 16
+                peak = _chain_peak_bytes(args.command, scenario)
                 message = f"out of memory at {numerology}; the radar chain needs about {peak / 2**20:.1f} MiB"
             else:  # the other commands build no stream
                 message = f"{args.command} ran out of memory at {numerology}"

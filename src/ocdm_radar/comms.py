@@ -104,16 +104,22 @@ def evm_and_snr(rx_symbols: np.ndarray, ref_symbols: np.ndarray) -> CommReport:
 
     EVM per row is the error RMS over that row's symbols relative to the
     overall reference RMS; the report carries the mean and standard deviation
-    across rows plus the error-power-based SNR estimate.
+    across rows plus the error-power-based SNR estimate.  The error powers are
+    taken CHANNEL_BLOCK rows at a time (each row's mean is its own).
     """
     rx = np.atleast_2d(np.asarray(rx_symbols, dtype=np.complex128))
     ref = np.atleast_2d(np.asarray(ref_symbols, dtype=np.complex128))
     if rx.shape != ref.shape or rx.size == 0:
         raise ValueError("rx/ref symbol matrices must match and be non-empty")
-    ref_power = float(np.mean(np.abs(ref) ** 2))
+    power = np.abs(ref)
+    ref_power = float(np.mean(np.square(power, out=power)))
+    del power
     if ref_power == 0:
         raise ValueError("reference symbols have zero power")
-    err_power_rows = np.mean(np.abs(rx - ref) ** 2, axis=1)
+    err_power_rows = np.empty(rx.shape[0])
+    for start in range(0, rx.shape[0], CHANNEL_BLOCK):
+        rows = slice(start, start + CHANNEL_BLOCK)
+        err_power_rows[rows] = np.mean(np.abs(rx[rows] - ref[rows]) ** 2, axis=1)
     with np.errstate(divide="ignore"):
         evm_rows = 10.0 * np.log10(err_power_rows / ref_power)
     evm_rows = np.maximum(evm_rows, EVM_FLOOR_DB)

@@ -6,9 +6,11 @@ Fresnel domain (or samples in the time domain), columns index OCDM symbols.
 frame: which rows a transmitter, the radar sector or the data sector uses.
 A sample stream is a 1-D array holding the M symbols one after another,
 each preceded by its last N_CP samples as cyclic prefix; ``to_stream`` and
-``from_stream`` build or take apart that layout, and ``modulate``, which
-writes it a block of symbols at a time, is the one place a Fresnel-domain
-frame becomes a transmit stream (and the only caller of the inverse DFnT).
+``from_stream`` build or take apart that layout.  Each frame builder writes
+its Fresnel-domain frame into the body rows of its own zeroed stream and
+returns that ``from_stream`` view, and ``modulate``, which transforms it there
+a block of symbols at a time, is the one place a Fresnel-domain frame becomes
+a transmit stream (and the only caller of the inverse DFnT).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ __all__ = [
     "build_mimo_pilot_frame",
     "build_superposed_pilot_frame",
     "build_radcom_frame",
+    "payload_symbols",
     "draw_payload_bits",
     "qpsk_map",
     "qpsk_demap",
@@ -42,13 +45,13 @@ C0 = 3.0e8
 
 # Symbols per block of the radar and comm chains: modulate, both channels' echo pass,
 # rxproc.receive_frame and comms.equalize_and_extract work on this many columns at a
-# time, and rxproc.doppler_process sizes its row blocks to as many elements.  Any width
-# from 16 to 256 runs a full-scale channel (N=2048, M=5120, 3 targets) in
-# 0.8-0.9 s on 2 vCPUs, 1024 takes 1.2 s; at 64 each block temporary is 2 MiB,
-# a few MiB in all beside the frame-sized stream buffer.
+# time, comms.evm_and_snr on as many rows, and rxproc.doppler_process sizes its row
+# blocks to as many elements.  Any width from 16 to 256 runs a full-scale channel
+# (N=2048, M=5120, 3 targets) in 0.8-0.9 s on 2 vCPUs, 1024 takes 1.2 s; at 64 each
+# block temporary is 2 MiB, a few MiB in all beside the frame-sized stream buffer.
 CHANNEL_BLOCK = 64
 
-# Data symbols per band of a RadCom payload: build_radcom_frame maps whole data rows
+# Data symbols per band of a RadCom payload: _write_payload maps whole data rows
 # of at most this many symbols at a time (at least one row), so a band's float pairs
 # and complex symbols take 1 MiB each and no payload-sized one is built.
 _PAYLOAD_BAND = 1 << 16
@@ -181,9 +184,13 @@ def build_superposed_pilot_frame(params: WaveformParams, mimo: MimoConfig) -> np
     return _pilot_rows_frame(params, [mimo.slice_rows(params.N, p).start for p in range(mimo.num_tx)])
 
 
+def _stream_frame(params: WaveformParams) -> np.ndarray:
+    """The (N x M) body of a new zeroed stream: the frame a builder writes, modulate transforms."""
+    return from_stream(np.zeros(params.stream_len, dtype=np.complex128), params)
+
+
 def _pilot_rows_frame(params: WaveformParams, rows: list[int]) -> np.ndarray:
-    # Only the pilot rows are written; np.zeros leaves the other pages untouched.
-    frame = np.zeros((params.N, params.M), dtype=np.complex128)
+    frame = _stream_frame(params)
     frame[rows, :] = 1.0
     return frame
 
@@ -192,22 +199,34 @@ def build_radcom_frame(params: WaveformParams, spec: RadComFrameSpec, bits: np.n
     """Sector-modulated frame: sqrt(E_rad) pilot, QPSK data on ``spec.data_rows``, null guard.
 
     ``bits`` is the payload, two bits per data symbol with the data rows one
-    after another (as ``draw_payload_bits`` draws it).  The data rows get
-    sqrt(E_s) * qpsk_map(bits), mapped a band of rows at a time, so no
-    payload-sized symbol matrix is built.
+    after another (as ``draw_payload_bits`` draws it); the data rows get
+    ``payload_symbols(params, spec, bits)``.
     """
-    n_data, m = spec.num_data_subchirps(params.N), params.M
+    frame = _stream_frame(params)
+    frame[0, :] = np.sqrt(spec.pilot_energy)
+    _write_payload(frame[spec.data_rows(params.N)], spec, bits)
+    return frame
+
+
+def payload_symbols(params: WaveformParams, spec: RadComFrameSpec, bits: np.ndarray) -> np.ndarray:
+    """The (n_data x M) data symbols ``build_radcom_frame`` sends for ``bits``, C-ordered."""
+    symbols = np.empty((spec.num_data_subchirps(params.N), params.M), dtype=np.complex128)
+    _write_payload(symbols, spec, bits)
+    return symbols
+
+
+def _write_payload(data: np.ndarray, spec: RadComFrameSpec, bits: np.ndarray) -> None:
+    """sqrt(E_s) * qpsk_map(bits) into the (n_data x M) array ``data``, a band of rows at a
+    time, so no payload-sized symbol matrix is built."""
+    n_data, m = data.shape
     bits = np.asarray(bits)
     if bits.shape != (2 * n_data * m,):
         raise ValueError(f"payload must be {2 * n_data * m} bits, got shape {bits.shape}")
-    frame = np.zeros((params.N, m), dtype=np.complex128)
-    frame[0, :] = np.sqrt(spec.pilot_energy)
-    data, row_bits = frame[spec.data_rows(params.N)], bits.reshape(n_data, 2 * m)
+    row_bits = bits.reshape(n_data, 2 * m)
     scale, band = np.sqrt(spec.symbol_energy), max(1, _PAYLOAD_BAND // m)
     for start in range(0, n_data, band):
         rows = slice(start, start + band)
         data[rows] = (scale * qpsk_map(row_bits[rows])).reshape(-1, m)
-    return frame
 
 
 def draw_payload_bits(rng: np.random.Generator, params: WaveformParams, spec: RadComFrameSpec) -> np.ndarray:
@@ -268,18 +287,21 @@ def from_stream(stream: np.ndarray, params: WaveformParams) -> np.ndarray:
 
 
 def modulate(frame: np.ndarray, params: WaveformParams) -> np.ndarray:
-    """OCDM transmitter: Fresnel-domain (N x M) frame to its sample stream (IDFnT, then CP).
+    """OCDM transmitter, in place: a builder's Fresnel-domain frame to its sample stream.
 
-    Equal to ``to_stream(idfnt_fast(frame), params)`` bit for bit: the IDFnT acts
-    column by column, so each block of CHANNEL_BLOCK columns is transformed on
-    its own and written straight into its symbols of the stream, CP rows copied
-    from the block's tail.  Only the stream and one block's transform are built.
+    ``frame`` must be the ``from_stream`` view of its stream ``frame.base``, as
+    every builder here returns it; anything else is a ValueError.  The IDFnT
+    acts column by column, so each block of CHANNEL_BLOCK columns is
+    transformed on its own and written back over its symbols, CP rows copied
+    from the block's tail, and the stream is returned.  Bit for bit it equals
+    ``to_stream(idfnt_fast(frame), params)`` on the frame it was given; only
+    one block's transform is built.
     """
-    frame = np.asarray(frame)
-    if frame.shape != (params.N, params.M):
-        raise ValueError(f"frame must be {(params.N, params.M)}, got {frame.shape}")
+    stream = getattr(frame, "base", None)
+    body = from_stream(stream, params) if getattr(stream, "shape", None) == (params.stream_len,) else None
+    if body is None or (body.ctypes.data, body.shape, body.strides) != (frame.ctypes.data, frame.shape, frame.strides):
+        raise ValueError(f"frame must be the {(params.N, params.M)} from_stream view of its stream, as builders return it")
     n, n_cp = params.N, params.N_CP
-    stream = np.empty(params.stream_len, dtype=np.complex128)
     symbols = stream.reshape((params.symbol_len, params.M), order="F")  # a view
     for start in range(0, params.M, CHANNEL_BLOCK):
         block = slice(start, start + CHANNEL_BLOCK)

@@ -124,7 +124,7 @@ def phase_fold_correct(y: np.ndarray) -> np.ndarray:
     true position.
     """
     if not isinstance(y, np.ndarray) or y.dtype != np.complex128:
-        raise TypeError("the fold is undone in place on a complex128 array")
+        raise ValueError("the fold is undone in place on a complex128 array")
     y[1::2] *= -1.0
     return y
 

@@ -50,9 +50,10 @@ def test_radar_image_equals_whole_frame_chain(rows):
     spec = RadComFrameSpec(N_CP=24)
     rng = np.random.default_rng(17)
     bits = rng.integers(0, 2, size=2 * spec.num_data_subchirps(params.N) * params.M)
-    frame = build_radcom_frame(params, spec, bits)
-    fresnel = receive_frame(apply_shift_channel(modulate(frame, params), params, SHIFTS, 9.0, 4), params)
-    images = radar_image(frame, params, SHIFTS, 9.0, 4, rows)
+    # radar_image consumes its frame, so the reference chain gets a frame of its own.
+    tx = modulate(build_radcom_frame(params, spec, bits), params)
+    fresnel = receive_frame(apply_shift_channel(tx, params, SHIFTS, 9.0, 4), params)
+    images = radar_image(build_radcom_frame(params, spec, bits), params, SHIFTS, 9.0, 4, rows)
     assert len(images) == len(rows)
     for r, image in zip(rows, images):
         assert np.array_equal(image.magnitude, np.abs(np.fft.fftshift(np.fft.fft(fresnel[r], axis=1), axes=1)))
@@ -67,16 +68,16 @@ def test_radar_image_rejects_overlapping_slices():
 
 
 def test_radar_image_holds_no_third_frame():
-    # Above the caller's tx frame, only the one stream buffer (tx, then rx, then the
-    # Fresnel frame, into whose real parts the images are written) and block
+    # Above the caller's frame, whose stream buffer carries the whole chain (tx, then rx,
+    # then the Fresnel frame, into whose real parts the images are written), only block
     # temporaries, measured 0.22 frames: a second stream, a whole-frame IDFnT, a
     # stream-sized noise array, a float image or a complex spectrum of the frame would
     # each exceed the quarter-frame allowance.
     params = WaveformParams(N=256, M=1024, N_CP=64)
-    frame = build_pilot_frame(params)
-    radar_image(frame, params, SHIFTS[:1], 15.0, 3)  # lazy numpy imports, outside the count
-    rx_bytes, frame_bytes = params.stream_len * 16, params.N * params.M * 16
+    radar_image(build_pilot_frame(params), params, SHIFTS[:1], 15.0, 3)  # lazy numpy imports, outside the count
+    frame_bytes = params.N * params.M * 16
     for rows in ([slice(None)], FOUR_SLICES):
+        frame = build_pilot_frame(params)
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
@@ -85,8 +86,8 @@ def test_radar_image_holds_no_third_frame():
             peak = tracemalloc.get_traced_memory()[1] - entry
         finally:
             tracemalloc.stop()
-        assert peak <= rx_bytes + frame_bytes // 4
-        del images
+        assert peak <= frame_bytes // 4
+        del images, frame
 
 
 MIMO = MimoConfig(num_tx=4)

@@ -397,6 +397,27 @@ def test_radar_command_images_into_the_stream():
     assert peak <= frame_bytes + p.stream_len * 16 + frame_bytes // 4
 
 
+def test_radcom_run_peaks_at_its_chain_footprint(tmp_path):
+    # A whole radcom run holds at most the larger of its radar leg's stream and its comm
+    # leg's received frame beside the recovered data symbols, (N + n_data) M complex
+    # here, plus a quarter frame and 2 MiB: the sector image copy (N_CP/2 rows of
+    # floats), the payload bits and the block and band temporaries.  Measured: 0.87 of
+    # that bound; a Fresnel frame kept beside the radar leg's stream reaches 1.25 of it.
+    cfg = write_config(tmp_path, {"waveform": {"N": 256, "M": 2048}, "targets": [{"range_m": 5.03}], "snr_db": 15.0})
+    args = ["radcom", "--config", cfg, "--out"]
+    assert main(args + [str(tmp_path / "warm")]) == EXIT_OK  # lazy imports, outside the count
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert main(args + [str(tmp_path / "out")]) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    n, m, n_data = 256, 2048, RadComFrameSpec(N_CP=64).num_data_subchirps(256)
+    assert peak <= (n + n_data) * m * 16 + n * m * 16 // 4 + 2 * 2**20
+
+
 def test_radcom_radar_leg_stream_is_freed_before_the_comm_leg(monkeypatch):
     # The sector image is copied out of the radar leg's stream buffer, so the comm leg
     # runs without it: the buffer must be gone, not kept by the image or a reference cycle.
@@ -420,9 +441,9 @@ def test_radcom_radar_leg_stream_is_freed_before_the_comm_leg(monkeypatch):
 
 
 def test_radcom_comm_leg_holds_no_stream(monkeypatch):
-    # The comm leg runs on a column-major copy of the Fresnel frame: from the comm channel
-    # call on, the largest live array is an N x M frame (the received one, then the EVM
-    # reference), never an (N + N_CP) x M stream.
+    # The comm leg runs on a Fresnel frame built without a CP, its whole column-major
+    # stream: from the comm channel call on, the largest live array is that N x M frame,
+    # never an (N + N_CP) x M stream.
     config = resolve_config({"waveform": {"N": 256, "M": 64}, "targets": [{"range_m": 1.5}], "snr_db": 15.0})
     sc = cli.build_scenario(config)
     p = sc.radcom_params
@@ -515,10 +536,10 @@ def test_radcom_comm_leg_meets_criterion_10():
 
 
 def test_radcom_command_holds_one_stream():
-    # The radar leg runs in one stream buffer beside the frame, and the comm leg in a
-    # column-major copy that replaces the frame; the payload is kept as bits, so the
-    # equalizer's (n_data, M) symbols and the EVM reference rebuilt from the bits stay
-    # under the half-frame allowance (measured 10.3 MiB against an 11.0 MiB bound): a
+    # The radar leg runs in its frame's own stream buffer, and the comm leg in a CP-less
+    # frame built once that buffer is gone; the payload is kept as bits, so the
+    # equalizer's (n_data, M) symbols and the EVM reference mapped from the bits stay
+    # under the half-frame allowance (measured 8.4 MiB against an 11.0 MiB bound): a
     # frame-sized spectrum or quotient, or a second stream, would exceed it.
     config = resolve_config(
         {"waveform": {"N": 256, "M": 1024}, "targets": [{"range_m": 5.03, "velocity_mps": 10.0}], "snr_db": 15.0}
@@ -774,9 +795,11 @@ def test_memory_error_exits_3_naming_numerology(tmp_path, capsys, monkeypatch, c
     if command in ("papr", "sweep"):  # no stream is built: no radar chain to blame
         assert f"{command} ran out of memory at {numerology}" in err and "radar chain" not in err, err
     else:
-        n_cp = 64 if command == "radcom" else 0
-        frame = 256 if command == "radcom" else 0  # radcom's Fresnel frame beside the stream
-        peak_mib = (256 + n_cp + frame) * 16 * 32 / 2**20  # the stream buffer holds the images too
+        # radar: the one stream buffer, which holds the images too.  radcom: the larger of
+        # its radar leg's stream (N + N_CP = 320 rows) and its comm leg's received frame
+        # beside the recovered data symbols (N + n_data = 256 + 129 rows).
+        rows = 256 + 129 if command == "radcom" else 256
+        peak_mib = rows * 16 * 32 / 2**20
         assert f"out of memory at {numerology}" in err and f"about {peak_mib:.1f} MiB" in err, err
     assert not out.exists()
 

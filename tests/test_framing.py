@@ -16,6 +16,7 @@ from ocdm_radar.framing import (
     draw_payload_bits,
     from_stream,
     modulate,
+    payload_symbols,
     qpsk_demap,
     qpsk_map,
     to_stream,
@@ -200,8 +201,46 @@ def test_radcom_frame_maps_its_payload_bit_for_bit():
     want[0, :] = np.sqrt(spec.pilot_energy)
     want[spec.data_rows(params.N), :] = (np.sqrt(spec.symbol_energy) * qpsk_map(bits)).reshape(n_data, params.M)
     frame = build_radcom_frame(params, spec, bits)
-    assert frame.flags.c_contiguous
-    assert np.array_equal(frame.view(np.uint64), want.view(np.uint64))
+    assert _is_stream_body(frame, params)
+    assert frame.tobytes() == want.tobytes()
+    symbols = payload_symbols(params, spec, bits)
+    assert symbols.flags.c_contiguous
+    assert symbols.tobytes() == want[spec.data_rows(params.N)].tobytes()
+
+
+def _is_stream_body(frame, params) -> bool:
+    """Whether frame is from_stream(frame.base, params): the same memory, shape and strides."""
+    body = from_stream(frame.base, params)
+    return (body.ctypes.data, body.shape, body.strides) == (frame.ctypes.data, frame.shape, frame.strides)
+
+
+@pytest.mark.parametrize("n_cp", [0, 3])
+def test_builders_write_into_their_own_zeroed_stream(n_cp):
+    # Every builder returns the body of a new stream, its CP rows still zero, which
+    # modulate then transforms where it sits.
+    params, spec, mimo = WaveformParams(N=16, M=5, N_CP=n_cp), RadComFrameSpec(N_CP=4), MimoConfig(num_tx=4)
+    bits = np.ones(2 * spec.num_data_subchirps(params.N) * params.M, dtype=np.uint8)
+    frames = [
+        build_pilot_frame(params),
+        build_mimo_pilot_frame(params, mimo, 2),
+        build_superposed_pilot_frame(params, mimo),
+        build_radcom_frame(params, spec, bits),
+    ]
+    assert len({id(frame.base) for frame in frames}) == len(frames)
+    for frame in frames:
+        assert frame.base.shape == (params.stream_len,) and _is_stream_body(frame, params)
+        assert not frame.base.reshape((params.symbol_len, params.M), order="F")[:n_cp].any()
+
+
+def test_modulate_rejects_a_frame_that_is_not_its_streams_body():
+    # modulate works inside the frame's stream, so a frame without one is refused, not copied.
+    params = WaveformParams(N=8, M=3, N_CP=2)
+    frame = build_pilot_frame(params)
+    other = WaveformParams(N=8, M=3, N_CP=1)
+    for bad in (np.zeros((8, 3), dtype=np.complex128), frame.copy(), frame[:, :2], frame.base, build_pilot_frame(other)):
+        with pytest.raises(ValueError, match="frame must be"):
+            modulate(bad, params)
+    assert modulate(frame, params) is frame.base
 
 
 def test_radcom_data_rate_example():
@@ -288,9 +327,11 @@ def test_stream_shape_and_length_checks():
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("n_cp", [0, 24])
 def test_modulate_equals_the_whole_frame_stream(order, n_cp):
-    # Block by block into the stream buffer, a partial last block included, bit for bit.
+    # Block by block in place over the frame's stream, a partial last block included, bit
+    # for bit the whole-frame transform of a C- or F-ordered copy of the frame.
     params = WaveformParams(N=256, M=2 * CHANNEL_BLOCK + 5, N_CP=n_cp)
     rng = np.random.default_rng(n_cp)
-    frame = rng.standard_normal((params.N, params.M)) + 1j * rng.standard_normal((params.N, params.M))
-    frame = np.asarray(frame, order=order)
-    assert modulate(frame, params).tobytes() == to_stream(idfnt_fast(frame), params).tobytes()
+    frame = from_stream(np.zeros(params.stream_len, dtype=np.complex128), params)
+    frame[:] = rng.standard_normal((params.N, params.M)) + 1j * rng.standard_normal((params.N, params.M))
+    want = to_stream(idfnt_fast(np.array(frame, order=order)), params)
+    assert modulate(frame, params).tobytes() == want.tobytes()

@@ -142,7 +142,7 @@ def test_phase_fold_is_in_place_on_complex128_only():
     assert phase_fold_correct(frame) is frame
     assert frame.tobytes() == want.tobytes()
     for other in (np.ones((4, 3)), np.ones((4, 3), dtype=np.complex64), [[1j], [1j]]):
-        with pytest.raises(TypeError, match="complex128"):
+        with pytest.raises(ValueError, match="complex128"):
             phase_fold_correct(other)
 
 
