@@ -32,13 +32,13 @@ from .framing import (
     modulate,
     qpsk_map,
 )
-from .rxproc import RangeVelocityImage, doppler_process, receive_frame, with_axes
+from .rxproc import RangeVelocityImage, receive_frame, with_axes
 
 __all__ = [
     "RangeCutMetrics",
     "PaprCcdf",
     "SweepResult",
-    "radar_image",
+    "received_frame",
     "mimo_leakage_db",
     "doppler_tolerance_sweep",
     "papr_ccdf",
@@ -114,36 +114,28 @@ def range_cut_metrics(image: RangeVelocityImage, reference_peak_power: float) ->
     return RangeCutMetrics(float(pplr), float(pslr), float(islr), tuple(lobe_set))
 
 
-def radar_image(
-    frame: np.ndarray, params: WaveformParams, shifts, snr_db=None, rng_seed: int = 0, rows=(slice(None),)
-) -> list[RangeVelocityImage]:
-    """The radar chain on one Fresnel-domain (N x M) transmit frame, which it consumes.
+def received_frame(frame: np.ndarray, params: WaveformParams, shifts, snr_db=None, rng_seed: int = 0) -> np.ndarray:
+    """The received, fold-corrected Fresnel frame of one Fresnel-domain (N x M) transmit frame, which it consumes.
 
     modulate, apply_shift_channel with (n_delta, k_delta, amplitude) shifts and
-    AWGN at snr_db, receive_frame, then doppler_process on each slice of
-    Fresnel-domain rows in the sequence ``rows``, one image per slice.  A slice
-    holds a CIR: every ``MimoConfig.slice_rows`` slice of a superposed MIMO
-    frame, ``RadComFrameSpec.radar_rows``, or every row (the default, one image).
+    AWGN at snr_db, then receive_frame.  With a pilot transmission the rows
+    are the CIR estimates, and doppler_process images a slice of them: every
+    ``MimoConfig.slice_rows`` slice of a superposed MIMO frame,
+    ``RadComFrameSpec.radar_rows``, or every row.
 
     The frame is a builder's, the body of its own (N + N_CP) M complex stream,
     and every stage works in place on that stream: modulate turns the frame
-    into the tx stream, the channel overwrites it with the rx stream,
-    receive_frame with the Fresnel frame, and doppler_process writes each
-    slice's magnitudes into the real parts of the slice's rows, so every image
-    is a float view into that buffer and keeps it alive.  The buffer is the
-    only frame-sized array: the chain peaks at about (N + N_CP) 16 M bytes,
-    with block temporaries of a few MiB.  Overlapping slices are rejected: one
-    slice's image would overwrite rows of another before they are transformed.
+    into the tx stream, the channel overwrites it with the rx stream, and
+    receive_frame with the Fresnel frame, returned as the ``from_stream`` view
+    of that stream.  doppler_process writes a slice's magnitudes into the real
+    parts of the slice's rows, so each image is a float view into the same
+    buffer and keeps it alive, and slices imaged one after another must not
+    overlap.  The buffer is the only frame-sized array: the chain peaks at
+    about (N + N_CP) 16 M bytes, with block temporaries of a few MiB.
     """
-    imaged = np.zeros(params.N, dtype=bool)
-    for r in rows:
-        if imaged[r].any():
-            raise ValueError(f"image row slice {r} overlaps an earlier slice")
-        imaged[r] = True
-    rx = modulate(frame, params)
-    apply_shift_channel(rx, params, shifts, snr_db, rng_seed, out=rx)
-    fresnel = receive_frame(rx, params)
-    return [doppler_process(fresnel[r], params) for r in rows]
+    stream = modulate(frame, params)
+    apply_shift_channel(stream, params, shifts, snr_db, rng_seed, out=stream)
+    return receive_frame(stream, params)
 
 
 def mimo_leakage_db(params: WaveformParams, mimo: MimoConfig, shifts) -> list[float | None]:
@@ -152,16 +144,17 @@ def mimo_leakage_db(params: WaveformParams, mimo: MimoConfig, shifts) -> list[fl
     On the noise-free symbol 0 of the pilot frames, E_own is the energy of
     transmitter p's echo in its own slice rows and E_other the energy there of
     the other transmitters' echoes, summed as they add in the superposed frame.
-    Each echo is one single-symbol chain, as in _pilot_imager.  The value is
-    None where E_other is nothing at float64 precision (E_own + E_other ==
-    E_own): integer n_delta + k_delta keep every echo on one row, and the
-    other rows hold only the transforms' rounding residue, about 1e-30 of E_own.
+    Each echo is one single-symbol received_frame, as in _pilot_imager.  The
+    value is None where E_other is nothing at float64 precision (E_own +
+    E_other == E_own): integer n_delta and k_delta keep every echo on one row,
+    and the other rows hold only the transforms' rounding residue, about 1e-30
+    of E_own.  A fractional pair spreads it even where n_delta + k_delta is an
+    integer.
     """
     single = replace(params, M=1)
-    echoes = []
-    for p in range(mimo.num_tx):
-        pilot = modulate(build_mimo_pilot_frame(single, mimo, p), single)
-        echoes.append(receive_frame(apply_shift_channel(pilot, single, shifts), single)[:, 0])
+    echoes = [
+        received_frame(build_mimo_pilot_frame(single, mimo, p), single, shifts)[:, 0] for p in range(mimo.num_tx)
+    ]
     total = np.sum(echoes, axis=0)
     leakage = []
     for p, own in enumerate(echoes):
@@ -175,9 +168,10 @@ def mimo_leakage_db(params: WaveformParams, mimo: MimoConfig, shifts) -> list[fl
 def _pilot_imager(params: WaveformParams):
     """The noise-free pilot-frame image of one unit scatterer, as a function of (n_delta, k_delta).
 
-    It equals radar_image on the pilot frame, with M - 1 of its M symbol
-    chains left out.  The pilot frame's M columns are equal, and the channel
-    gives symbol m the received symbol 0 times the per-symbol factor
+    It equals doppler_process on the received_frame of the pilot frame, with
+    M - 1 of its M symbol chains left out: each call receives one pilot
+    symbol.  The pilot frame's M columns are equal, and the channel gives
+    symbol m the received symbol 0 times the per-symbol factor
     p[m] = e^{2 pi i k_delta m (N + N_CP) / N} of channel._echoes.  The receive
     DFnT and the fold correction act column by column, so the Fresnel frame is
     exactly d p^T, with d the Fresnel column of one symbol (DFnT linearity),
@@ -186,11 +180,10 @@ def _pilot_imager(params: WaveformParams):
     if params.M < 2:
         raise ValueError("need M >= 2 symbols for a Doppler axis")
     single = replace(params, M=1)
-    pilot = modulate(build_pilot_frame(single), single)
     m = np.arange(params.M)
 
     def image(n_delta: float, k_delta: float) -> RangeVelocityImage:
-        d = receive_frame(apply_shift_channel(pilot, single, [(n_delta, k_delta, 1.0)]), single)[:, 0]
+        d = received_frame(build_pilot_frame(single), single, [(n_delta, k_delta, 1.0)])[:, 0]
         p = np.exp(2j * np.pi * k_delta * m * params.symbol_len / params.N)
         return with_axes(np.outer(np.abs(d), np.abs(np.fft.fftshift(np.fft.fft(p)))), params)
 
@@ -202,7 +195,7 @@ def doppler_tolerance_sweep(params: WaveformParams, n_grid, k_grid) -> SweepResu
 
     The PPLR reference for each n_delta is that target's own zero-Doppler
     peak power, so the k_delta = 0 column of the PPLR surface is exactly
-    0 dB.  Every cell images one pilot symbol built per call, in the rank-1
+    0 dB.  Every cell receives one pilot symbol of its own, in the rank-1
     form of _pilot_imager; the k_delta = 0 cells reuse the reference image.
     """
     n_grid = np.asarray(n_grid, dtype=float)

@@ -37,8 +37,8 @@ from .analysis import (
     ofdm_symbol_builder,
     papr_ccdf,
     pilot_symbol_builder,
-    radar_image,
     radcom_symbol_builder,
+    received_frame,
 )
 from .channel import (
     CommChannelConfig,
@@ -69,6 +69,7 @@ from .framing import (
 from .rxproc import (
     RangeVelocityImage,
     compute_radar_params,
+    doppler_process,
     estimate_peak,
     image_to_csv,
     receive_frame,  # not called here: perfbench's tracer test checks its rebinding of this name
@@ -249,7 +250,7 @@ def resolve_config(raw: dict, full_scale: bool = False) -> dict:
 class Scenario(NamedTuple):
     """The library objects of one run, built from a resolved config.
 
-    ``shifts`` are the targets as radar_image's (n_delta, k_delta, amplitude)
+    ``shifts`` are the targets as received_frame's (n_delta, k_delta, amplitude)
     triples, valid for both numerologies: normalize_target ignores N_CP.
     """
 
@@ -363,22 +364,22 @@ def _cmd_params(config: dict, sc: Scenario) -> dict:
 
 
 def _cmd_radar(config: dict, sc: Scenario) -> dict:
-    [image] = radar_image(build_pilot_frame(sc.params), sc.params, sc.shifts, config["snr_db"], config["seed"])
-    return _radar_artifacts("radar", image)
+    fresnel = received_frame(build_pilot_frame(sc.params), sc.params, sc.shifts, config["snr_db"], config["seed"])
+    return _radar_artifacts("radar", doppler_process(fresnel, sc.params))
 
 
 def _cmd_mimo(config: dict, sc: Scenario) -> dict:
     params, mimo = sc.params, sc.mimo
     limit_m = compute_radar_params(params, num_tx=mimo.num_tx).mimo_max_unambiguous_range_m
     _require_targets_within(sc, mimo.slice_rows(params.N, 0).stop, limit_m, "MIMO slice")
-    # Every transmitter sends at once: one chain on the summed frame images each slice.
+    # Every transmitter sends at once: one chain on the summed frame, then each slice is imaged.
     # snr_db is per transmitter; the noise is referenced to the summed echo, which
     # carries num_tx transmitters' power.
     snr_db = config["snr_db"]
     if snr_db is not None:
         snr_db += 10.0 * math.log10(mimo.num_tx)
-    slices = [mimo.slice_rows(params.N, p) for p in range(mimo.num_tx)]
-    images = radar_image(build_superposed_pilot_frame(params, mimo), params, sc.shifts, snr_db, config["seed"], slices)
+    fresnel = received_frame(build_superposed_pilot_frame(params, mimo), params, sc.shifts, snr_db, config["seed"])
+    images = [doppler_process(fresnel[mimo.slice_rows(params.N, p)], params) for p in range(mimo.num_tx)]
     artifacts = {}
     for p, (image, leakage_db) in enumerate(zip(images, mimo_leakage_db(params, mimo, sc.shifts))):
         artifacts.update(_radar_artifacts(f"mimo_p{p}", image))
@@ -397,10 +398,10 @@ def _cmd_radcom(config: dict, sc: Scenario) -> dict:
         raise ValueError(f"channel delay spread {spread} must be below the RadCom N_CP {spec.N_CP} (N_CP-1 guard nulls)")
 
     bits = draw_payload_bits(np.random.default_rng(config["seed"]), params, spec)
-    # The frame is the body of its own stream, which radar_image modulates and images in place.
-    frame = build_radcom_frame(params, spec, bits)
-    [image] = radar_image(frame, params, sc.shifts, config["snr_db"], config["seed"], [spec.radar_rows])
-    del frame
+    # The frame is the body of its own stream, which received_frame turns into the Fresnel frame in place.
+    fresnel = received_frame(build_radcom_frame(params, spec, bits), params, sc.shifts, config["snr_db"], config["seed"])
+    image = doppler_process(fresnel[spec.radar_rows], params)
+    del fresnel
     # The sector image is a view into the radar leg's stream buffer: a copy lets that buffer go.
     artifacts = _radar_artifacts("radcom", replace(image, magnitude=image.magnitude.copy()))
     del image
@@ -598,7 +599,7 @@ def main(argv=None) -> int:
             numerology = f"N={p.N}, M={p.M}, N_CP={p.N_CP}"
             if args.command in ("radar", "mimo", "radcom"):
                 peak = _chain_peak_bytes(args.command, scenario)
-                message = f"out of memory at {numerology}; the radar chain needs about {peak / 2**20:.1f} MiB"
+                message = f"out of memory at {numerology}; the {args.command} run needs about {peak / 2**20:.1f} MiB"
             else:  # the other commands build no stream
                 message = f"{args.command} ran out of memory at {numerology}"
             print(f"error: precondition violated: {message}", file=sys.stderr)

@@ -14,9 +14,9 @@ from ocdm_radar.analysis import (
     ofdm_symbol_builder,
     papr_ccdf,
     pilot_symbol_builder,
-    radar_image,
     radcom_symbol_builder,
     range_cut_metrics,
+    received_frame,
 )
 from ocdm_radar.channel import apply_shift_channel
 from ocdm_radar.framing import (
@@ -31,7 +31,7 @@ from ocdm_radar.framing import (
     modulate,
 )
 from ocdm_radar.fresnel import idfnt_fast
-from ocdm_radar.rxproc import receive_frame
+from ocdm_radar.rxproc import doppler_process, receive_frame
 from reference import biased_cir_from_shifts, single_point_image
 
 SHIFTS = [(10.5, 0.2, 1.0), (60.25, -0.35, 0.3j), (130.0, 0.05, 0.2 - 0.1j)]
@@ -45,26 +45,22 @@ FOUR_SLICES = [slice(0, 64), slice(64, 128), slice(128, 192), slice(192, 256)]  
 )
 def test_radar_image_equals_whole_frame_chain(rows):
     # M leaves a partial receive block, the CP rows of the rx buffer are skipped, and
-    # the chain matches receive_frame and an fftshift of the complex spectrum on whole frames.
+    # the chain, then each slice's in-place Doppler step, match the out-of-place channel,
+    # receive_frame and an fftshift of the complex spectrum on whole frames.
     params = WaveformParams(N=256, M=2 * CHANNEL_BLOCK + 5, N_CP=24)
     spec = RadComFrameSpec(N_CP=24)
     rng = np.random.default_rng(17)
     bits = rng.integers(0, 2, size=2 * spec.num_data_subchirps(params.N) * params.M)
-    # radar_image consumes its frame, so the reference chain gets a frame of its own.
+    # received_frame consumes its frame, so the reference chain gets a frame of its own.
     tx = modulate(build_radcom_frame(params, spec, bits), params)
-    fresnel = receive_frame(apply_shift_channel(tx, params, SHIFTS, 9.0, 4), params)
-    images = radar_image(build_radcom_frame(params, spec, bits), params, SHIFTS, 9.0, 4, rows)
-    assert len(images) == len(rows)
-    for r, image in zip(rows, images):
-        assert np.array_equal(image.magnitude, np.abs(np.fft.fftshift(np.fft.fft(fresnel[r], axis=1), axes=1)))
-
-
-def test_radar_image_rejects_overlapping_slices():
-    # Each slice is imaged into its own rows' real parts, so an overlap would read rows
-    # another slice's image had already overwritten.
-    params = WaveformParams(N=64, M=8)
-    with pytest.raises(ValueError, match="overlaps"):
-        radar_image(build_pilot_frame(params), params, SHIFTS[:1], rows=[slice(0, 16), slice(8, 24)])
+    want = receive_frame(apply_shift_channel(tx, params, SHIFTS, 9.0, 4), params)
+    frame = build_radcom_frame(params, spec, bits)
+    fresnel = received_frame(frame, params, SHIFTS, 9.0, 4)
+    assert np.shares_memory(fresnel, frame.base)
+    assert np.array_equal(fresnel, want)
+    for r in rows:
+        image = doppler_process(fresnel[r], params)
+        assert np.array_equal(image.magnitude, np.abs(np.fft.fftshift(np.fft.fft(want[r], axis=1), axes=1)))
 
 
 def test_radar_image_holds_no_third_frame():
@@ -74,7 +70,8 @@ def test_radar_image_holds_no_third_frame():
     # stream-sized noise array, a float image or a complex spectrum of the frame would
     # each exceed the quarter-frame allowance.
     params = WaveformParams(N=256, M=1024, N_CP=64)
-    radar_image(build_pilot_frame(params), params, SHIFTS[:1], 15.0, 3)  # lazy numpy imports, outside the count
+    # Lazy numpy imports, outside the count.
+    doppler_process(received_frame(build_pilot_frame(params), params, SHIFTS[:1], 15.0, 3), params)
     frame_bytes = params.N * params.M * 16
     for rows in ([slice(None)], FOUR_SLICES):
         frame = build_pilot_frame(params)
@@ -82,12 +79,13 @@ def test_radar_image_holds_no_third_frame():
         try:
             entry = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            images = radar_image(frame, params, SHIFTS, 15.0, 3, rows)
+            fresnel = received_frame(frame, params, SHIFTS, 15.0, 3)
+            images = [doppler_process(fresnel[r], params) for r in rows]
             peak = tracemalloc.get_traced_memory()[1] - entry
         finally:
             tracemalloc.stop()
         assert peak <= frame_bytes // 4
-        del images, frame
+        del images, fresnel, frame
 
 
 MIMO = MimoConfig(num_tx=4)
@@ -98,9 +96,10 @@ def _mimo_images(params, shifts, snr_db=None):
     slices = [MIMO.slice_rows(params.N, p) for p in range(MIMO.num_tx)]
     frame = build_superposed_pilot_frame(params, MIMO)
     offset = 10.0 * math.log10(MIMO.num_tx)  # snr_db is per transmitter
-    superposed = radar_image(frame, params, shifts, None if snr_db is None else snr_db + offset, 5, slices)
+    fresnel = received_frame(frame, params, shifts, None if snr_db is None else snr_db + offset, 5)
+    superposed = [doppler_process(fresnel[rows], params) for rows in slices]
     alone = [
-        radar_image(build_mimo_pilot_frame(params, MIMO, p), params, shifts, snr_db, 5, [rows])[0]
+        doppler_process(received_frame(build_mimo_pilot_frame(params, MIMO, p), params, shifts, snr_db, 5)[rows], params)
         for p, rows in enumerate(slices)
     ]
     return superposed, alone
@@ -122,7 +121,7 @@ def test_superposed_frame_carries_fractional_shift_leakage():
     shifts = [(10.4, 0.2, 1.0)]
     superposed, alone = _mimo_images(params, shifts)
     frame = build_mimo_pilot_frame(params, MIMO, 0)
-    [neighbour] = radar_image(frame, params, shifts, rows=[MIMO.slice_rows(params.N, 1)])
+    neighbour = doppler_process(received_frame(frame, params, shifts)[MIMO.slice_rows(params.N, 1)], params)
     assert neighbour.magnitude.max() > 1e-2 * alone[0].magnitude.max()
     for got, want in zip(superposed, alone):
         assert np.max(np.abs(got.magnitude - want.magnitude)) > 1e-2 * want.magnitude.max()
@@ -235,7 +234,7 @@ def test_sweep_equals_its_per_cell_chain():
 @pytest.mark.parametrize("n_delta, k_delta", [(0.0, 0.0), (7.0, 0.0), (10.4, 0.37), (20.5, -0.37), (31.0, 0.25)])
 def test_single_point_image_equals_the_radar_chain(params, n_delta, k_delta):
     # The rank-1 image d p^T equals the M-symbol chain on the whole pilot stream.
-    [want] = radar_image(build_pilot_frame(params), params, [(n_delta, k_delta, 1.0)])
+    want = doppler_process(received_frame(build_pilot_frame(params), params, [(n_delta, k_delta, 1.0)]), params)
     got = single_point_image(params, n_delta, k_delta)
     assert got.magnitude.shape == want.magnitude.shape
     assert np.max(np.abs(got.magnitude - want.magnitude)) <= 1e-12 * want.magnitude.max()

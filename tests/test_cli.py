@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from ocdm_radar import analysis, cli, rxproc
-from ocdm_radar.analysis import mimo_leakage_db, radar_image
+from ocdm_radar.analysis import mimo_leakage_db, received_frame
 from ocdm_radar.channel import CommChannelConfig, Target, apply_comm_channel, normalize_target, two_tap_tilt_cir
 from ocdm_radar.cli import EXIT_OK, EXIT_PRECONDITION, EXIT_RUNTIME, EXIT_SCHEMA, main, resolve_config
 from ocdm_radar.cli import ConfigError
@@ -28,7 +28,7 @@ from ocdm_radar.framing import (
 )
 from ocdm_radar.comms import equalize_and_extract
 from ocdm_radar.fresnel import phase_fold_correct
-from ocdm_radar.rxproc import RangeVelocityImage, receive_frame
+from ocdm_radar.rxproc import RangeVelocityImage, doppler_process, receive_frame
 from ocdm_radar.selftest import run_selftest
 
 
@@ -324,7 +324,7 @@ def _lone_peak_image(shape):
 
 
 def _pilot_image(params, shifts, snr_db):
-    return radar_image(build_pilot_frame(params), params, shifts, snr_db, 3)[0]
+    return doppler_process(received_frame(build_pilot_frame(params), params, shifts, snr_db, 3), params)
 
 
 TWO_SHIFTS = [(10.4, -0.2, 1.0), (40.0, 0.1, 0.01)]
@@ -578,23 +578,22 @@ def test_commands_image_through_the_library_chain():
     sc = cli.build_scenario(config)
     p = WaveformParams(N=256, M=32)
 
-    [want] = radar_image(build_pilot_frame(p), p, _library_shifts(p), 10.0, 7)
+    want = doppler_process(received_frame(build_pilot_frame(p), p, _library_shifts(p), 10.0, 7), p)
     assert np.array_equal(cli._cmd_radar(config, sc)["radar"].magnitude, want.magnitude)
 
     # The four transmitters send at once; snr_db is per transmitter, so the summed echo's SNR is 6 dB higher.
     mimo = MimoConfig(4)
-    frame = build_superposed_pilot_frame(p, mimo)
-    slices = [mimo.slice_rows(p.N, tx_index) for tx_index in range(4)]
-    want = radar_image(frame, p, _library_shifts(p), 10.0 + 10.0 * math.log10(4), 7, slices)
+    fresnel = received_frame(build_superposed_pilot_frame(p, mimo), p, _library_shifts(p), 10.0 + 10.0 * math.log10(4), 7)
     artifacts = cli._cmd_mimo(config, sc)
     for tx_index in range(4):
-        assert np.array_equal(artifacts[f"mimo_p{tx_index}"].magnitude, want[tx_index].magnitude)
+        want = doppler_process(fresnel[mimo.slice_rows(p.N, tx_index)], p)
+        assert np.array_equal(artifacts[f"mimo_p{tx_index}"].magnitude, want.magnitude)
 
     p, spec = WaveformParams(N=256, M=32, N_CP=40), RadComFrameSpec(N_CP=40)
     n_data = spec.num_data_subchirps(p.N)
     bits = np.random.default_rng(7).integers(0, 2, size=2 * n_data * p.M)
-    frame = build_radcom_frame(p, spec, bits)
-    [want] = radar_image(frame, p, _library_shifts(p), 10.0, 7, [spec.radar_rows])
+    fresnel = received_frame(build_radcom_frame(p, spec, bits), p, _library_shifts(p), 10.0, 7)
+    want = doppler_process(fresnel[spec.radar_rows], p)
     assert np.array_equal(cli._cmd_radcom(config, sc)["radcom"].magnitude, want.magnitude)
 
 
@@ -762,7 +761,7 @@ def test_comm_spread_fails_before_the_radar_leg(tmp_path, capsys, monkeypatch, d
     def radar_leg(*args, **kwargs):
         raise AssertionError("the radar leg ran")
 
-    monkeypatch.setattr(cli, "radar_image", radar_leg)
+    monkeypatch.setattr(cli, "received_frame", radar_leg)
     k = np.arange(256)
     cfr = 1.0 + 0.5 * np.exp(-2j * np.pi * k * delay / 256)
     csv = tmp_path / "cfr.csv"
@@ -777,7 +776,7 @@ def test_comm_spread_fails_before_the_radar_leg(tmp_path, capsys, monkeypatch, d
 @pytest.mark.parametrize(
     "command, chain, numerology",
     [
-        ("radar", "radar_image", "N=256, M=32, N_CP=0"),
+        ("radar", "received_frame", "N=256, M=32, N_CP=0"),
         ("radcom", "apply_comm_channel", "N=256, M=32, N_CP=64"),
         ("papr", "papr_ccdf", "N=256, M=32, N_CP=0"),
         ("sweep", "doppler_tolerance_sweep", "N=256, M=32, N_CP=0"),
@@ -792,15 +791,15 @@ def test_memory_error_exits_3_naming_numerology(tmp_path, capsys, monkeypatch, c
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_PRECONDITION
     err = capsys.readouterr().err
-    if command in ("papr", "sweep"):  # no stream is built: no radar chain to blame
-        assert f"{command} ran out of memory at {numerology}" in err and "radar chain" not in err, err
+    if command in ("papr", "sweep"):  # no stream is built: no chain footprint to name
+        assert f"{command} ran out of memory at {numerology}" in err and "needs about" not in err, err
     else:
         # radar: the one stream buffer, which holds the images too.  radcom: the larger of
         # its radar leg's stream (N + N_CP = 320 rows) and its comm leg's received frame
         # beside the recovered data symbols (N + n_data = 256 + 129 rows).
         rows = 256 + 129 if command == "radcom" else 256
         peak_mib = rows * 16 * 32 / 2**20
-        assert f"out of memory at {numerology}" in err and f"about {peak_mib:.1f} MiB" in err, err
+        assert f"out of memory at {numerology}; the {command} run needs about {peak_mib:.1f} MiB" in err, err
     assert not out.exists()
 
 

@@ -58,7 +58,7 @@ def test_fresnel_transforms_run_in_one_place_each():
 
 
 def test_cli_runs_no_transform_chain_of_its_own():
-    # The radar chain is analysis.radar_image; the RadCom comm leg applies the comm channel
+    # The radar chain is analysis.received_frame; the RadCom comm leg applies the comm channel
     # to the Fresnel frame itself (the DFnT commutes with it), so cli neither modulates nor
     # runs the receive DFnT.  It keeps rxproc's receive_frame bound, uncalled, because the
     # perfbench tracer test checks that binding.
@@ -76,6 +76,24 @@ def test_channels_share_one_echo_pass():
     idfts = [node for node in ast.walk(tree) if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.fft.ifft"]
     loops = [node for node in ast.walk(tree) if isinstance(node, ast.For) and "CHANNEL_BLOCK" in ast.unparse(node.iter)]
     assert (len(idfts), len(loops)) == (1, 1)
+
+
+def test_radar_chain_is_received_in_one_place():
+    # analysis.received_frame is the one modulate, shift channel and receive chain: the
+    # package calls apply_shift_channel and receive_frame there and nowhere else.
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {id(node): top.name for top in tree.body if isinstance(top, ast.FunctionDef) for node in ast.walk(top)}
+        sites += [
+            (f"{path.stem}.{owner.get(id(node), '<module>')}", ast.unparse(node.func))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in ("apply_shift_channel", "receive_frame")
+        ]
+    assert sorted(sites) == [
+        ("analysis.received_frame", "apply_shift_channel"),
+        ("analysis.received_frame", "receive_frame"),
+    ], sites
 
 
 def test_csv_is_written_in_one_place():
